@@ -708,6 +708,7 @@ def _cmd_perf_history(args) -> int:
 def _cmd_serve(args) -> int:
     """Serve the pipeline over HTTP/JSON (see docs/serving.md)."""
     import asyncio
+    import signal
 
     from .serve import ServeApp, ServeConfig
 
@@ -729,15 +730,21 @@ def _cmd_serve(args) -> int:
               f"({config.jobs} worker{'s' if config.jobs != 1 else ''}, "
               f"cache {root if root is not None else 'memory-only'})",
               flush=True)
+        # SIGTERM (a plain `kill`) unwinds like Ctrl-C, so app.stop()
+        # shuts the worker pool down instead of orphaning it
+        terminated = asyncio.Event()
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, terminated.set)
         try:
-            await asyncio.Event().wait()
+            await terminated.wait()
         finally:
             await app.stop()
 
     try:
         asyncio.run(serve())
     except KeyboardInterrupt:
-        print("repro serve: shutting down", file=sys.stderr)
+        pass
+    print("repro serve: shutting down", file=sys.stderr)
     return 0
 
 

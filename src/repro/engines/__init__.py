@@ -36,7 +36,7 @@ __all__ = ["ExecutionEngine", "DEFAULT_ENGINE", "register_engine",
 
 def _hw_factory(program, machine, **kwargs):
     # deferred import: hwsim consumes this package's codegen for its
-    # resolve/commit passes, so importing it here at module load would
+    # per-tree passes, so importing it here at module load would
     # be circular
     from ..hwsim.core import HwSimulator
     kwargs.pop("collect_profile", None)  # hwsim never collects profiles

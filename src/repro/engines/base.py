@@ -22,7 +22,8 @@ imported:
 ``hw``
     The dynamically scheduled hardware simulator
     (:class:`~repro.hwsim.core.HwSimulator`), which consumes the same
-    compiled per-tree form for its resolve and commit passes.  It is a
+    compiled per-tree form for its one pass per tree execution (and
+    its LSQ-ordered commit pass when a timing reorders a load).  It is a
     *timing* model, not a drop-in semantic engine (loads read through
     the load/store queue), so it is excluded from
     :func:`semantic_engine_names`.

@@ -35,14 +35,20 @@ Three generation modes share the operation bodies:
     memory list; returns the taken exit index (plus profile data when
     collecting).
 ``hw_resolve``
-    The hardware simulator's shadow pass: loads/stores record
-    canonical-address-class events and read through a store overlay;
-    register locals are never written back (the pass runs on a copy).
+    The hardware simulator's pass, run on a copy of the frame's
+    registers: loads/stores record canonical-address-class events and
+    loads read through a store overlay; stores and PRINT values are
+    buffered in program order.  Returns ``(exit_index, events, stores,
+    prints)``, or only the exit index for a tree without memory
+    operations, which prints directly.  The index is ``-1`` when no
+    exit fires *or* an exit guard is undefined: the caller re-evaluates
+    the exits, for the interpreter's exact error, once stores drained.
 ``hw_commit``
-    The hardware simulator's authoritative pass: loads/stores go
-    through injected LSQ callbacks; the caller drains the store buffer
-    and evaluates exits (in-order retirement happens *between* the two,
-    so exits cannot move into the generated body).
+    The hardware simulator's LSQ-ordered pass, needed only when the
+    timing reorders a load: loads/stores go through injected LSQ
+    callbacks; the caller drains the store buffer and evaluates exits
+    (in-order retirement happens *between* the two, so exits cannot
+    move into the generated body).
 
 Generated sources are deterministic functions of (tree structure,
 mode, flags) and therefore double as structural tree fingerprints for
@@ -59,8 +65,8 @@ from ..ir.tree import DecisionTree, ExitKind
 from ..ir.values import Constant, FLOAT
 from ..sim.interpreter import BINARY_OPS, InterpreterError
 
-__all__ = ["MISSING", "EXEC_GLOBALS", "generate_tree_source",
-           "generate_function_source"]
+__all__ = ["MISSING", "EXEC_GLOBALS", "touches_memory",
+           "generate_tree_source", "generate_function_source"]
 
 #: Sentinel for "register not present in the frame dict" — ``None`` is
 #: unusable because a register can never hold it, but ``0`` is a
@@ -141,6 +147,13 @@ _UN_EXPR = {
 }
 
 
+def touches_memory(tree: DecisionTree) -> bool:
+    """Whether *tree* has a LOAD or STORE: the trees whose
+    ``hw_resolve`` pass buffers its stores and output."""
+    return any(op.opcode is Opcode.LOAD or op.opcode is Opcode.STORE
+               for op in tree.ops)
+
+
 class _Emitter:
     """Generates the specialized source of one tree, one mode."""
 
@@ -155,6 +168,8 @@ class _Emitter:
         self.trace_stores = trace_stores and mode == "sim"
         self.strict_memory = strict_memory
         self.count_squashes = count_squashes and mode == "sim"
+        #: hw_resolve only: buffer stores and output for the caller
+        self.buffers = mode == "hw_resolve" and touches_memory(tree)
         self.lines: List[str] = []
         self.reg_var: Dict[str, str] = {}
         #: register names written by at least one op in this tree
@@ -190,13 +205,17 @@ class _Emitter:
         default = "0.0" if operand.type == FLOAT else "0"
         return f"({var} if {var} is not _M else {default})"
 
-    def emit_guard_check(self, guard, indent: str) -> str:
+    def emit_guard_check(self, guard, indent: str,
+                         on_missing: str = "") -> str:
         """Emit the definedness check a guard read implies and return
-        the guard's truth expression."""
+        the guard's truth expression.  The check raises the
+        interpreter's error unless *on_missing* gives another
+        statement."""
         name = guard.reg.name
         var = self.var(name)
         if name not in self.definitely_set:
-            self.lines.append(f"{indent}if {var} is _M: _ge({name!r})")
+            action = on_missing or f"_ge({name!r})"
+            self.lines.append(f"{indent}if {var} is _M: {action}")
         return f"not {var}" if guard.negate else var
 
     # -- operation bodies --------------------------------------------------
@@ -268,6 +287,7 @@ class _Emitter:
             out.append(f"{indent}_ev.append("
                        f"({op_index}, True, _co.setdefault(_a, len(_co))))")
             out.append(f"{indent}_ov[_a] = _v")
+            out.append(f"{indent}_sl.append((_a, _v))")
         elif self.mode == "hw_commit":
             out.append(f"{indent}_store({op_index}, _a, _v)")
         else:
@@ -279,9 +299,8 @@ class _Emitter:
                 out.append(f"{indent}_mt.append(({op.op_id}, _a, True))")
 
     def _emit_print(self, op, indent: str, out: List[str]) -> None:
-        if self.mode == "hw_resolve":
-            # the resolve pass discards output; the operand read is
-            # side-effect free, so nothing to emit
+        if self.buffers:
+            out.append(f"{indent}_pr.append({self.read(op.srcs[0])})")
             return
         self.uses_output = True
         out.append(f"{indent}_out.append({self.read(op.srcs[0])})")
@@ -322,7 +341,10 @@ class _Emitter:
                             f"_sq[{name!r}] = _sq.get({name!r}, 0) + {counter}")
 
         if self.mode == "hw_resolve":
-            body.append("    return _ev")
+            self._emit_exits(body)
+            self._emit_writeback(body)
+            body.append("    return _ei, _ev, _sl, _pr" if self.buffers
+                        else "    return _ei")
         elif self.mode == "hw_commit":
             self._emit_writeback(body)
             body.append("    return None")
@@ -341,22 +363,24 @@ class _Emitter:
         """Exit selection, first-true-guard wins; ``_ei`` stays ``-1``
         when no exit fires (the caller raises the interpreter's
         message).  Sequential so a later exit's undefined guard
-        register is never read once an earlier exit has been taken."""
+        register is never read once an earlier exit has been taken.
+        ``hw_resolve`` leaves ``-1`` on an undefined guard too: its
+        caller must drain the stores before raising."""
+        on_missing = "break" if self.mode == "hw_resolve" else ""
         body.append("    _ei = -1")
         body.append("    while 1:")
         for index, exit_ in enumerate(self.tree.exits):
             if exit_.guard is None:
                 body.append(f"        _ei = {index}; break")
                 break
-            cond = self.emit_guard_check(exit_.guard, "        ")
+            cond = self.emit_guard_check(exit_.guard, "        ",
+                                         on_missing)
             body.append(f"        if {cond}:")
             body.append(f"            _ei = {index}; break")
         else:
             body.append("        break")
 
     def _emit_writeback(self, body: List[str]) -> None:
-        if self.mode == "hw_resolve":
-            return
         for name in sorted(self.written):
             var = self.reg_var[name]
             if name in self.definitely_set:
@@ -387,10 +411,12 @@ class _Emitter:
             header.append("    _sq = interp._obs_squashed")
         for counter in self.squash_counters.values():
             header.append(f"    {counter} = 0")
-        if self.mode == "hw_resolve":
+        if self.buffers:
             header.append("    _ev = []")
             header.append("    _co = {}")
             header.append("    _ov = {}")
+            header.append("    _sl = []")
+            header.append("    _pr = []")
         if self.collect_profile:
             num_unguarded = sum(1 for op in self.tree.ops
                                 if op.guard is None)

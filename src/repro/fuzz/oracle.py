@@ -23,8 +23,8 @@ through the whole pipeline:
   execution backend: the base program under every registered
   memory-dependence predictor, plus the SPEC view under the learning
   predictor, must reproduce the reference **output**, **return value**,
-  **memory trace** and **final memory image** — the commit pass derives
-  load values from the load/store queue's timing, so an engine that
+  **memory trace** and **final memory image** — committed load values
+  follow the load/store queue's timing, so an engine that
   mis-orders memory diverges *functionally* here, not just in cycle
   counts.  Invariants: no finite configuration beats the
   unbounded-oracle machine's cycle count, and the ``never``-speculate

@@ -2,52 +2,55 @@
 
 :class:`HwSimulator` executes a decision-tree program the way the
 interpreter does — same frames, same call stack, same opcode semantics —
-but runs every *tree execution* through the cycle-level engine of
-:mod:`repro.hwsim.engine` in three passes:
+but times every *tree execution* on the engine of
+:mod:`repro.hwsim.engine`.  One execution is one compiled pass
+(``hw_resolve``) over a copy of the frame's registers, which yields the
+new registers, the taken exit, the guard-true memory accesses as
+canonical address-class events, the stores in program order and the
+PRINT values; loads read through a store overlay, i.e. see what
+sequential execution would.  The per-tree memo, keyed on the events
+plus the predictor's decision bits, supplies the timing (its violations
+train the predictor, on hits too).  The simulator then adopts the
+registers, drains the stores and appends the output.
 
-1. **resolve** — a sequential shadow pass computes guard truths and the
-   actual address of every guard-true memory access (with store-to-load
-   overlay, so in-tree RAW chains resolve), then asks the
-   memory-dependence predictor for a bypass/wait decision on every
-   (unresolved store, load) pair;
-2. **time** — the engine simulates dynamic issue under those decisions,
-   yielding per-exit completion cycles, per-access issue/completion
-   times and the list of misspeculation violations (which train the
-   predictor);
-3. **commit** — the authoritative pass.  Register updates, PRINT output
-   and the taken exit are recomputed sequentially, but every load's
-   value is derived *from the engine's timing*: the load/store queue
-   forwards the program-order-latest earlier same-address store whose
-   completion does not exceed the load's final issue cycle, else the
-   value memory held at tree entry.  A timing bug that lets a load slip
-   past a store it aliases therefore commits a stale value — and the
-   differential oracle (:mod:`repro.fuzz.oracle`) catches it as an
-   output/memory divergence rather than it hiding inside cycle counts.
+That retirement is exact only if the load/store queue forwards every
+load the value the pass gave it: the LSQ forwards the latest earlier
+same-address store that has completed by the load's final issue, else
+memory.  Each memo entry therefore carries an *in-order forwarding
+flag*, computed once per miss: every load's latest earlier same-class
+store, if any, completes by the load's final issue.  Exactly then the
+LSQ's pick is the overlay's pick, and an LSQ-ordered pass would
+recompute the same registers, stores and output.  Otherwise — only an
+engine that mis-orders memory gets here — the pass's results are
+dropped and the ``hw_commit`` pass, compiled on first need, re-executes
+the tree with every load drawn from the engine's timing.  A timing bug
+thus commits a stale value, and the fuzz oracle
+(:mod:`repro.fuzz.oracle`) sees an output/memory divergence rather
+than a bug hidden inside cycle counts.
 
-Executions are memoised per tree on the canonical address-class
-signature plus the predictor's decision bits, so learning predictors
-invalidate entries exactly when a decision flips; violations are
-replayed from the memo so training and statistics stay exact on hits.
+The predictor's decision bits cost O(loads x stores) queries, so each
+tree caches them on the event tuple; the cache is bounded by
+``HwMachine.memo_capacity`` and dropped whenever the predictor trains.
+Trees without memory operations run the pass on the frame's own
+registers and reuse their one timing result.  Neither cache changes
+the memo's hit, miss or eviction counts.
 """
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .. import obs
-from ..engines.codegen import generate_tree_source
+from ..engines.codegen import generate_tree_source, touches_memory
 from ..engines.jit import compiled_fn
-from ..ir.operations import Opcode, Operation
 from ..ir.program import Program
-from ..ir.values import FLOAT
+from ..ir.tree import DecisionTree
 from ..machine.hw import HwMachine
-from ..sim.interpreter import (BINARY_OPS, UNARY_OPS, Interpreter,
-                               InterpreterError, Number, RunResult)
-from .engine import EngineResult, MemEvent, TreeContext, simulate_tree
-from .predictor import DependencePredictor, OpKey, make_predictor
+from ..sim.interpreter import Interpreter, InterpreterError, Number, RunResult
+from .engine import EngineResult, TreeContext, simulate_tree
+from .predictor import DependencePredictor, make_predictor
 
 __all__ = ["HwStats", "HwTiming", "HwRunResult", "HwSimulator",
            "simulate_program"]
@@ -112,17 +115,64 @@ class HwRunResult(RunResult):
     timing: Optional[HwTiming] = None
 
 
+class _TreeState:
+    """Everything the simulator keeps per static tree."""
+
+    __slots__ = ("tree", "ctx", "steps", "run", "commit", "has_mem",
+                 "op_keys", "memo", "decisions", "result")
+
+    def __init__(self, function: str, name: str, tree: DecisionTree,
+                 machine: HwMachine, strict_memory: bool):
+        self.tree = tree
+        self.ctx = TreeContext(tree, machine)
+        self.steps = len(tree.ops) + 1
+        #: the compiled pass (shared bounded code cache with the
+        #: ``jit`` engine — the source is the key, so identical tree
+        #: shapes compile once per process)
+        self.run = compiled_fn(generate_tree_source(
+            tree, mode="hw_resolve", strict_memory=strict_memory))
+        #: the LSQ-ordered ``hw_commit`` pass, compiled on first need
+        self.commit = None
+        self.has_mem = touches_memory(tree)
+        #: predictor identity of each op, by node index
+        self.op_keys = [(function, name, op.op_id) for op in tree.ops]
+        #: (events, decisions) -> (EngineResult, forwards_in_order), LRU
+        self.memo: "OrderedDict[tuple, Tuple[EngineResult, bool]]" = \
+            OrderedDict()
+        #: events -> (bypass map, memo key), valid until the next train
+        self.decisions: Dict[tuple, tuple] = {}
+        #: memory-free trees: their one timing result
+        self.result: Optional[EngineResult] = None
+
+
+def _forwards_in_order(events, result: EngineResult) -> bool:
+    """Does the LSQ forward every load the value sequential execution
+    reads — the latest earlier same-address store's, or memory's when
+    there is none?  It does exactly when that store has completed by
+    the load's final issue."""
+    latest_store: Dict[int, int] = {}
+    for index, (_node, is_store, addr_class) in enumerate(events):
+        if is_store:
+            latest_store[addr_class] = index
+        else:
+            store = latest_store.get(addr_class)
+            if (store is not None and result.mem_completion[store]
+                    > result.final_issue[index]):
+                return False
+    return True
+
+
 class HwSimulator(Interpreter):
     """Cycle-level dynamically scheduled machine simulator.
 
     Functionally interpreter-compatible (same output, memory and return
     value when the timing engine is correct); see the module docstring
-    for the three-pass structure of each tree execution.
+    for the structure of each tree execution.
     """
 
     def __init__(self, program: Program, machine: HwMachine,
                  max_steps: int = 200_000_000, strict_memory: bool = False,
-                 trace_stores: bool = False, use_jit: bool = True):
+                 trace_stores: bool = False):
         super().__init__(program, max_steps=max_steps, collect_profile=False,
                          strict_memory=strict_memory,
                          trace_stores=trace_stores)
@@ -131,14 +181,7 @@ class HwSimulator(Interpreter):
         self.predictor: DependencePredictor = make_predictor(machine.predictor)
         self.cycles = 0
         self.stats = HwStats()
-        #: compiled resolve/commit passes; ``False`` keeps the original
-        #: op-dispatch passes (the equivalence tests run both and diff)
-        self.use_jit = use_jit
-        self._contexts: Dict[Tuple[str, str], TreeContext] = {}
-        #: (resolve_fn|None, commit_fn, has_mem) per tree
-        self._jit: Dict[Tuple[str, str], tuple] = {}
-        self._memo: Dict[Tuple[str, str],
-                         "OrderedDict[tuple, EngineResult]"] = {}
+        self._trees: Dict[Tuple[str, str], _TreeState] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -154,9 +197,8 @@ class HwSimulator(Interpreter):
                 obs.incr("hwsim.spec_issues", stats.spec_issues)
                 obs.incr("hwsim.squashes", stats.squashes)
                 obs.incr("hwsim.replays", stats.replays)
-                obs.incr("hwsim.memo_hits", stats.memo_hits)
-                obs.incr("hwsim.memo_misses", stats.memo_misses)
                 obs.incr("hwsim.memo.hits", stats.memo_hits)
+                obs.incr("hwsim.memo.misses", stats.memo_misses)
                 obs.incr("hwsim.memo.evictions", stats.memo_evictions)
                 span.annotate(cycles=self.cycles, steps=base.steps,
                               squashes=stats.squashes,
@@ -171,127 +213,124 @@ class HwSimulator(Interpreter):
     # -- per-tree execution --------------------------------------------------
 
     def _execute_tree(self, frame):
-        tree = self.program.functions[frame.function].trees[frame.tree]
         key = (frame.function, frame.tree)
-        ctx = self._contexts.get(key)
-        if ctx is None:
-            ctx = self._contexts[key] = TreeContext(tree, self.machine)
-            self._memo[key] = OrderedDict()
-            if self.use_jit:
-                self._jit[key] = self._compile_tree(tree)
-        self.stats.tree_executions += 1
-
-        self.steps += len(tree.ops) + 1
+        state = self._trees.get(key)
+        if state is None:
+            state = self._trees[key] = _TreeState(
+                frame.function, frame.tree,
+                self.program.functions[frame.function].trees[frame.tree],
+                self.machine, self.strict_memory)
+        stats = self.stats
+        stats.tree_executions += 1
+        self.steps += state.steps
         if self.steps > self.max_steps:
             raise InterpreterError(f"step limit exceeded ({self.max_steps})")
 
-        commit_fn = None
-        if self.use_jit:
-            resolve_fn, commit_fn, has_mem = self._jit[key]
-            if has_mem:
-                events = resolve_fn(dict(frame.regs), self.memory, self)
-                bypass, decision_sig = self._decide(frame, tree, events)
-            else:
-                # no memory ops: the resolve pass can only ever produce
-                # an empty event list, so skip it outright
-                events, bypass, decision_sig = (), {}, ()
+        if state.has_mem:
+            exit_index, result = self._execute_memory_tree(frame, state)
         else:
-            events, bypass, decision_sig = self._resolve(frame, tree)
-        # MemEvent is a NamedTuple, so slow-path events hash/compare
-        # identically to the compiled pass's plain tuples — both
-        # simulator modes share memo entries
-        memo_key = (tuple(events), decision_sig)
-        memo = self._memo[key]
-        result = memo.get(memo_key)
-        if result is None:
-            result = simulate_tree(ctx, self.machine, events, bypass)
-            memo[memo_key] = result
-            self.stats.memo_misses += 1
+            # nothing to forward, so nothing to order: the pass runs on
+            # the frame's own registers and there is one timing result
+            exit_index = state.run(frame.regs, self.memory, self)
+            result = state.result
+            if result is None:
+                result = state.result = simulate_tree(
+                    state.ctx, self.machine, (), {})
+                stats.memo_misses += 1
+            else:
+                stats.memo_hits += 1
+            stats.slots_used += result.slots_used
+        if exit_index < 0:
+            exit_index = self._take_exit(frame, state.tree)
+        tree_cycles = result.path_times[exit_index]
+        self.cycles += tree_cycles
+        if self._obs_on:
+            obs.observe("hwsim.tree_cycles", tree_cycles)
+        return state.tree.exits[exit_index], exit_index
+
+    def _execute_memory_tree(self, frame, state: _TreeState):
+        """Run the compiled pass on a copy of the registers, time it,
+        and retire its results if the LSQ forwards in order (else run
+        the LSQ-ordered commit pass).  Returns ``(exit index, engine
+        result)``; the exit index is ``-1`` when the caller must
+        re-evaluate the exits."""
+        regs = dict(frame.regs)
+        memory = self.memory
+        exit_index, events, stores, prints = state.run(regs, memory, self)
+        events = tuple(events)
+        decision = state.decisions.get(events)
+        if decision is None:
+            decision = self._decide(state, events)
+        bypass, memo_key = decision
+
+        stats = self.stats
+        memo = state.memo
+        entry = memo.get(memo_key)
+        if entry is None:
+            result = simulate_tree(state.ctx, self.machine, events, bypass)
+            entry = memo[memo_key] = (
+                result, _forwards_in_order(events, result))
+            stats.memo_misses += 1
             capacity = self.machine.memo_capacity
             if capacity is not None and len(memo) > capacity:
                 memo.popitem(last=False)
-                self.stats.memo_evictions += 1
+                stats.memo_evictions += 1
         else:
             memo.move_to_end(memo_key)
-            self.stats.memo_hits += 1
-        self._account(frame, tree, result)
+            stats.memo_hits += 1
+        result, in_order = entry
+        self._account(state, result)
 
-        exit_, exit_index = self._commit(frame, tree, events, result,
-                                         commit_fn)
-        tree_cycles = result.path_times[exit_index]
-        self.cycles += tree_cycles
-        if obs.is_enabled():
-            obs.observe("hwsim.tree_cycles", tree_cycles)
-        return exit_, exit_index
+        if not in_order:
+            self._commit(frame, state, events, result)
+            return -1, result
+        frame.regs = regs
+        for addr, value in stores:
+            memory[addr] = value
+        if self.trace_stores:
+            self.store_trace.extend(stores)
+        if prints:
+            self.output.extend(prints)
+        return exit_index, result
 
-    def _compile_tree(self, tree) -> tuple:
-        """Compile the tree's resolve and commit passes (shared bounded
-        code cache with the ``jit`` engine — the generated source is
-        the key, so identical tree shapes compile once per process)."""
-        has_mem = any(op.opcode is Opcode.LOAD or op.opcode is Opcode.STORE
-                      for op in tree.ops)
-        resolve_fn = None
-        if has_mem:
-            resolve_fn = compiled_fn(generate_tree_source(
-                tree, mode="hw_resolve", strict_memory=self.strict_memory))
-        commit_fn = compiled_fn(generate_tree_source(
-            tree, mode="hw_commit", strict_memory=self.strict_memory))
-        return resolve_fn, commit_fn, has_mem
+    def _take_exit(self, frame, tree) -> int:
+        """The first exit whose guard holds, with the interpreter's
+        errors for an undefined guard or no exit taken."""
+        for exit_index, exit_ in enumerate(tree.exits):
+            if self._guard_true(frame.regs, exit_.guard):
+                return exit_index
+        raise InterpreterError(
+            f"tree {frame.function}.{frame.tree}: no exit taken")
 
-    def _op_key(self, frame, tree, node: int) -> OpKey:
-        return (frame.function, frame.tree, tree.ops[node].op_id)
-
-    def _account(self, frame, tree, result: EngineResult) -> None:
+    def _account(self, state: _TreeState, result: EngineResult) -> None:
         """Fold one engine result into the run counters and train the
         predictor — on memo hits too, so learning and statistics see
         every dynamic violation, not just the first of each shape."""
         stats = self.stats
         stats.slots_used += result.slots_used
         stats.spec_issues += result.spec_issues
-        stats.violations += len(result.violations)
         stats.squashes += result.squashes
-        for load_node, store_node in result.violations:
-            self.predictor.train(self._op_key(frame, tree, load_node),
-                                 self._op_key(frame, tree, store_node))
+        if result.violations:
+            stats.violations += len(result.violations)
+            op_keys = state.op_keys
+            for load_node, store_node in result.violations:
+                self.predictor.train(op_keys[load_node], op_keys[store_node])
+            # training may flip any pair's decision, in any tree
+            for tree_state in self._trees.values():
+                tree_state.decisions.clear()
 
-    # -- pass 1: sequential resolve ------------------------------------------
-
-    def _resolve(self, frame, tree):
-        """Shadow-execute the tree to find guard-true memory accesses
-        (with canonical address classes) and collect the predictor's
-        bypass decision for every (earlier store, load) pair."""
-        regs = dict(frame.regs)
-        overlay: Dict[int, Number] = {}
-        memory = self.memory
-        events: List[MemEvent] = []
-        class_of: Dict[int, int] = {}
-
-        def load_fn(op: Operation, addr: int) -> Number:
-            self._add_event(events, class_of, op_index, False, addr)
-            return overlay.get(addr, memory[addr])
-
-        def store_fn(op: Operation, addr: int, value: Number) -> None:
-            self._add_event(events, class_of, op_index, True, addr)
-            overlay[addr] = value
-
-        for op_index, op in enumerate(tree.ops):
-            if self._guard_true(regs, op.guard):
-                self._step_op(op, regs, load_fn, store_fn, lambda value: None)
-
-        bypass, decision_sig = self._decide(frame, tree, events)
-        return events, bypass, decision_sig
-
-    def _decide(self, frame, tree, events):
+    def _decide(self, state: _TreeState, events: tuple) -> tuple:
         """The predictor's bypass decision for every (earlier store,
-        load) event pair, plus the flat decision signature the memo is
-        keyed on.  Events are indexed positionally (they may be plain
-        tuples from the compiled resolve pass)."""
+        load) event pair, and the memo key (events plus the flat
+        decision bits), cached on *events* until the predictor next
+        trains."""
         bypass: Dict[Tuple[int, int], bool] = {}
         decisions: List[bool] = []
+        op_keys = state.op_keys
         for li, load in enumerate(events):
             if load[1]:
                 continue
-            load_key = self._op_key(frame, tree, load[0])
+            load_key = op_keys[load[0]]
             for si in range(li):
                 store = events[si]
                 if not store[1]:
@@ -300,28 +339,30 @@ class HwSimulator(Interpreter):
                     decision = store[2] != load[2]
                 else:
                     decision = self.predictor.may_bypass(
-                        load_key, self._op_key(frame, tree, store[0]))
+                        load_key, op_keys[store[0]])
                 bypass[(si, li)] = decision
                 decisions.append(decision)
-        return bypass, tuple(decisions)
+        cache = state.decisions
+        capacity = self.machine.memo_capacity
+        if capacity is not None and len(cache) >= capacity:
+            del cache[next(iter(cache))]
+        decision = cache[events] = (bypass, (events, tuple(decisions)))
+        return decision
 
-    @staticmethod
-    def _add_event(events, class_of, node: int, is_store: bool,
-                   addr: int) -> None:
-        cls = class_of.setdefault(addr, len(class_of))
-        events.append(MemEvent(node, is_store, cls))
+    # -- the LSQ-ordered commit pass -----------------------------------------
 
-    # -- pass 3: LSQ-ordered commit ------------------------------------------
-
-    def _commit(self, frame, tree, events, result: EngineResult,
-                commit_fn=None):
-        """The authoritative pass: recompute the tree sequentially, but
-        draw every load's value from the load/store queue ordering the
-        engine produced.  Stores drain to memory at tree exit in program
-        order (in-order retirement) — *before* the exit guards are
-        evaluated, which is why the compiled commit pass returns to this
-        method instead of selecting the exit itself."""
-        regs = frame.regs
+    def _commit(self, frame, state: _TreeState, events,
+                result: EngineResult) -> None:
+        """Re-execute the tree sequentially, drawing every load's value
+        from the load/store queue ordering the engine produced.  Stores
+        drain to memory at tree exit in program order (in-order
+        retirement) — *before* the exit guards are evaluated, which is
+        why the compiled commit pass returns to the caller instead of
+        selecting the exit itself."""
+        if state.commit is None:
+            state.commit = compiled_fn(generate_tree_source(
+                state.tree, mode="hw_commit",
+                strict_memory=self.strict_memory))
         memory = self.memory
         event_of_node = {e[0]: i for i, e in enumerate(events)}
         store_vals: Dict[int, Tuple[int, Number]] = {}
@@ -350,68 +391,11 @@ class HwSimulator(Interpreter):
                 store_vals[ei] = (addr, value)
             pending_stores.append((addr, value))
 
-        if commit_fn is not None:
-            commit_fn(regs, memory, self, load_by_index, store_by_index)
-        else:
-            def load_fn(op: Operation, addr: int) -> Number:
-                return load_by_index(op_index, addr)
-
-            def store_fn(op: Operation, addr: int, value: Number) -> None:
-                store_by_index(op_index, addr, value)
-
-            for op_index, op in enumerate(tree.ops):
-                if not self._guard_true(regs, op.guard):
-                    continue
-                self._step_op(op, regs, load_fn, store_fn, self.output.append)
-
+        state.commit(frame.regs, memory, self, load_by_index, store_by_index)
         for addr, value in pending_stores:
             memory[addr] = value
             if self.trace_stores:
                 self.store_trace.append((addr, value))
-
-        for exit_index, exit_ in enumerate(tree.exits):
-            if self._guard_true(regs, exit_.guard):
-                return exit_, exit_index
-        raise InterpreterError(
-            f"tree {frame.function}.{frame.tree}: no exit taken")
-
-    # -- shared opcode semantics ---------------------------------------------
-
-    def _step_op(self, op: Operation, regs, load_fn, store_fn, out_fn) -> None:
-        """One guard-true operation under interpreter semantics, with
-        memory and output behaviour delegated to the current pass."""
-        opcode = op.opcode
-        if opcode is Opcode.LOAD:
-            addr = self._read(regs, op.srcs[0])
-            if isinstance(addr, int) and 0 <= addr < len(self.memory):
-                regs[op.dest.name] = load_fn(op, addr)
-            elif self.strict_memory:
-                self._check_addr(addr)
-            else:
-                # speculated loads never fault: junk value
-                regs[op.dest.name] = 0.0 if op.dest.type == FLOAT else 0
-        elif opcode is Opcode.STORE:
-            value = self._read(regs, op.srcs[0])
-            addr = self._read(regs, op.srcs[1])
-            self._check_addr(addr)
-            store_fn(op, addr, value)
-        elif opcode is Opcode.PRINT:
-            out_fn(self._read(regs, op.srcs[0]))
-        elif opcode is Opcode.SELECT:
-            cond = self._read(regs, op.srcs[0])
-            picked = op.srcs[1] if cond else op.srcs[2]
-            regs[op.dest.name] = self._read(regs, picked)
-        else:
-            handler = BINARY_OPS.get(opcode)
-            if handler is not None:
-                regs[op.dest.name] = handler(
-                    self._read(regs, op.srcs[0]), self._read(regs, op.srcs[1]))
-            elif opcode is Opcode.FSQRT:
-                value = self._read(regs, op.srcs[0])
-                regs[op.dest.name] = math.sqrt(value) if value >= 0 else 0.0
-            else:
-                regs[op.dest.name] = UNARY_OPS[opcode](
-                    self._read(regs, op.srcs[0]))
 
 
 def simulate_program(program: Program, machine: HwMachine,

@@ -44,6 +44,7 @@ import asyncio
 import concurrent.futures
 import json
 import os
+import signal
 import time
 from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
@@ -264,6 +265,10 @@ def _serve_worker_init() -> None:
     # a forked parent tracer would record into a dead copy
     obs.disable()
     obs.disable_profiling()
+    # the server's SIGTERM handler would wake the parent's event loop
+    # through the inherited wakeup fd instead of ending this worker
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.set_wakeup_fd(-1)
 
 
 def _spec_cache_key(spec: _WorkerSpec) -> str:

@@ -1,8 +1,9 @@
 """Integration tests for :class:`repro.hwsim.HwSimulator`.
 
-These exercise the three-pass tree execution (resolve, time, commit) on
-the canonical conftest programs and check that the coupled functional
-model agrees with the plain interpreter under every predictor.
+These exercise the tree execution (one compiled pass, timing,
+retirement) on the canonical conftest programs and check that the
+coupled functional model agrees with the plain interpreter under every
+predictor.
 """
 
 import pytest
@@ -104,7 +105,7 @@ class TestObservability:
         assert counters["hwsim.cycles"] > 0
         assert counters["hwsim.tree_executions"] > 0
         assert counters["hwsim.squashes"] > 0
-        assert counters["hwsim.memo_hits"] > 0
+        assert counters["hwsim.memo.hits"] > 0
 
 
 class TestLimits:

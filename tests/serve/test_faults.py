@@ -1,4 +1,4 @@
-"""Fault injection: crashes, hangs/timeouts, corrupt cache entries.
+"""Fault injection: crashes, hangs/timeouts, corrupt cache entries, SIGTERM.
 
 The ``REPRO_SERVE_INJECT`` hook (mirroring ``REPRO_PERF_INJECT``) is
 read inside worker processes: ``crash:<label-substring>`` hard-exits
@@ -7,10 +7,19 @@ computing.  Every fault must surface as a *structured* error response —
 never a hang, never a wedged server.
 """
 
+import http.client
 import json
 import os
+import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 SOURCE = ("int a[8];\n"
           "int main() { int i; for (i = 0; i < 8; i = i + 1) "
@@ -104,3 +113,91 @@ class TestCorruptCache:
         status, cache, rebuilt = second_server.post("disambiguate", payload)
         assert status == 200 and cache == "miss"
         assert rebuilt == original
+
+
+def _alive(pid: int) -> bool:
+    """Whether *pid* exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except FileNotFoundError:
+        return False
+    return state not in ("Z", "X")
+
+
+def _children(pid: int) -> list:
+    pids = []
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as handle:
+            pids.extend(int(child) for child in handle.read().split())
+    return pids
+
+
+def _wait_gone(pids, timeout: float = 10.0) -> list:
+    """The pids still alive after waiting up to *timeout* seconds."""
+    deadline = time.monotonic() + timeout
+    while any(_alive(pid) for pid in pids) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    return [pid for pid in pids if _alive(pid)]
+
+
+@pytest.fixture
+def cli_server(tmp_path):
+    """``repro serve --jobs 2`` as a subprocess, after one compile
+    request has started a pool worker: (process, port, worker pids)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--host", "127.0.0.1",
+         "--port", "0", "--jobs", "2", "--cache", str(tmp_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=env)
+    workers = []
+    try:
+        line = server.stdout.readline()
+        port = int(re.search(r"127\.0\.0\.1:(\d+)/", line).group(1))
+        assert _request(port, "POST", "/v1/compile",
+                        {"source": SOURCE, "label": "sigterm"}) == 200
+        workers = _children(server.pid)
+        assert workers, "the request never reached a pool worker"
+        yield server, port, workers
+    finally:
+        if server.poll() is None:
+            workers += _children(server.pid)
+            server.kill()
+            server.wait(timeout=60)
+        server.stdout.close()
+        for pid in workers:
+            if _alive(pid):
+                os.kill(pid, signal.SIGKILL)
+
+
+def _request(port: int, method: str, path: str, payload=None) -> int:
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        body = None if payload is None else json.dumps(payload)
+        conn.request(method, path, body=body,
+                     headers={"Content-Type": "application/json"})
+        return conn.getresponse().status
+    finally:
+        conn.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                    reason="needs Linux /proc to find the pool workers")
+class TestSigterm:
+    def test_sigterm_stops_the_worker_pool(self, cli_server):
+        """A plain ``kill`` unwinds like Ctrl-C: the server shuts its
+        pool down instead of leaving the workers orphaned."""
+        server, _port, workers = cli_server
+        server.send_signal(signal.SIGTERM)
+        assert server.wait(timeout=60) == 0
+        assert not _wait_gone(workers)
+
+    def test_sigterm_to_a_worker_spares_the_server(self, cli_server):
+        """Workers do not inherit the server's SIGTERM handler: a
+        terminated worker exits, and the server keeps serving."""
+        server, port, workers = cli_server
+        os.kill(workers[0], signal.SIGTERM)
+        assert not _wait_gone(workers[:1])
+        assert server.poll() is None
+        assert _request(port, "GET", "/v1/health") == 200
