@@ -41,8 +41,8 @@ __all__ = ["BENCH_CORPUS_SCHEMA", "run_corpus_bench", "history_benchmarks"]
 BENCH_CORPUS_SCHEMA = "repro.bench_corpus/1"
 
 #: Cache counters surfaced in the lab section (parent + workers merged).
-#: ``shard_evictions`` only moves when the pipeline runs on a
-#: byte-budgeted :class:`~repro.pipeline.shards.ShardedArtifactStore`.
+#: ``shard_evictions`` only moves when the pipeline runs on an
+#: :class:`~repro.pipeline.store.ArtifactStore` with a byte budget.
 _CACHE_COUNTERS = (("hits_mem", "pipeline.cache_hits.mem"),
                    ("hits_disk", "pipeline.cache_hits.disk"),
                    ("misses", "pipeline.cache_misses"),

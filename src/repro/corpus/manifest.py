@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
@@ -35,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from ..fuzz.generator import (GENERATOR_VERSION, GeneratorConfig,
                               config_from_dict, config_to_dict,
                               generate_program, program_seed)
+from ..pipeline.executor import worker_pool
 from .features import extract_features, compiled_ops, stratum_of
 
 __all__ = ["CORPUS_SCHEMA", "DEFAULT_MANIFEST_PATH", "CONFIG_TIERS",
@@ -216,11 +216,8 @@ def build_manifest(spec: BuildSpec = BuildSpec(), jobs: int = 1,
         progress(f"measuring {len(tasks)} candidates over "
                  f"{len(spec.config_names())} configs")
     if jobs > 1 and len(tasks) > 1:
-        methods = multiprocessing.get_all_start_methods()
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in methods else "spawn")
-        with ctx.Pool(min(jobs, len(tasks))) as pool:
-            candidates = pool.map(_measure, tasks, chunksize=16)
+        with worker_pool(min(jobs, len(tasks))) as pool:
+            candidates = list(pool.map(_measure, tasks, chunksize=16))
     else:
         candidates = [_measure(task) for task in tasks]
     selected = select_entries(candidates, spec.target_size)

@@ -7,13 +7,12 @@ Section 6.1) as four explicitly cached stages:
   identity (source + SpD knobs + grafting + machine + version salt);
 * :mod:`repro.pipeline.artifacts` — picklable inter-stage values;
 * :mod:`repro.pipeline.store` — in-memory LRU over an on-disk cache
-  (``$REPRO_CACHE_DIR`` / ``~/.cache/repro-spd``);
-* :mod:`repro.pipeline.shards` — the sharded variant of the store
-  (per-shard locks, LRU size budget, flat-layout migration) used by the
-  compilation service (:mod:`repro.serve`);
+  (``$REPRO_CACHE_DIR`` / ``~/.cache/repro-spd``) with per-shard locks
+  and an optional LRU byte budget;
 * :mod:`repro.pipeline.core` — the :class:`Pipeline` stage driver;
-* :mod:`repro.pipeline.executor` — multiprocessing fan-out of the
-  (program × disambiguator × machine) job matrix.
+* :mod:`repro.pipeline.executor` — the one worker pool: fan-out of the
+  (program × disambiguator × machine) job matrix, shared by the
+  compilation service (:mod:`repro.serve`).
 
 See ``docs/architecture.md`` for the full design, including cache
 layout and invalidation rules.
@@ -24,12 +23,11 @@ from .artifacts import (CompiledArtifact, DisambiguationArtifact,
 from .core import Pipeline
 from .executor import CompileJob, HwTimingJob, TimingJob, ViewJob, run_jobs
 from .fingerprint import PIPELINE_VERSION, fingerprint
-from .shards import ShardedArtifactStore
 from .store import ArtifactStore, default_cache_dir
 
 __all__ = [
     "ArtifactStore", "CompileJob", "CompiledArtifact",
     "DisambiguationArtifact", "HwTimingJob", "Pipeline", "PIPELINE_VERSION",
-    "ProfileArtifact", "ShardedArtifactStore", "TimingArtifact", "TimingJob",
+    "ProfileArtifact", "TimingArtifact", "TimingJob",
     "ViewJob", "default_cache_dir", "fingerprint", "run_jobs",
 ]

@@ -17,9 +17,8 @@ request processor.  A request's life:
 5. **batch** — a new computation enters a bounded queue
    (``queue_limit``, 503 ``queue_full`` beyond it).  The drain loop
    collects every queued item in the same event-loop tick into one
-   batch (``serve.batch_size``) and dispatches the items onto a
-   multiprocessing executor pool that reuses the pipeline's worker
-   machinery (:mod:`repro.pipeline.executor`);
+   batch (``serve.batch_size``) and dispatches the items onto the
+   pipeline's worker pool (:func:`repro.pipeline.executor.run_chunk`);
 6. **complete** — worker artifacts land in the shared on-disk cache
    *and* ship back into the server's memory tier; waiters re-probe and
    render byte-identical bodies.
@@ -35,16 +34,14 @@ Testing hook (mirrors ``REPRO_PERF_INJECT``): set
 ``REPRO_SERVE_INJECT="crash:<label-substring>"`` or
 ``"hang:<label-substring>:<seconds>"`` before the service starts and
 workers crash / sleep when running a matching job.  The hook is read in
-the worker; it has no effect on warm responses.
+the worker (:data:`repro.pipeline.executor.INJECT_ENV`); it has no
+effect on warm responses.
 """
 
 from __future__ import annotations
 
 import asyncio
-import concurrent.futures
 import json
-import os
-import signal
 import time
 from collections import OrderedDict
 from concurrent.futures.process import BrokenProcessPool
@@ -60,19 +57,15 @@ from ..machine.description import LifeMachine
 from ..machine.hw import HwMachine
 from ..obs.metrics import MetricsRegistry
 from ..pipeline.core import Pipeline
-from ..pipeline.executor import (CompileJob, HwTimingJob, TimingJob, ViewJob,
-                                 _pool_context, _run_on, _WorkerSpec,
-                                 artifact_stage)
+from ..pipeline.executor import (INJECT_ENV, CompileJob, HwTimingJob,
+                                 TimingJob, ViewJob, WorkerSpec, artifact_stage,
+                                 run_chunk, worker_pool)
 from ..pipeline.fingerprint import fingerprint as make_fingerprint
-from ..pipeline.shards import ShardedArtifactStore
 from ..pipeline.store import ArtifactStore, default_cache_dir
 from .schemas import (SCHEMA, RequestError, ServeRequest, error_body,
                       parse_request, result_body)
 
 __all__ = ["INJECT_ENV", "ServeConfig", "CompileService"]
-
-#: Fault-injection environment hook (read in the worker process).
-INJECT_ENV = "REPRO_SERVE_INJECT"
 
 
 @dataclass
@@ -98,10 +91,9 @@ class ServeConfig:
     #: artifact cache directory: ``None`` = ``$REPRO_CACHE_DIR`` /
     #: ``~/.cache/repro-spd``; empty string = memory-only
     cache_root: Optional[str] = None
-    #: LRU size budget of the on-disk cache (None = unbounded)
+    #: LRU size budget of the on-disk cache (None = unbounded); the
+    #: workers that write the entries enforce it
     cache_budget_mb: Optional[float] = None
-    #: completed computations between opportunistic budget sweeps
-    evict_check_interval: int = 64
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -253,93 +245,6 @@ def make_plan(request: ServeRequest) -> _Plan:
     return _Plan(request, fp, tuple(jobs), named, render)
 
 
-# -- worker side --------------------------------------------------------------
-
-#: Per-worker pipeline cache keyed by the worker spec, so a worker
-#: serving many requests with the same knobs reuses its memory tier.
-_worker_pipelines: "OrderedDict[str, Pipeline]" = OrderedDict()
-_WORKER_PIPELINE_CAP = 8
-
-
-def _serve_worker_init() -> None:
-    # a forked parent tracer would record into a dead copy
-    obs.disable()
-    obs.disable_profiling()
-    # the server's SIGTERM handler would wake the parent's event loop
-    # through the inherited wakeup fd instead of ending this worker
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.set_wakeup_fd(-1)
-
-
-def _spec_cache_key(spec: _WorkerSpec) -> str:
-    from ..pipeline.fingerprint import (graft_config_key, pass_pipeline_key,
-                                        spd_config_key)
-    return json.dumps({
-        "spd": spd_config_key(spec.spd_config),
-        "graft": graft_config_key(spec.graft),
-        "passes": pass_pipeline_key(spec.passes),
-        "guard_words": spec.guard_words,
-        "engine": spec.engine,
-        "validate": spec.validate_spec_output,
-        "root": spec.cache_root,
-    }, sort_keys=True)
-
-
-def _worker_pipeline_for(spec: _WorkerSpec) -> Pipeline:
-    key = _spec_cache_key(spec)
-    pipeline = _worker_pipelines.get(key)
-    if pipeline is None:
-        pipeline = Pipeline(
-            spd_config=spec.spd_config, graft=spec.graft,
-            validate_spec_output=spec.validate_spec_output,
-            store=ArtifactStore(spec.cache_root),
-            passes=spec.passes, guard_words=spec.guard_words,
-            engine=spec.engine)
-        _worker_pipelines[key] = pipeline
-        while len(_worker_pipelines) > _WORKER_PIPELINE_CAP:
-            _worker_pipelines.popitem(last=False)
-    else:
-        _worker_pipelines.move_to_end(key)
-    return pipeline
-
-
-def _maybe_inject(job) -> None:
-    """Apply the ``REPRO_SERVE_INJECT`` fault hook to a matching job."""
-    spec = os.environ.get(INJECT_ENV, "").strip()
-    if not spec:
-        return
-    for entry in spec.split(","):
-        parts = entry.split(":")
-        action = parts[0].strip()
-        needle = parts[1] if len(parts) > 1 else ""
-        if needle and needle not in job.label:
-            continue
-        if action == "crash":
-            os._exit(3)
-        if action == "hang":
-            time.sleep(float(parts[2]) if len(parts) > 2 else 30.0)
-
-
-def _serve_run_chunk(spec: _WorkerSpec, jobs: Tuple[object, ...]) -> List[tuple]:
-    """Run one work item's jobs in a worker; per-job error isolation.
-
-    Returns ``("ok", stage, artifact)`` or
-    ``("error", code, message, http_status)`` per job."""
-    results: List[tuple] = []
-    pipeline = _worker_pipeline_for(spec)
-    for job in jobs:
-        try:
-            _maybe_inject(job)
-            artifact = _run_on(pipeline, job)
-            results.append(("ok", artifact_stage(artifact), artifact))
-        except CompileError as error:
-            results.append(("error", "compile_error", str(error), 422))
-        except Exception as error:  # noqa: BLE001 — ship, don't crash
-            results.append(("error", "internal_error",
-                            f"{type(error).__name__}: {error}", 500))
-    return results
-
-
 # -- the service --------------------------------------------------------------
 
 class _WorkItem:
@@ -348,7 +253,7 @@ class _WorkItem:
     __slots__ = ("key", "spec", "jobs", "future", "waiters",
                  "dispatch_future")
 
-    def __init__(self, key: Tuple[str, str], spec: _WorkerSpec,
+    def __init__(self, key: Tuple[str, str], spec: WorkerSpec,
                  jobs: Tuple[object, ...],
                  loop: asyncio.AbstractEventLoop):
         self.key = key
@@ -368,12 +273,11 @@ class CompileService:
         self.config = config
         budget = (None if config.cache_budget_mb is None
                   else int(config.cache_budget_mb * 1024 * 1024))
-        self.store = ShardedArtifactStore(
-            config.resolve_cache_root(), size_budget_bytes=budget,
-            evict_check_interval=config.evict_check_interval)
+        self.store = ArtifactStore(config.resolve_cache_root(),
+                                   size_budget_bytes=budget)
         self.metrics = MetricsRegistry()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._executor: Optional[concurrent.futures.ProcessPoolExecutor] = None
+        self._executor = None
         self._executor_generation = 0
         self._inflight: Dict[Tuple[str, str], _WorkItem] = {}
         #: canonicalised (endpoint, payload) -> rendered 200 body
@@ -382,7 +286,6 @@ class CompileService:
         self._pending: List[_WorkItem] = []
         self._drain_task: Optional[asyncio.Task] = None
         self._queue_depth = 0
-        self._completions = 0
         self._started_at = time.monotonic()
         self._stopping = False
 
@@ -405,9 +308,7 @@ class CompileService:
             self._executor = None
 
     def _make_executor(self) -> None:
-        self._executor = concurrent.futures.ProcessPoolExecutor(
-            max_workers=self.config.jobs, mp_context=_pool_context(),
-            initializer=_serve_worker_init)
+        self._executor = worker_pool(self.config.jobs)
         self._executor_generation += 1
         self.metrics.set_gauge("serve.executor_generation",
                                self._executor_generation)
@@ -526,13 +427,14 @@ class CompileService:
                 f"reached; retry later", status=503)
         self._incr("serve.cache_misses")
         request = plan.request
-        spec = _WorkerSpec(
+        spec = WorkerSpec(
             spd_config=request.spd_config, graft=request.graft,
             validate_spec_output=True,
             cache_root=(str(self.store.root)
                         if self.store.root is not None else None),
             passes=request.passes, guard_words=request.guard_words,
-            trace=False, profile_top_n=None, engine=request.engine)
+            engine=request.engine,
+            size_budget_bytes=self.store.size_budget_bytes)
         item = _WorkItem(plan.key, spec, plan.jobs, self._loop)
         self._inflight[plan.key] = item
         self._queue_depth += 1
@@ -576,7 +478,6 @@ class CompileService:
             self._incr("serve.cancelled")
             self._finish(item, cancelled=True)
         elif item.dispatch_future.cancel():
-            # run_in_executor future: cancels only if not yet running;
             # the _complete task observes the CancelledError and cleans
             # up accounting
             pass
@@ -597,8 +498,8 @@ class CompileService:
             self._observe("serve.batch_size", len(batch))
             generation = self._executor_generation
             for item in batch:
-                item.dispatch_future = self._loop.run_in_executor(
-                    self._executor, _serve_run_chunk, item.spec, item.jobs)
+                item.dispatch_future = self._loop.create_task(
+                    run_chunk(self._executor, item.spec, item.jobs))
                 self._loop.create_task(self._complete(item, generation))
 
     async def _complete(self, item: _WorkItem, generation: int) -> None:
@@ -624,17 +525,16 @@ class CompileService:
         self._incr("serve.executions")
         error: Optional[RequestError] = None
         for result in results:
-            if result[0] == "ok":
-                _, stage, artifact = result
-                self.store.put_memory(stage, artifact.fingerprint, artifact)
+            if not isinstance(result, Exception):
+                self.store.put_memory(artifact_stage(result),
+                                      result.fingerprint, result)
             elif error is None:
-                _, code, message, status = result
-                error = RequestError(code, message, status=status)
+                error = (RequestError("compile_error", str(result), 422)
+                         if isinstance(result, CompileError) else
+                         RequestError("internal_error",
+                                      f"{type(result).__name__}: {result}",
+                                      500))
         self._finish(item, error=error)
-        self._completions += 1
-        if (self.store.size_budget_bytes is not None
-                and self._completions % self.config.evict_check_interval == 0):
-            await self._loop.run_in_executor(None, self.store.enforce_budget)
 
     def _finish(self, item: _WorkItem, error: Optional[RequestError] = None,
                 cancelled: bool = False) -> None:

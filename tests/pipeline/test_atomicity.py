@@ -10,9 +10,6 @@ that invariant.
 
 import multiprocessing
 
-import pytest
-
-from repro.pipeline.shards import ShardedArtifactStore
 from repro.pipeline.store import ArtifactStore
 
 FP = "ab" + "1" * 62
@@ -45,9 +42,7 @@ def _hammer(root: str, worker: int, queue) -> None:
         queue.put(f"worker {worker}: {type(error).__name__}: {error}")
 
 
-@pytest.mark.parametrize("store_class", [ArtifactStore,
-                                         ShardedArtifactStore])
-def test_eight_processes_one_fingerprint(tmp_path, store_class):
+def test_eight_processes_one_fingerprint(tmp_path):
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods()
         else "spawn")
@@ -63,5 +58,5 @@ def test_eight_processes_one_fingerprint(tmp_path, store_class):
         assert process.exitcode == 0
     assert outcomes == [None] * 8, [o for o in outcomes if o]
     # afterwards the entry is a complete value from *some* writer
-    final = store_class(tmp_path).get("view", FP)
+    final = ArtifactStore(tmp_path).get("view", FP)
     assert final is not None and len(final["blob"]) == 4096

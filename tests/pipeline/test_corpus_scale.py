@@ -1,4 +1,4 @@
-"""Corpus-scale stress test: ShardedArtifactStore LRU under pressure.
+"""Corpus-scale stress test: the ArtifactStore byte budget under pressure.
 
 A 100-program stratum streamed through the bench engine with a byte
 budget two orders of magnitude below its artifact footprint must (a)
@@ -15,7 +15,6 @@ import pytest
 from repro.corpus import BuildSpec, build_manifest, run_corpus_bench
 from repro.machine.description import machine
 from repro.pipeline.core import Pipeline
-from repro.pipeline.shards import ShardedArtifactStore
 from repro.pipeline.store import ArtifactStore
 
 BUDGET = 128 * 1024
@@ -31,11 +30,9 @@ def test_lru_eviction_at_corpus_scale_is_result_invariant(tmp_path):
 
     # a deliberately starved store: tiny disk budget, tiny memory tier
     # (so evicted artifacts cannot hide in memory and some really are
-    # recomputed), aggressive eviction cadence
-    sharded = ShardedArtifactStore(tmp_path / "sharded",
-                                   max_memory_entries=16,
-                                   size_budget_bytes=BUDGET,
-                                   evict_check_interval=8)
+    # recomputed)
+    sharded = ArtifactStore(tmp_path / "sharded", max_memory_entries=16,
+                            size_budget_bytes=BUDGET)
     bounded = run_corpus_bench(Pipeline(store=sharded), manifest, mach,
                                jobs=1)
     unbounded = run_corpus_bench(

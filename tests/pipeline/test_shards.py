@@ -1,15 +1,12 @@
-"""ShardedArtifactStore: LRU size budget, shard locks, flat migration."""
+"""ArtifactStore's disk shards: LRU byte budget and per-shard locks."""
 
 import os
-import pickle
 import threading
 
 import pytest
 
 from repro import obs
-from repro.pipeline.fingerprint import PIPELINE_VERSION
-from repro.pipeline.shards import ShardedArtifactStore
-from repro.pipeline.store import ArtifactStore
+from repro.pipeline.store import BUDGET_CHECK_INTERVAL, ArtifactStore
 
 
 def fp(index: int) -> str:
@@ -27,7 +24,7 @@ def set_mtime(store, stage, fingerprint, when: float) -> None:
 
 class TestBudgetEviction:
     def test_evicts_oldest_until_under_budget(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path, size_budget_bytes=0)
+        store = ArtifactStore(tmp_path, size_budget_bytes=0)
         for index in range(4):
             store.put("view", fp(index), f"value-{index}")
             set_mtime(store, "view", fp(index), 1_000_000 + index)
@@ -36,42 +33,48 @@ class TestBudgetEviction:
         assert store.disk_usage_bytes() == 0
 
     def test_hot_fingerprints_survive(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path)
+        store = ArtifactStore(tmp_path)
         for index in range(4):
             store.put("view", fp(index), f"value-{index}")
             set_mtime(store, "view", fp(index), 1_000_000 + index)
         one = entry_size(store, "view", fp(0))
         # a *read* refreshes the entry's mtime, making it hot: budget
         # for two entries must keep the read one plus the newest
-        fresh = ShardedArtifactStore(tmp_path, size_budget_bytes=2 * one)
+        fresh = ArtifactStore(tmp_path, size_budget_bytes=2 * one)
         assert fresh.get("view", fp(0)) == "value-0"
         fresh.enforce_budget()
         kept = {fingerprint for fingerprint in map(fp, range(4))
                 if fresh._path("view", fingerprint).exists()}
         assert kept == {fp(0), fp(3)}
 
+    def test_unbudgeted_reads_leave_mtimes(self, tmp_path):
+        ArtifactStore(tmp_path).put("view", fp(1), "x")
+        set_mtime(ArtifactStore(tmp_path), "view", fp(1), 1_000_000)
+        store = ArtifactStore(tmp_path)
+        assert store.get("view", fp(1)) == "x"
+        assert store._path("view", fp(1)).stat().st_mtime == 1_000_000
+
     def test_evicted_entry_rebuilds(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path, size_budget_bytes=0,
-                                     max_memory_entries=1)
+        store = ArtifactStore(tmp_path, size_budget_bytes=0,
+                              max_memory_entries=1)
         store.put("view", fp(1), "first")
         store.enforce_budget()
         store.put("view", fp(2), "pushes-first-out-of-memory")
-        assert ShardedArtifactStore(tmp_path).get("view", fp(1)) is None
+        assert ArtifactStore(tmp_path).get("view", fp(1)) is None
         store.put("view", fp(1), "rebuilt")
-        assert ShardedArtifactStore(tmp_path).get("view", fp(1)) == "rebuilt"
+        assert ArtifactStore(tmp_path).get("view", fp(1)) == "rebuilt"
 
     def test_opportunistic_check_every_interval(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path, size_budget_bytes=0,
-                                     evict_check_interval=3)
-        store.put("view", fp(1), "a")
-        store.put("view", fp(2), "b")
+        store = ArtifactStore(tmp_path, size_budget_bytes=0)
+        for index in range(BUDGET_CHECK_INTERVAL - 1):
+            store.put("view", fp(index), "a")
         assert store.disk_usage_bytes() > 0   # not yet checked
-        store.put("view", fp(3), "c")          # third put sweeps
+        store.put("view", fp(255), "b")        # the interval's put sweeps
         assert store.disk_usage_bytes() == 0
 
     def test_counters_and_gauge(self, tmp_path):
         with obs.tracing() as tracer:
-            store = ShardedArtifactStore(tmp_path, size_budget_bytes=0)
+            store = ArtifactStore(tmp_path, size_budget_bytes=0)
             store.put("view", fp(1), "x")
             store.enforce_budget()
         assert tracer.metrics.counters["pipeline.shard.evictions"] == 1
@@ -79,10 +82,10 @@ class TestBudgetEviction:
 
     def test_rejects_negative_budget(self, tmp_path):
         with pytest.raises(ValueError):
-            ShardedArtifactStore(tmp_path, size_budget_bytes=-1)
+            ArtifactStore(tmp_path, size_budget_bytes=-1)
 
     def test_memory_only_store_has_nothing_to_evict(self):
-        store = ShardedArtifactStore(None, size_budget_bytes=0)
+        store = ArtifactStore(None, size_budget_bytes=0)
         store.put("view", fp(1), "x")
         assert store.enforce_budget() == 0
         assert store.get("view", fp(1)) == "x"
@@ -90,7 +93,7 @@ class TestBudgetEviction:
 
 class TestShardStats:
     def test_stats_shape(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path, size_budget_bytes=1 << 20)
+        store = ArtifactStore(tmp_path, size_budget_bytes=1 << 20)
         store.put("view", fp(1), "a")
         store.put("view", fp(2), "b")
         store.put("timing", fp(1), "c")
@@ -101,53 +104,9 @@ class TestShardStats:
         assert stats["per_stage"] == {"timing": 1, "view": 2}
 
 
-class TestFlatMigration:
-    def write_flat(self, store, stage, fingerprint, artifact,
-                   version=PIPELINE_VERSION):
-        flat = store._flat_path(stage, fingerprint)
-        flat.parent.mkdir(parents=True, exist_ok=True)
-        with open(flat, "wb") as handle:
-            pickle.dump({"version": version, "artifact": artifact}, handle)
-        return flat
-
-    def test_flat_entry_migrates_on_read(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path)
-        flat = self.write_flat(store, "view", fp(1), {"cycles": 7})
-        with obs.tracing() as tracer:
-            assert store.get("view", fp(1)) == {"cycles": 7}
-        assert not flat.exists()
-        assert store._path("view", fp(1)).exists()
-        assert tracer.metrics.counters["pipeline.shard.migrated"] == 1
-        # a cold store now reads it from the sharded location
-        assert ShardedArtifactStore(tmp_path).get("view", fp(1)) == \
-            {"cycles": 7}
-
-    def test_sharded_entry_wins_over_flat(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path)
-        store.put("view", fp(1), "sharded")
-        flat = self.write_flat(store, "view", fp(1), "flat-stale")
-        assert ShardedArtifactStore(tmp_path).get("view", fp(1)) == "sharded"
-        assert flat.exists()  # untouched: the shard hit short-circuits
-
-    def test_corrupt_flat_entry_dropped(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path)
-        flat = store._flat_path("view", fp(1))
-        flat.parent.mkdir(parents=True)
-        flat.write_bytes(b"\x80garbage that is not a pickle")
-        assert store.get("view", fp(1)) is None
-        assert not flat.exists()
-
-    def test_stale_version_flat_entry_dropped(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path)
-        flat = self.write_flat(store, "view", fp(1), "old",
-                               version=PIPELINE_VERSION - 1)
-        assert store.get("view", fp(1)) is None
-        assert not flat.exists()
-
-
 class TestShardLocks:
     def test_one_lock_per_shard(self, tmp_path):
-        store = ShardedArtifactStore(tmp_path)
+        store = ArtifactStore(tmp_path)
         lock_a = store._shard_lock("view", fp(1))
         lock_b = store._shard_lock("view", fp(1) + "x")  # same prefix
         lock_c = store._shard_lock("view", fp(2))
@@ -159,7 +118,7 @@ class TestShardLocks:
     def test_threaded_contention_same_shard(self, tmp_path):
         """Many threads hammering one shard: every write lands intact
         and no reader ever observes a torn or half-written value."""
-        store = ShardedArtifactStore(tmp_path, max_memory_entries=1)
+        store = ArtifactStore(tmp_path, max_memory_entries=1)
         # eight fingerprints sharing one shard directory (same prefix)
         fingerprints = [fp(1)[:2] + f"{i:062x}" for i in range(8)]
         errors = []
@@ -188,16 +147,6 @@ class TestShardLocks:
         assert not errors
         assert seen
         for fingerprint in fingerprints:
-            value = ShardedArtifactStore(tmp_path).get("view", fingerprint)
+            value = ArtifactStore(tmp_path).get("view", fingerprint)
             assert value is not None and value["fp"] == fingerprint
 
-
-class TestIsDropInForArtifactStore:
-    def test_reads_plain_store_layout(self, tmp_path):
-        ArtifactStore(tmp_path).put("view", fp(1), "from-base")
-        assert ShardedArtifactStore(tmp_path).get("view", fp(1)) == \
-            "from-base"
-
-    def test_plain_store_reads_sharded_writes(self, tmp_path):
-        ShardedArtifactStore(tmp_path).put("view", fp(1), "from-sharded")
-        assert ArtifactStore(tmp_path).get("view", fp(1)) == "from-sharded"

@@ -4,7 +4,9 @@ The ``REPRO_SERVE_INJECT`` hook (mirroring ``REPRO_PERF_INJECT``) is
 read inside worker processes: ``crash:<label-substring>`` hard-exits
 the worker mid-job, ``hang:<label-substring>:<seconds>`` sleeps before
 computing.  Every fault must surface as a *structured* error response —
-never a hang, never a wedged server.
+never a hang, never a wedged server.  The same holds for the batch
+pipeline's worker pool: a worker dying under ``Pipeline.stream`` or
+``Pipeline.prefetch`` raises ``BrokenProcessPool``.
 """
 
 import http.client
@@ -15,11 +17,16 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 
 import repro
+from repro.disambig.pipeline import Disambiguator
+from repro.pipeline.core import Pipeline
+from repro.pipeline.executor import ViewJob
+from repro.pipeline.store import ArtifactStore
 
 SOURCE = ("int a[8];\n"
           "int main() { int i; for (i = 0; i < 8; i = i + 1) "
@@ -113,6 +120,43 @@ class TestCorruptCache:
         status, cache, rebuilt = second_server.post("disambiguate", payload)
         assert status == 200 and cache == "miss"
         assert rebuilt == original
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"),
+                    reason="bounds the wait with SIGALRM")
+class TestPipelineWorkerDeath:
+    @pytest.fixture
+    def deadline(self):
+        """Fail instead of hanging if the parent never notices."""
+        def expire(signum, frame):
+            raise TimeoutError("the parent hung on a dead worker")
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(30)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.parametrize("method", ["stream", "prefetch"])
+    def test_dead_worker_raises_broken_pool(self, method, deadline,
+                                            monkeypatch, tmp_path):
+        view = Pipeline.view
+
+        def dying_view(self, label, *args, **kwargs):
+            if label == "doomed":
+                os._exit(3)
+            return view(self, label, *args, **kwargs)
+
+        # the forked workers inherit the patched class
+        monkeypatch.setattr(Pipeline, "view", dying_view)
+        pipeline = Pipeline(store=ArtifactStore(tmp_path))
+        jobs = [ViewJob(label, SOURCE, kind)
+                for label in ("first", "doomed", "last")
+                for kind in (Disambiguator.NAIVE, Disambiguator.SPEC)]
+        with pytest.raises(BrokenProcessPool):
+            if method == "stream":
+                list(pipeline.stream(jobs, num_jobs=2))
+            else:
+                pipeline.prefetch(jobs, num_jobs=2)
 
 
 def _alive(pid: int) -> bool:

@@ -144,3 +144,29 @@ class TestKeepAlive:
             assert first_data == second_data
         finally:
             conn.close()
+
+
+class TestCacheBudget:
+    def test_budget_shrinks_the_store_not_the_bodies(self, server_factory):
+        """Workers sweep a byte-budgeted store every 64 disk puts: the
+        same misses leave fewer bytes on disk and identical bodies."""
+        sources = [SOURCE.replace("a[i] = i;", f"a[i] = i + {k};")
+                   for k in range(12)]
+
+        def run(**overrides):
+            server = server_factory(jobs=1, **overrides)
+            bodies = []
+            for source in sources:
+                status, cache, data = server.post("report",
+                                                  {"source": source})
+                assert status == 200 and cache == "miss"
+                bodies.append(data)
+            _, _, stats = server.request("GET", "/v1/stats")
+            return bodies, json.loads(stats)["store"]
+
+        budgeted, budgeted_store = run(cache_budget_mb=0.001)
+        unbudgeted, unbudgeted_store = run()
+        assert budgeted == unbudgeted
+        assert budgeted_store["budget_bytes"] == int(0.001 * 1024 * 1024)
+        assert unbudgeted_store["budget_bytes"] is None
+        assert budgeted_store["bytes"] < unbudgeted_store["bytes"]
