@@ -1,21 +1,25 @@
 """Perf-trajectory snapshot: ``BENCH_spd.json`` + ``perf/history.jsonl``.
 
-Runs every built-in benchmark through the paper's full experimental
-flow via the canonical :func:`repro.perf.measure.measure_benchmark`
-measurement (cold pipeline pass, warm cache replay, cleanup rebuild —
-the same flow ``repro perf check`` gates against) and records
-per-benchmark execution cycles, per-stage wall-times, stage-span
-percentile summaries and selected work counters.
+Measures every built-in benchmark (or ``--names``) through the paper's
+full experimental flow with :func:`repro.perf.measure.measure_benchmarks`
+— the one measurement loop, which ``repro perf check`` also gates with
+(cold pipeline pass, best-of-3 warm cache replay, cleanup rebuild) —
+and records per-benchmark execution cycles, per-stage wall-times,
+stage-span percentile summaries and selected work counters.
 
 Two outputs:
 
 * ``BENCH_spd.json`` — the latest snapshot (schema
   ``repro.bench_spd/3``), overwritten each run and diffed
   release-over-release;
-* ``perf/history.jsonl`` — an append-only trajectory record (schema
-  ``repro.perf_history/1``: git sha, timestamp, host, wall-times,
-  counters) that regression tooling reads with
+* ``perf/history.jsonl`` — an append-only trajectory record built by
+  :func:`repro.perf.history.make_record` (schema
+  ``repro.perf_history/1``: git sha, timestamp, machine, host,
+  wall-times, counters) that regression tooling reads with
   ``repro perf check --against perf/history.jsonl``.
+
+Unknown names and a machine without a finite FU count exit 2 before
+anything is measured.
 
 Usage::
 
@@ -30,38 +34,29 @@ import argparse
 import json
 import pathlib
 import sys
-import tempfile
 import time
 from typing import Dict, List, Optional
 
 from repro.bench.suite import SUITE
-from repro.machine.description import machine
+from repro.machine.description import LifeMachine, machine
 from repro.perf.history import (DEFAULT_HISTORY_PATH, append_record,
                                 make_record)
-from repro.perf.measure import measure_benchmark
+from repro.perf.measure import measure_benchmarks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO_ROOT / "BENCH_spd.json"
 DEFAULT_HISTORY = REPO_ROOT / DEFAULT_HISTORY_PATH
 
 
-def build_snapshot(names: List[str], num_fus: int,
-                   memory_latency: int) -> Dict[str, object]:
+def build_snapshot(names: List[str], mach: LifeMachine) -> Dict[str, object]:
     started = time.perf_counter()
-    benchmarks = {}
-    for name in names:
-        print(f"  {name} ...", end="", flush=True)
-        with tempfile.TemporaryDirectory(prefix="repro-bench-cache-") \
-                as cache_dir:
-            benchmarks[name] = measure_benchmark(name, num_fus,
-                                                 memory_latency, cache_dir)
-        wall = benchmarks[name]["wall_ms"]
-        print(f" {wall['total']:.0f}ms cold, {wall['warm_total']:.0f}ms warm")
+    benchmarks = measure_benchmarks(
+        names, mach, progress=lambda msg: print(f"  {msg}", flush=True))
     return {
         "schema": "repro.bench_spd/3",
-        "machine": machine(num_fus, memory_latency).name,
-        "num_fus": num_fus,
-        "memory_latency": memory_latency,
+        "machine": mach.name,
+        "num_fus": mach.num_fus,
+        "memory_latency": mach.memory_latency,
         "benchmarks": benchmarks,
         "total_wall_s": round(time.perf_counter() - started, 2),
     }
@@ -84,22 +79,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     names = (args.names.split(",") if args.names else list(SUITE))
-    unknown = [n for n in names if n not in SUITE]
-    if unknown:
-        print(f"unknown benchmarks: {', '.join(unknown)}", file=sys.stderr)
+    try:
+        mach = machine(args.fus, args.memory)
+        print(f"bench_spd: {len(names)} benchmarks on {mach.name}")
+        snapshot = build_snapshot(names, mach)
+    except ValueError as error:
+        print(f"bench_spd: {error}", file=sys.stderr)
         return 2
-
-    print(f"bench_spd: {len(names)} benchmarks on "
-          f"{machine(args.fus, args.memory).name}")
-    snapshot = build_snapshot(names, args.fus, args.memory)
     with open(args.out, "w") as handle:
         json.dump(snapshot, handle, indent=2, sort_keys=True)
         handle.write("\n")
     print(f"wrote {args.out} ({snapshot['total_wall_s']}s)")
 
     if not args.no_history:
-        record = make_record(snapshot["machine"], args.fus, args.memory,
-                             snapshot["benchmarks"])
+        record = make_record(mach, snapshot["benchmarks"])
         append_record(args.history, record)
         print(f"appended history record to {args.history} "
               f"(sha {record['git_sha'][:12]})")

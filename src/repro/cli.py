@@ -325,15 +325,8 @@ def _cmd_bench_corpus(args) -> int:
               f"{lab['cache']['misses']} misses")
     if args.record:
         from .perf.history import append_record, make_record
-        if mach.num_fus is None:
-            print("bench --corpus: --record needs a finite machine "
-                  "(the history schema records num_fus >= 1)",
-                  file=sys.stderr)
-            return 2
         try:
-            record = make_record(mach.name, mach.num_fus,
-                                 mach.latencies.memory,
-                                 history_benchmarks(payload))
+            record = make_record(mach, history_benchmarks(payload))
         except ValueError as error:
             print(f"bench --corpus: {error}", file=sys.stderr)
             return 2
@@ -640,31 +633,22 @@ def _cmd_perf_check(args) -> int:
     (see docs/observability.md, "Performance lab")."""
     from .perf import check as perf_check
     from .perf.history import append_record, make_record
-    from .machine.description import machine as make_machine
 
     names = (args.names.split(",") if args.names else list(SUITE))
-    unknown = [name for name in names if name not in SUITE]
-    if unknown:
-        print(f"unknown benchmarks: {', '.join(unknown)}", file=sys.stderr)
-        return 2
     stages = tuple(s for s in args.stages.split(",") if s)
     try:
+        mach = _machine_from(args)
         result = perf_check.run_check(
-            names, args.against, num_fus=args.fus,
-            memory_latency=args.memory, threshold=args.threshold,
+            names, args.against, mach, threshold=args.threshold,
             min_ms=args.min_ms, stages=stages,
             progress=lambda msg: print(f"  {msg}"),
             engine=_engine_from(args))
-    except (OSError, ValueError, json.JSONDecodeError) as error:
-        print(f"cannot load baseline {args.against!r}: {error}",
-              file=sys.stderr)
+    except ValueError as error:
+        print(f"perf check: {error}", file=sys.stderr)
         return 2
     print(result.render())
     if args.record:
-        mach = make_machine(args.fus, args.memory)
-        append_record(args.record,
-                      make_record(mach.name, args.fus, args.memory,
-                                  result.measured))
+        append_record(args.record, make_record(mach, result.measured))
         print(f"recorded measurement to {args.record}")
     if args.json:
         status = _write_json(args.json, {"schema": "repro.perf_check/1",
@@ -1167,8 +1151,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="re-measure benchmarks and diff against a baseline")
     p_check.add_argument("--against", required=True, metavar="BASELINE",
                          help="baseline file: BENCH_spd.json-style snapshot "
-                              "or perf/history.jsonl trajectory (latest "
-                              "record wins)")
+                              "or perf/history.jsonl trajectory (each "
+                              "benchmark's newest record on this machine)")
     p_check.add_argument("--names", default=None,
                          help="comma-separated benchmark subset "
                               "(default: all built-ins)")

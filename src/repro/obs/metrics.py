@@ -20,15 +20,23 @@ export.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
-__all__ = ["HistogramSummary", "MetricsRegistry"]
+__all__ = ["HistogramSummary", "MetricsRegistry", "nearest_rank"]
 
 #: Bounded reservoir size per histogram.  When a series outgrows the
 #: cap the reservoir decimates itself (keep every other sample, double
 #: the sampling stride), so memory stays O(cap) while the kept samples
 #: remain an evenly spaced subsample of the whole series.
 RESERVOIR_CAP = 512
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """The *q*-th percentile (``q`` in [0, 100]) of a non-empty
+    ascending sequence: the sample at rank ``round(q/100 * (n-1))``,
+    so the result is always one of the samples."""
+    rank = round(q / 100.0 * (len(ordered) - 1))
+    return ordered[max(0, min(len(ordered) - 1, rank))]
 
 
 @dataclass
@@ -75,12 +83,7 @@ class HistogramSummary:
     def percentile(self, q: float) -> Optional[float]:
         """Nearest-rank percentile estimate from the reservoir
         (``q`` in [0, 100]); ``None`` for an empty series."""
-        if not self.samples:
-            return None
-        ordered = sorted(self.samples)
-        rank = max(0, min(len(ordered) - 1,
-                          round(q / 100.0 * (len(ordered) - 1))))
-        return ordered[rank]
+        return nearest_rank(sorted(self.samples), q) if self.samples else None
 
     def combine(self, other: "HistogramSummary") -> None:
         """Fold *other*'s series into this one (used by registry

@@ -1,21 +1,20 @@
 """Performance lab: measurement, bench history and regression gating.
 
-``repro.perf`` is the layer that keeps the toolchain's *own* speed
-honest — the paper's evaluation is a performance-comparison exercise,
-and ROADMAP item 2 ("as fast as the host allows") needs trustworthy
-wall-time accounting before any speed work can claim a win.  Three
+``repro.perf`` keeps the toolchain's *own* speed honest — no speed
+work can claim a win without trustworthy wall-time accounting.  Three
 pieces:
 
 * :mod:`repro.perf.measure` — the canonical per-benchmark measurement
-  (cold pipeline, warm cache replay, cleanup rebuild) shared by
-  ``benchmarks/bench_spd.py`` and the regression gate, so a snapshot
-  and a gate run are always comparing like with like;
-* :mod:`repro.perf.history` — an append-only ``perf/history.jsonl``
-  trajectory (schema ``repro.perf_history/1``: git sha, timestamp,
-  host, per-benchmark stage wall-times and work counters);
+  (cold pipeline, best-of-3 warm replay, cleanup rebuild) and
+  ``measure_benchmarks``, the one loop over named benchmarks that
+  ``benchmarks/bench_spd.py`` and the regression gate both call;
+* :mod:`repro.perf.history` — the append-only ``perf/history.jsonl``
+  trajectory (schema ``repro.perf_history/1``), every line built by
+  ``make_record``;
 * :mod:`repro.perf.check` — ``repro perf check --against BASELINE``:
-  re-measures, computes per-stage deltas under a noise threshold and
-  exits non-zero on regression (the CI perf gate).
+  re-measures, compares per-stage wall-times with each benchmark's
+  newest baseline under a noise threshold and exits non-zero on
+  regression (the CI perf gate).
 
 See docs/observability.md ("Performance lab") for the workflow.
 """
@@ -23,10 +22,10 @@ See docs/observability.md ("Performance lab") for the workflow.
 from .check import CheckResult, StageDelta, compare, load_baseline, run_check
 from .history import (HISTORY_SCHEMA, append_record, git_sha, host_info,
                       load_records, make_record)
-from .measure import TRACKED_COUNTERS, measure_benchmark
+from .measure import TRACKED_COUNTERS, measure_benchmark, measure_benchmarks
 
 __all__ = [
-    "measure_benchmark", "TRACKED_COUNTERS",
+    "measure_benchmark", "measure_benchmarks", "TRACKED_COUNTERS",
     "HISTORY_SCHEMA", "make_record", "append_record", "load_records",
     "git_sha", "host_info",
     "StageDelta", "CheckResult", "compare", "load_baseline", "run_check",

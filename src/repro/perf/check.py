@@ -1,18 +1,18 @@
 """``repro perf check``: per-stage wall-time regression detection.
 
-The check re-measures a benchmark subset with the canonical
-:func:`repro.perf.measure.measure_benchmark` flow, loads a baseline —
-either the committed ``BENCH_spd.json`` snapshot or a
-``perf/history.jsonl`` trajectory (last record wins) — and compares
+The check loads a baseline — a ``BENCH_spd.json`` snapshot, or a
+``perf/history.jsonl`` trajectory where each benchmark's baseline is
+the newest record holding it on the measured machine — re-measures with
+:func:`repro.perf.measure.measure_benchmarks` and compares
 per-benchmark, per-stage wall-times.  A stage **regresses** when
 
 * ``current > baseline * (1 + threshold)`` (relative noise gate), and
 * ``current - baseline > min_ms`` (absolute floor, so a 0.3 ms stage
   jittering to 0.5 ms never fails a build).
 
-Counters are compared too, but report-only: deterministic work counts
-drifting is worth seeing in the delta table, yet legitimate algorithm
-changes move them, so only wall-time gates the exit status.
+Comparing no stage at all is an error, not a pass.  Counters are
+compared too, but report-only: legitimate algorithm changes move them,
+so only wall-time gates the exit status.
 
 Wall-times from *different hosts* are not comparable; the baseline's
 recorded host (history records carry one) is echoed in the report so a
@@ -24,11 +24,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..engines import DEFAULT_ENGINE
-from .history import latest_record
-from .measure import measure_benchmark
+from ..machine.description import LifeMachine
+from .history import load_records
+from .measure import measure_benchmarks
 
 __all__ = ["DEFAULT_THRESHOLD", "DEFAULT_MIN_MS", "DEFAULT_STAGES",
            "StageDelta", "CheckResult", "load_baseline", "compare",
@@ -127,31 +128,40 @@ class CheckResult:
         return "\n".join(lines)
 
 
-def _benchmarks_of(payload: Dict[str, object]) -> Dict[str, Dict[str, object]]:
-    benchmarks = payload.get("benchmarks")
-    if not isinstance(benchmarks, dict):
-        raise ValueError("baseline has no 'benchmarks' table")
-    return benchmarks
-
-
-def load_baseline(path: Union[str, Path]
+def load_baseline(path: Union[str, Path], mach: LifeMachine,
+                  names: Sequence[str]
                   ) -> Tuple[str, Dict[str, Dict[str, object]]]:
     """Load a baseline: ``(label, {benchmark: {wall_ms, counters}})``.
 
-    ``.jsonl`` files are read as perf history (latest record wins,
-    labelled with its git sha); anything else as a one-shot JSON
-    snapshot in the ``BENCH_spd.json`` / history-record shape."""
+    ``.jsonl`` files are read as perf history (each of *names* from the
+    newest record holding it on *mach*, labelled with their git shas);
+    anything else as a one-shot ``BENCH_spd.json``-shaped snapshot."""
     path = Path(path)
-    if path.suffix == ".jsonl":
-        record = latest_record(path)
-        if record is None:
-            raise ValueError(f"no records in history file {path}")
-        sha = str(record.get("git_sha", "unknown"))[:12]
-        host = record.get("host", {})
-        node = host.get("node", "?") if isinstance(host, dict) else "?"
-        return f"{path.name}@{sha} ({node})", _benchmarks_of(record)
-    payload = json.loads(path.read_text())
-    return path.name, _benchmarks_of(payload)
+    if path.suffix != ".jsonl":
+        benchmarks = json.loads(path.read_text()).get("benchmarks")
+        if not isinstance(benchmarks, dict):
+            raise ValueError("baseline has no 'benchmarks' table")
+        return path.name, benchmarks
+    records = load_records(path)
+    if not records:
+        raise ValueError(f"no records in history file {path}")
+    chosen: Dict[str, Dict[str, object]] = {}
+    sources: Dict[str, None] = {}  # an ordered set, newest record first
+    for record in reversed(records):
+        machine_block, held = record.get("machine"), record.get("benchmarks")
+        if (isinstance(machine_block, dict) and isinstance(held, dict)
+                and machine_block.get("name") == mach.name):
+            for name in names:
+                if name in held and name not in chosen:
+                    chosen[name] = held[name]
+                    sources[_source(record)] = None
+    return (f"{path.name}@{', '.join(sources) or 'none'}", chosen)
+
+
+def _source(record: Dict[str, object]) -> str:
+    host = record.get("host")
+    node = host.get("node", "?") if isinstance(host, dict) else "?"
+    return f"{str(record.get('git_sha', 'unknown'))[:12]} ({node})"
 
 
 def compare(current: Dict[str, Dict[str, object]],
@@ -194,27 +204,26 @@ def compare(current: Dict[str, Dict[str, object]],
 
 
 def run_check(names: Sequence[str], against: Union[str, Path],
-              num_fus: int = 5, memory_latency: int = 6,
-              threshold: float = DEFAULT_THRESHOLD,
+              mach: LifeMachine, threshold: float = DEFAULT_THRESHOLD,
               min_ms: float = DEFAULT_MIN_MS,
               stages: Sequence[str] = DEFAULT_STAGES,
-              progress: Optional[callable] = None,
+              progress: Optional[Callable[[str], None]] = None,
               engine: str = DEFAULT_ENGINE) -> CheckResult:
-    """Measure *names* and compare them to the *against* baseline."""
-    import tempfile
-
-    label, baseline = load_baseline(against)
-    measured: Dict[str, Dict[str, object]] = {}
-    for name in names:
-        with tempfile.TemporaryDirectory(prefix="repro-perf-") as cache_dir:
-            measured[name] = measure_benchmark(name, num_fus,
-                                               memory_latency, cache_dir,
-                                               engine=engine)
-        if progress is not None:
-            wall = measured[name]["wall_ms"]
-            progress(f"{name}: {wall['total']:.0f}ms cold, "
-                     f"{wall['warm_total']:.0f}ms warm")
+    """Measure *names* on *mach* and compare them to the *against*
+    baseline.  ``ValueError`` for an unloadable baseline, names or
+    machine :func:`measure_benchmarks` rejects, or nothing compared."""
+    try:
+        label, baseline = load_baseline(against, mach, names)
+    except (OSError, ValueError) as error:
+        raise ValueError(
+            f"cannot load baseline {str(against)!r}: {error}") from error
+    measured = measure_benchmarks(names, mach, progress=progress,
+                                  engine=engine)
     deltas, drift, missing = compare(measured, baseline, threshold,
                                      min_ms, stages)
+    if not deltas:
+        raise ValueError(f"nothing compared: baseline {label} has no "
+                         f"{'/'.join(stages)} wall-times for "
+                         f"{', '.join(names)} on {mach.name}")
     return CheckResult(label, threshold, min_ms, deltas, drift,
                        measured, missing)

@@ -1,8 +1,8 @@
 """Append-only bench history: ``perf/history.jsonl``.
 
-Every run of ``benchmarks/bench_spd.py`` (and ``repro perf check
---record``) appends one JSON line — schema ``repro.perf_history/1`` —
-to the history file::
+``benchmarks/bench_spd.py``, ``repro perf check --record`` and
+``repro bench --corpus --record`` each append one :func:`make_record`
+line — schema ``repro.perf_history/1`` — to the history file::
 
     {"schema": "repro.perf_history/1",
      "git_sha": "a1f4bf8...", "timestamp": "2026-08-08T12:34:56Z",
@@ -15,12 +15,10 @@ to the history file::
 The file is the repository's performance *trajectory*: unlike the
 single-snapshot ``BENCH_spd.json`` it never overwrites, so regressions
 and recoveries stay visible release-over-release.  Records are
-deliberately per-machine annotated — wall-times from different hosts
-are not comparable, and ``repro perf check`` will tell you which host
-a baseline came from.
-
-The line format is validated against
-``tests/schemas/perf_history.schema.json``.
+per-machine and per-host annotated: ``repro perf check`` takes each
+benchmark's baseline from the newest record holding it on the measured
+machine and names the host it came from.  The line format is validated
+against ``tests/schemas/perf_history.schema.json``.
 """
 
 from __future__ import annotations
@@ -32,8 +30,10 @@ import subprocess
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from ..machine.description import LifeMachine
+
 __all__ = ["HISTORY_SCHEMA", "DEFAULT_HISTORY_PATH", "git_sha", "host_info",
-           "make_record", "append_record", "load_records", "latest_record"]
+           "machine_entry", "make_record", "append_record", "load_records"]
 
 HISTORY_SCHEMA = "repro.perf_history/1"
 
@@ -61,14 +61,23 @@ def host_info() -> Dict[str, str]:
     }
 
 
-def make_record(machine_name: str, num_fus: int, memory_latency: int,
-                benchmarks: Dict[str, Dict[str, object]],
+def machine_entry(mach: LifeMachine) -> Dict[str, object]:
+    """A record's ``machine`` block; ``ValueError`` for the infinite
+    machine (the schema's ``num_fus >= 1`` rule)."""
+    if mach.is_infinite:
+        raise ValueError(f"perf records need a finite machine (--fus >= 1), "
+                         f"not {mach.name}")
+    return {"name": mach.name, "num_fus": mach.num_fus,
+            "memory_latency": mach.memory_latency}
+
+
+def make_record(mach: LifeMachine, benchmarks: Dict[str, Dict[str, object]],
                 sha: Optional[str] = None,
                 timestamp: Optional[str] = None) -> Dict[str, object]:
-    """One history line.  *benchmarks* maps name -> the measurement
-    dict of :func:`repro.perf.measure.measure_benchmark`; only the
-    trajectory-relevant fields (wall_ms / counters / stage_spans) are
-    kept."""
+    """One history line for measurements on *mach*.  *benchmarks* maps
+    name -> a measurement dict; only the trajectory-relevant fields
+    (wall_ms / counters / stage_spans) are kept."""
+    machine_block = machine_entry(mach)
     if timestamp is None:
         timestamp = (datetime.datetime.now(datetime.timezone.utc)
                      .strftime("%Y-%m-%dT%H:%M:%SZ"))
@@ -84,8 +93,7 @@ def make_record(machine_name: str, num_fus: int, memory_latency: int,
         "schema": HISTORY_SCHEMA,
         "git_sha": sha if sha is not None else git_sha(),
         "timestamp": timestamp,
-        "machine": {"name": machine_name, "num_fus": num_fus,
-                    "memory_latency": memory_latency},
+        "machine": machine_block,
         "host": host_info(),
         "benchmarks": kept,
     }
@@ -120,8 +128,3 @@ def load_records(path: Union[str, Path]) -> List[Dict[str, object]]:
     except OSError:
         return []
     return records
-
-
-def latest_record(path: Union[str, Path]) -> Optional[Dict[str, object]]:
-    records = load_records(path)
-    return records[-1] if records else None

@@ -27,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bench.suite import SUITE
 from ..disambig.pipeline import Disambiguator
+from ..obs.metrics import nearest_rank
 
 __all__ = ["BENCH_SCHEMA", "build_shapes", "run_loadgen"]
 
@@ -87,14 +88,6 @@ def build_shapes(seed: int, pool_size: int = 12,
             payload["hw"] = {"fus": 4, "window": rng.choice([16, 32])}
         shapes.append((endpoint, payload))
     return shapes
-
-
-def _percentile(sorted_values: List[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1,
-                max(0, round(q * (len(sorted_values) - 1))))
-    return sorted_values[index]
 
 
 def _post(conn: http.client.HTTPConnection, endpoint: str,
@@ -222,6 +215,9 @@ def run_loadgen(host: str, port: int, *, clients: int = 8,
             cache_states[state] = cache_states.get(state, 0) + count
 
     completed = len(latencies)
+    # exact percentiles over every sample (a reservoir would estimate
+    # them); all 0.0 when no request completed
+    ordered = latencies or [0.0]
     warm = cache_states.get("hit", 0) + cache_states.get("dedup", 0)
     before = stats_before.get("metrics", {}).get("counters", {})
     after = stats_after.get("metrics", {}).get("counters", {})
@@ -251,12 +247,12 @@ def run_loadgen(host: str, port: int, *, clients: int = 8,
             "cache": dict(sorted(cache_states.items())),
             "hit_rate": round(warm / completed, 6) if completed else 0.0,
             "latency_ms": {
-                "p50": round(_percentile(latencies, 0.50), 3),
-                "p95": round(_percentile(latencies, 0.95), 3),
-                "p99": round(_percentile(latencies, 0.99), 3),
+                "p50": round(nearest_rank(ordered, 50), 3),
+                "p95": round(nearest_rank(ordered, 95), 3),
+                "p99": round(nearest_rank(ordered, 99), 3),
                 "mean": (round(sum(latencies) / completed, 3)
                          if completed else 0.0),
-                "max": round(latencies[-1], 3) if latencies else 0.0,
+                "max": round(ordered[-1], 3),
             },
             "server_latency_ms": {
                 "hit_p50": server_hit.get("p50", 0.0),

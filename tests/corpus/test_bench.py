@@ -122,8 +122,7 @@ def test_history_record_is_schema_valid(smoke_payload):
     schema = json.loads(
         (Path(__file__).parent.parent / "schemas"
          / "perf_history.schema.json").read_text())
-    record = make_record(MACH.name, MACH.num_fus, MACH.latencies.memory,
-                         history_benchmarks(smoke_payload))
+    record = make_record(MACH, history_benchmarks(smoke_payload))
     jsonschema.Draft7Validator(schema).validate(record)
 
 

@@ -218,9 +218,11 @@ class TestTraceFormats:
 class TestPerfCommand:
     @staticmethod
     def _baseline(tmp_path, monkeypatch, factor=None):
+        from repro.machine.description import machine
         from repro.perf.measure import measure_benchmark
         monkeypatch.delenv("REPRO_PERF_INJECT", raising=False)
-        measured = measure_benchmark("perm", 5, 6, str(tmp_path / "cache"))
+        measured = measure_benchmark("perm", machine(5, 6),
+                                     str(tmp_path / "cache"))
         path = tmp_path / "baseline.json"
         path.write_text(json.dumps({"benchmarks": {"perm": measured}}))
         return path
@@ -254,6 +256,16 @@ class TestPerfCommand:
         assert main(["perf", "check", "--against", str(baseline),
                      "--names", "nonesuch"]) == 2
 
+    def test_infinite_machine_blames_fus_not_baseline(self, capsys,
+                                                      tmp_path):
+        baseline = tmp_path / "BENCH_spd.json"
+        baseline.write_text(json.dumps({"benchmarks": {}}))
+        assert main(["perf", "check", "--fus", "0", "--against",
+                     str(baseline), "--names", "perm"]) == 2
+        err = capsys.readouterr().err
+        assert "--fus" in err
+        assert "baseline" not in err
+
     def test_missing_baseline(self, capsys):
         assert main(["perf", "check", "--against", "/no/such/base.json",
                      "--names", "perm"]) == 2
@@ -272,10 +284,11 @@ class TestPerfCommand:
         assert "perm" in records[0]["benchmarks"]
 
     def test_history_renders_trajectory(self, capsys, tmp_path):
+        from repro.machine.description import machine
         from repro.perf.history import append_record, make_record
         history = tmp_path / "history.jsonl"
         bench = {"perm": {"wall_ms": {"total": 100.0, "warm_total": 5.0}}}
-        append_record(history, make_record("life-5fu-mem6", 5, 6, bench,
+        append_record(history, make_record(machine(5, 6), bench,
                                            sha="a" * 40,
                                            timestamp="2026-08-08T00:00:00Z"))
         assert main(["perf", "history", "--path", str(history)]) == 0

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.obs.metrics import RESERVOIR_CAP, HistogramSummary, MetricsRegistry
+from repro.obs.metrics import (RESERVOIR_CAP, HistogramSummary,
+                               MetricsRegistry, nearest_rank)
 
 
 class TestCounters:
@@ -38,6 +39,15 @@ class TestHistograms:
 
 
 class TestPercentiles:
+    def test_nearest_rank_pins_loadgen_percentiles(self):
+        """loadgen's exact latency percentiles run over every sample;
+        on 2,000 samples (past the reservoir cap) the shared function
+        gives the values loadgen's own percentile code gave."""
+        latencies = sorted(((i * 7919) % 2003) / 4 for i in range(2000))
+        assert len(latencies) > RESERVOIR_CAP
+        assert [nearest_rank(latencies, q) for q in (50, 95, 99)] == [
+            250.75, 475.5, 495.5]
+
     def test_exact_on_small_series(self):
         summary = HistogramSummary()
         for value in range(1, 101):  # 1..100

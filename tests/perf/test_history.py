@@ -2,9 +2,13 @@
 
 import json
 
+import pytest
+
+from repro.machine.description import INFINITE, machine
 from repro.perf.history import (HISTORY_SCHEMA, append_record, git_sha,
-                                host_info, latest_record, load_records,
-                                make_record)
+                                host_info, load_records, make_record)
+
+MACH = machine(5, 6)
 
 BENCH = {
     "perm": {
@@ -21,7 +25,7 @@ BENCH = {
 
 class TestMakeRecord:
     def test_keeps_only_trajectory_fields(self):
-        record = make_record("life-5fu-mem6", 5, 6, BENCH,
+        record = make_record(MACH, BENCH,
                              sha="f" * 40, timestamp="2026-08-08T00:00:00Z")
         assert record["schema"] == HISTORY_SCHEMA
         entry = record["benchmarks"]["perm"]
@@ -29,7 +33,7 @@ class TestMakeRecord:
         assert entry["wall_ms"]["total"] == 35.0
 
     def test_identity_fields(self):
-        record = make_record("life-5fu-mem6", 5, 6, BENCH,
+        record = make_record(MACH, BENCH,
                              sha="a" * 40, timestamp="2026-08-08T00:00:00Z")
         assert record["git_sha"] == "a" * 40
         assert record["timestamp"] == "2026-08-08T00:00:00Z"
@@ -38,12 +42,16 @@ class TestMakeRecord:
         assert set(record["host"]) == {"platform", "python", "node"}
 
     def test_defaults_fill_sha_and_timestamp(self):
-        record = make_record("m", 5, 6, BENCH)
+        record = make_record(MACH, BENCH)
         assert record["git_sha"]  # real sha or "unknown"
         assert record["timestamp"].endswith("Z")
 
+    def test_infinite_machine_rejected(self):
+        with pytest.raises(ValueError, match="finite machine"):
+            make_record(INFINITE, BENCH)
+
     def test_empty_optional_fields_dropped(self):
-        record = make_record("m", 5, 6, {
+        record = make_record(MACH, {
             "x": {"wall_ms": {"total": 1.0}, "counters": {},
                   "stage_spans": {}}})
         assert set(record["benchmarks"]["x"]) == {"wall_ms"}
@@ -52,19 +60,18 @@ class TestMakeRecord:
 class TestAppendLoad:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "perf" / "history.jsonl"
-        first = make_record("m", 5, 6, BENCH, sha="a" * 40,
+        first = make_record(MACH, BENCH, sha="a" * 40,
                             timestamp="2026-08-07T00:00:00Z")
-        second = make_record("m", 5, 6, BENCH, sha="b" * 40,
+        second = make_record(MACH, BENCH, sha="b" * 40,
                              timestamp="2026-08-08T00:00:00Z")
         append_record(path, first)
         append_record(path, second)
         records = load_records(path)
         assert [r["git_sha"] for r in records] == ["a" * 40, "b" * 40]
-        assert latest_record(path)["git_sha"] == "b" * 40
 
     def test_lines_are_byte_stable_json(self, tmp_path):
         path = tmp_path / "h.jsonl"
-        record = make_record("m", 5, 6, BENCH, sha="a" * 40,
+        record = make_record(MACH, BENCH, sha="a" * 40,
                              timestamp="2026-08-08T00:00:00Z")
         append_record(path, record)
         line = path.read_text().splitlines()[0]
@@ -72,18 +79,17 @@ class TestAppendLoad:
 
     def test_corrupt_lines_skipped(self, tmp_path):
         path = tmp_path / "h.jsonl"
-        append_record(path, make_record("m", 5, 6, BENCH, sha="a" * 40,
+        append_record(path, make_record(MACH, BENCH, sha="a" * 40,
                                         timestamp="2026-08-08T00:00:00Z"))
         with open(path, "a") as handle:
             handle.write('{"truncated": \n')
             handle.write("\n")
-        append_record(path, make_record("m", 5, 6, BENCH, sha="b" * 40,
+        append_record(path, make_record(MACH, BENCH, sha="b" * 40,
                                         timestamp="2026-08-08T00:00:01Z"))
         assert len(load_records(path)) == 2
 
     def test_missing_file(self, tmp_path):
         assert load_records(tmp_path / "absent.jsonl") == []
-        assert latest_record(tmp_path / "absent.jsonl") is None
 
 
 class TestEnvironment:

@@ -3,9 +3,10 @@
 The schema (``tests/schemas/bench_spd.schema.json``) is the contract for
 the ``repro.bench_spd/3`` payload that ``benchmarks/bench_spd.py`` emits
 and downstream dashboards consume; this test pins both the committed
-artifact and, structurally, anything the benchmark will produce next.
+artifact and what the script writes when run on one benchmark.
 """
 
+import importlib.util
 import json
 from pathlib import Path
 
@@ -63,3 +64,28 @@ def test_payload_is_internally_consistent():
         # code growth matches the spec view's op count
         growth = bench["spec_code_size"] / bench["ops"] - 1.0
         assert bench["code_growth"] == pytest.approx(growth, abs=1e-4), name
+
+
+@pytest.mark.slow
+def test_bench_spd_script_outputs_validate(tmp_path, monkeypatch, capsys):
+    """``benchmarks/bench_spd.py`` end to end on one benchmark: the
+    snapshot and the history line both satisfy their schemas."""
+    monkeypatch.delenv("REPRO_PERF_INJECT", raising=False)
+    spec = importlib.util.spec_from_file_location(
+        "bench_spd", REPO / "benchmarks" / "bench_spd.py")
+    bench_spd = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_spd)
+    out, history = tmp_path / "BENCH_spd.json", tmp_path / "history.jsonl"
+    assert bench_spd.main(["--names", "perm", "--out", str(out),
+                           "--history", str(history)]) == 0
+    snapshot = json.loads(out.read_text())
+    jsonschema.Draft7Validator(SCHEMA).validate(snapshot)
+    assert list(snapshot["benchmarks"]) == ["perm"]
+    history_schema = json.loads(
+        (HERE / "perf_history.schema.json").read_text())
+    lines = history.read_text().splitlines()
+    assert len(lines) == 1
+    jsonschema.Draft7Validator(history_schema).validate(json.loads(lines[0]))
+    assert bench_spd.main(["--names", "nonesuch", "--out", str(out),
+                           "--no-history"]) == 2
+    assert "unknown benchmarks: nonesuch" in capsys.readouterr().err

@@ -38,10 +38,11 @@ def test_committed_history_lines_validate():
 
 def test_fresh_record_validates():
     """What make_record produces now must satisfy the schema too."""
+    from repro.machine.description import machine
     from repro.perf.history import make_record
 
     record = make_record(
-        "life-5fu-mem6", 5, 6,
+        machine(5, 6),
         {"perm": {"wall_ms": {"compile_profile": 1.0, "disambiguate": 2.0,
                               "timing": 3.0, "total": 6.0,
                               "warm_total": 0.5},
