@@ -53,7 +53,7 @@ from .bench.runner import BenchmarkRunner
 from .bench.suite import SUITE
 from .disambig.pipeline import Disambiguator, disambiguate
 from .disambig.spd_heuristic import SpDConfig
-from .engines import DEFAULT_ENGINE, semantic_engine_names
+from .engines import DEFAULT_ENGINE, engine_names
 from .frontend.driver import compile_source
 from .frontend.grafting import GraftConfig, graft_program
 from .ir.printer import format_program
@@ -284,7 +284,6 @@ def _cmd_bench_corpus(args) -> int:
     """``repro bench --corpus``: stream a corpus slice through the
     cached pipeline and write the BENCH_corpus.json payload."""
     from .corpus import history_benchmarks, load_manifest, run_corpus_bench
-    from .machine.hw import hw_machine
     from .pipeline.core import Pipeline
 
     try:
@@ -297,13 +296,10 @@ def _cmd_bench_corpus(args) -> int:
                         graft=GraftConfig() if args.graft else None,
                         passes=_pass_config_from(args),
                         engine=_engine_from(args))
-    hw = (hw_machine(4, mach.latencies.memory)
-          if args.hw_sample > 0 else None)
     try:
         payload = run_corpus_bench(
             pipeline, manifest, mach, stratum=args.stratum, jobs=args.jobs,
-            hw_machine=hw, hw_sample=args.hw_sample, stable=args.stable,
-            manifest_path=args.corpus,
+            stable=args.stable, manifest_path=args.corpus,
             progress=lambda msg: print(f"corpus: {msg}", file=sys.stderr))
     except ValueError as error:
         print(f"bench --corpus: {error}", file=sys.stderr)
@@ -700,7 +696,6 @@ def _cmd_serve(args) -> int:
         config = ServeConfig(
             host=args.host, port=args.port, jobs=args.jobs,
             queue_limit=args.queue_limit, request_timeout=args.timeout,
-            batch_max=args.batch_max, batch_window_s=args.batch_window,
             cache_root=args.cache, cache_budget_mb=args.cache_budget_mb)
     except ValueError as error:
         print(f"repro serve: {error}", file=sys.stderr)
@@ -865,7 +860,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(repeatable)")
 
     def add_engine_flag(p):
-        p.add_argument("--engine", choices=semantic_engine_names(),
+        p.add_argument("--engine", choices=engine_names(),
                        default=DEFAULT_ENGINE,
                        help="execution engine for program runs "
                             "(default %(default)s; all engines are "
@@ -929,9 +924,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--stratum", default=None, metavar="S",
                          help="corpus slice: a stratum name or 'smoke' "
                               "(default: the whole corpus)")
-    p_bench.add_argument("--hw-sample", type=int, default=0, metavar="N",
-                         help="also hwsim the SPEC view of the N smallest "
-                              "programs per stratum (default 0 = off)")
     p_bench.add_argument("--stable", action="store_true",
                          help="strip host-dependent lab telemetry so the "
                               "corpus payload is byte-identical across "
@@ -1039,11 +1031,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--no-reduce", action="store_true",
                         help="archive diverging programs unreduced")
     p_fuzz.add_argument("--engine",
-                        choices=semantic_engine_names() + ("all",),
+                        choices=engine_names() + ("all",),
                         default="all",
-                        help="execution backend(s) for the differential "
+                        help="execution engine(s) for the differential "
                              "checks (default all: every registered "
-                             "semantic engine)")
+                             "engine)")
     add_json_flag(p_fuzz)
     p_fuzz.set_defaults(func=_cmd_fuzz)
 
@@ -1081,12 +1073,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="SECONDS",
                          help="per-request budget before a 504 "
                               "(default %(default)s)")
-    p_serve.add_argument("--batch-max", type=int, default=32, metavar="N",
-                         help="largest dispatch batch (default %(default)s)")
-    p_serve.add_argument("--batch-window", type=float, default=0.0,
-                         metavar="SECONDS",
-                         help="extra coalescing window before dispatching "
-                              "(default 0 = one event-loop tick)")
     p_serve.add_argument("--cache", metavar="DIR", default=None,
                          help="artifact cache directory (default "
                               "$REPRO_CACHE_DIR or ~/.cache/repro-spd; "

@@ -2,9 +2,9 @@
 
 :func:`run_corpus_bench` is the engine behind ``repro bench --corpus``.
 For every selected manifest entry it regenerates the source from its
-seed, submits the SPEC view plus NAIVE/SPEC timings (and an opt-in
-hardware-simulation sample) to :meth:`Pipeline.stream`, and folds the
-results into per-stratum aggregates as they arrive — the parent never
+seed, submits the SPEC view, the NAIVE/SPEC timings and the SPEC
+view's hardware-simulator timing to :meth:`Pipeline.stream`, and folds
+the results into per-stratum aggregates as they arrive — the parent never
 holds more than one in-flight entry's artifacts, which is what lets a
 thousand-program corpus run in a bounded-memory process.
 
@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional
 from .. import obs
 from ..disambig.pipeline import Disambiguator
 from ..machine.description import LifeMachine
-from ..machine.hw import HwMachine
+from ..machine.hw import hw_machine
 from ..pipeline.core import Pipeline
 from ..pipeline.executor import HwTimingJob, TimingJob, ViewJob
 from .manifest import entry_source, select_bench_entries
@@ -60,10 +60,9 @@ class _StratumAgg:
         self.cycles_spec = 0
         self.log_speedup_sum = 0.0
         self.growth_sum = 0.0
-        self.hw_programs = 0
         self.hw_cycles_spec = 0
 
-    def add(self, view, naive, spec, base_ops: int) -> None:
+    def add(self, view, naive, spec, hw, base_ops: int) -> None:
         self.programs += 1
         counts = {kind.value: count
                   for kind, count in view.spd_counts().items()}
@@ -79,13 +78,10 @@ class _StratumAgg:
         self.cycles_spec += spec.cycles
         self.log_speedup_sum += math.log(naive.cycles / spec.cycles)
         self.growth_sum += view.code_size() / base_ops
-
-    def add_hw(self, hw) -> None:
-        self.hw_programs += 1
         self.hw_cycles_spec += hw.cycles
 
     def summary(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
+        return {
             "programs": self.programs,
             "spd": {
                 "applications": dict(sorted(self.applications.items())),
@@ -98,11 +94,9 @@ class _StratumAgg:
             "geomean_speedup_spec_over_naive": round(
                 math.exp(self.log_speedup_sum / self.programs), 6),
             "code_growth_mean": round(self.growth_sum / self.programs, 6),
+            "hw": {"programs": self.programs,
+                   "cycles_spec": self.hw_cycles_spec},
         }
-        if self.hw_programs:
-            out["hw"] = {"programs": self.hw_programs,
-                         "cycles_spec": self.hw_cycles_spec}
-        return out
 
     def merge(self, other: "_StratumAgg") -> None:
         self.programs += other.programs
@@ -113,7 +107,6 @@ class _StratumAgg:
         self.cycles_spec += other.cycles_spec
         self.log_speedup_sum += other.log_speedup_sum
         self.growth_sum += other.growth_sum
-        self.hw_programs += other.hw_programs
         self.hw_cycles_spec += other.hw_cycles_spec
 
 
@@ -121,8 +114,6 @@ def run_corpus_bench(pipeline: Pipeline, manifest: Dict[str, object],
                      mach: LifeMachine, *,
                      stratum: Optional[str] = None,
                      jobs: int = 1,
-                     hw_machine: Optional[HwMachine] = None,
-                     hw_sample: int = 0,
                      stable: bool = False,
                      manifest_path: Optional[str] = None,
                      progress: Optional[Callable[[str], None]] = None
@@ -131,45 +122,34 @@ def run_corpus_bench(pipeline: Pipeline, manifest: Dict[str, object],
 
     Entries run in manifest order; results stream back per entry and
     fold into :class:`_StratumAgg` accumulators, so peak memory is a
-    single entry's artifacts regardless of corpus size.  When
-    *hw_machine* is given, the ``hw_sample`` smallest entries of every
-    stratum additionally run the SPEC view through the hardware
-    simulator (hwsim is orders of magnitude slower than VLIW timing,
-    so it is always a sampled sub-stratum, never the full corpus).
+    single entry's artifacts regardless of corpus size.  The hardware
+    simulator times every SPEC view on a 4-unit machine with *mach*'s
+    memory latency.
     """
     entries = select_bench_entries(manifest, stratum)
-    hw_ids = _hw_sample_ids(entries, hw_sample if hw_machine else 0)
+    memory_latency = mach.memory_latency
+    hw = hw_machine(4, memory_latency)
 
-    plan: List[Dict[str, object]] = []
     job_list: List[object] = []
-    memory_latency = mach.latencies.memory
     for entry in entries:
         source = entry_source(manifest, entry)
-        entry_jobs: List[object] = [
+        job_list += [
             ViewJob(entry["id"], source, Disambiguator.SPEC, memory_latency),
             TimingJob(entry["id"], source, Disambiguator.NAIVE, mach),
             TimingJob(entry["id"], source, Disambiguator.SPEC, mach),
+            HwTimingJob(entry["id"], source, Disambiguator.SPEC, hw),
         ]
-        if entry["id"] in hw_ids:
-            entry_jobs.append(HwTimingJob(entry["id"], source,
-                                          Disambiguator.SPEC, hw_machine))
-        plan.append({"entry": entry, "jobs": len(entry_jobs)})
-        job_list.extend(entry_jobs)
 
     started = time.perf_counter()
     strata: Dict[str, _StratumAgg] = {}
     with obs.tracing() as tracer:
         results = pipeline.stream(job_list, jobs)
-        for index, item in enumerate(plan):
-            entry = item["entry"]
-            group = [next(results) for _ in range(item["jobs"])]
-            view, naive, spec = group[0], group[1], group[2]
+        for index, entry in enumerate(entries):
+            view, naive, spec, hw_timing = (next(results) for _ in range(4))
             agg = strata.setdefault(entry["stratum"], _StratumAgg())
-            agg.add(view, naive, spec, entry["ops"])
-            if len(group) == 4:
-                agg.add_hw(group[3])
+            agg.add(view, naive, spec, hw_timing, entry["ops"])
             if progress and (index + 1) % 100 == 0:
-                progress(f"{index + 1}/{len(plan)} programs")
+                progress(f"{index + 1}/{len(entries)} programs")
         metrics = tracer.metrics
     elapsed = time.perf_counter() - started
 
@@ -202,7 +182,7 @@ def run_corpus_bench(pipeline: Pipeline, manifest: Dict[str, object],
         "selection": {
             "stratum": stratum,
             "programs": len(entries),
-            "hw_sampled": len(hw_ids),
+            "hw_sampled": len(entries),
             "jobs_submitted": len(job_list),
         },
         "machine": {
@@ -215,21 +195,6 @@ def run_corpus_bench(pipeline: Pipeline, manifest: Dict[str, object],
         "totals": totals.summary(),
         "lab": lab,
     }
-
-
-def _hw_sample_ids(entries, hw_sample: int) -> set:
-    """Ids of the *hw_sample* smallest entries of every stratum."""
-    if hw_sample <= 0:
-        return set()
-    by_stratum: Dict[str, List[Dict[str, object]]] = {}
-    for entry in entries:
-        by_stratum.setdefault(entry["stratum"], []).append(entry)
-    sampled: set = set()
-    for name in sorted(by_stratum):
-        bucket = sorted(by_stratum[name],
-                        key=lambda e: (e["ops"], e["id"]))
-        sampled.update(entry["id"] for entry in bucket[:hw_sample])
-    return sampled
 
 
 def history_benchmarks(payload: Dict[str, object]) -> Dict[str, object]:

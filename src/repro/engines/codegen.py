@@ -28,12 +28,10 @@ identical to :meth:`repro.sim.interpreter.Interpreter._execute_tree`:
 * profile collection (committed-op counts, memory traces) and the
   observability squash tallies byte-match the interpreter's.
 
-Three generation modes share the operation bodies:
+Two per-tree modes serve the hardware simulator; the JIT's
+whole-function dispatch loop (:class:`_FunctionEmitter`) shares their
+operation bodies:
 
-``sim``
-    The functional interpreter: memory reads/writes go straight to the
-    memory list; returns the taken exit index (plus profile data when
-    collecting).
 ``hw_resolve``
     The hardware simulator's pass, run on a copy of the frame's
     registers: loads/stores record canonical-address-class events and
@@ -155,19 +153,19 @@ def touches_memory(tree: DecisionTree) -> bool:
 
 
 class _Emitter:
-    """Generates the specialized source of one tree, one mode."""
+    """Generates the specialized source of one tree in a hardware mode.
 
-    def __init__(self, tree: DecisionTree, mode: str,
-                 collect_profile: bool, trace_stores: bool,
-                 strict_memory: bool, count_squashes: bool):
-        if mode not in ("sim", "hw_resolve", "hw_commit"):
-            raise ValueError(f"unknown codegen mode {mode!r}")
+    The operation bodies also serve :class:`_FunctionEmitter` (mode
+    ``jit``), the only mode that collects profiles or traces stores.
+    """
+
+    def __init__(self, tree: DecisionTree, mode: str, strict_memory: bool,
+                 collect_profile: bool = False, trace_stores: bool = False):
         self.tree = tree
         self.mode = mode
-        self.collect_profile = collect_profile and mode == "sim"
-        self.trace_stores = trace_stores and mode == "sim"
+        self.collect_profile = collect_profile
+        self.trace_stores = trace_stores
         self.strict_memory = strict_memory
-        self.count_squashes = count_squashes and mode == "sim"
         #: hw_resolve only: buffer stores and output for the caller
         self.buffers = mode == "hw_resolve" and touches_memory(tree)
         self.lines: List[str] = []
@@ -178,13 +176,11 @@ class _Emitter:
         #: program point (unguarded writes); reads of these skip the
         #: sentinel test and writebacks skip the presence test
         self.definitely_set: Set[str] = set()
-        self.squash_counters: Dict[str, str] = {}
         self.uses_memory = False
         self.uses_output = False
         self.uses_check_addr = False
-        #: at least one op appends to the profile memory trace; trees
-        #: without memory operations return a shared empty tuple instead
-        #: of allocating a fresh list per execution
+        #: at least one op of the current tree appends to the profile
+        #: memory trace; other trees allocate no trace list
         self.uses_mem_trace = False
 
     # -- small helpers -----------------------------------------------------
@@ -308,10 +304,9 @@ class _Emitter:
     # -- whole-tree generation ---------------------------------------------
 
     def generate(self) -> str:
-        tree = self.tree
         body: List[str] = self.lines
 
-        for op_index, op in enumerate(tree.ops):
+        for op_index, op in enumerate(self.tree.ops):
             if op.guard is None:
                 self.emit_op_body(op, op_index, "    ")
                 if op.dest is not None:
@@ -321,60 +316,36 @@ class _Emitter:
                 cond = self.emit_guard_check(op.guard, "    ")
                 start = len(body)
                 body.append(f"    if {cond}:")
-                if self.collect_profile:
-                    body.append("        _c += 1")
                 self.emit_op_body(op, op_index, "        ")
                 if len(body) == start + 1:
                     body.append("        pass")
-                if self.count_squashes:
-                    counter = self.squash_counters.setdefault(
-                        op.opcode.name,
-                        f"_sqv{len(self.squash_counters)}")
-                    body.append("    else:")
-                    body.append(f"        {counter} += 1")
                 if op.dest is not None:
                     self.written.add(op.dest.name)
-
-        if self.count_squashes:
-            for name, counter in self.squash_counters.items():
-                body.append(f"    if {counter}: "
-                            f"_sq[{name!r}] = _sq.get({name!r}, 0) + {counter}")
 
         if self.mode == "hw_resolve":
             self._emit_exits(body)
             self._emit_writeback(body)
             body.append("    return _ei, _ev, _sl, _pr" if self.buffers
                         else "    return _ei")
-        elif self.mode == "hw_commit":
+        else:
             self._emit_writeback(body)
             body.append("    return None")
-        else:
-            self._emit_exits(body)
-            self._emit_writeback(body)
-            if self.collect_profile:
-                trace = "_mt" if self.uses_mem_trace else "()"
-                body.append(f"    return (_ei, _c, {trace})")
-            else:
-                body.append("    return _ei")
 
         return "\n".join(self._emit_header() + body) + "\n"
 
     def _emit_exits(self, body: List[str]) -> None:
         """Exit selection, first-true-guard wins; ``_ei`` stays ``-1``
-        when no exit fires (the caller raises the interpreter's
-        message).  Sequential so a later exit's undefined guard
-        register is never read once an earlier exit has been taken.
-        ``hw_resolve`` leaves ``-1`` on an undefined guard too: its
-        caller must drain the stores before raising."""
-        on_missing = "break" if self.mode == "hw_resolve" else ""
+        when no exit fires *or* an exit guard is undefined (the caller
+        drains the stores, then raises the interpreter's message).
+        Sequential so a later exit's undefined guard register is never
+        read once an earlier exit has been taken."""
         body.append("    _ei = -1")
         body.append("    while 1:")
         for index, exit_ in enumerate(self.tree.exits):
             if exit_.guard is None:
                 body.append(f"        _ei = {index}; break")
                 break
-            cond = self.emit_guard_check(exit_.guard, "        ",
-                                         on_missing)
+            cond = self.emit_guard_check(exit_.guard, "        ", "break")
             body.append(f"        if {cond}:")
             body.append(f"            _ei = {index}; break")
         else:
@@ -403,44 +374,30 @@ class _Emitter:
             header.append("    _ml = len(memory)")
         if self.uses_output:
             header.append("    _out = interp.output")
-        if self.trace_stores:
-            header.append("    _st = interp.store_trace")
         if self.uses_check_addr:
             header.append("    _ca = interp._check_addr")
-        if self.count_squashes and self.squash_counters:
-            header.append("    _sq = interp._obs_squashed")
-        for counter in self.squash_counters.values():
-            header.append(f"    {counter} = 0")
         if self.buffers:
             header.append("    _ev = []")
             header.append("    _co = {}")
             header.append("    _ov = {}")
             header.append("    _sl = []")
             header.append("    _pr = []")
-        if self.collect_profile:
-            num_unguarded = sum(1 for op in self.tree.ops
-                                if op.guard is None)
-            header.append(f"    _c = {num_unguarded}")
-            if self.uses_mem_trace:
-                header.append("    _mt = []")
         return header
 
 
-def generate_tree_source(tree: DecisionTree, mode: str = "sim",
-                         collect_profile: bool = False,
-                         trace_stores: bool = False,
-                         strict_memory: bool = False,
-                         count_squashes: bool = False) -> str:
-    """Source text of the specialized function for *tree* in *mode*.
+def generate_tree_source(tree: DecisionTree, mode: str,
+                         strict_memory: bool = False) -> str:
+    """Source text of the specialized function for *tree* in *mode*
+    (``hw_resolve`` or ``hw_commit``).
 
     The text is a pure function of the tree's structure and the flags,
     which makes it the cache key of the bounded code cache: trees with
     identical shape (across programs, even) share one compiled
     function.
     """
-    emitter = _Emitter(tree, mode, collect_profile, trace_stores,
-                       strict_memory, count_squashes)
-    return emitter.generate()
+    if mode not in ("hw_resolve", "hw_commit"):
+        raise ValueError(f"unknown codegen mode {mode!r}")
+    return _Emitter(tree, mode, strict_memory).generate()
 
 
 class _FunctionEmitter(_Emitter):
@@ -472,9 +429,9 @@ class _FunctionEmitter(_Emitter):
                  trace_stores: bool, strict_memory: bool,
                  count_squashes: bool):
         trees = list(function.trees.values())
-        super().__init__(trees[0] if trees else None, "sim",
-                         collect_profile, trace_stores, strict_memory,
-                         count_squashes)
+        super().__init__(trees[0] if trees else None, "jit", strict_memory,
+                         collect_profile, trace_stores)
+        self.count_squashes = count_squashes
         self.function = function
         self.tree_names = list(function.trees)
         self.tree_index = {name: i for i, name in enumerate(self.tree_names)}

@@ -44,57 +44,20 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .. import obs
 from ..disambig.pipeline import Disambiguator, disambiguate
 from ..disambig.spd_heuristic import SpDConfig
-from ..engines import get_engine, semantic_engine_names
+from ..engines import engine_names, get_engine
 from ..frontend.driver import compile_source
 from ..frontend.errors import CompileError
 from ..frontend.grafting import graft_program
 from ..hwsim.core import HwSimulator
 from ..hwsim.predictor import predictor_names
 from ..machine.description import machine
-from ..machine.hw import HW_ORACLE_INFINITE, hw_machine
+from ..machine.hw import hw_machine
 from ..passes import DEFAULT_CLEANUP, PassPipelineConfig
 from ..sim.evaluate import evaluate_program
 from ..sim.interpreter import Interpreter, InterpreterError
 
 __all__ = ["OracleConfig", "Divergence", "ConformanceReport",
-           "register_execution_backend", "execution_backend_names",
            "check_source", "make_divergence_predicate"]
-
-#: Execution backends registered beyond the engine registry.  A factory
-#: has the engine-executor calling convention:
-#: ``factory(program, max_steps=..., collect_profile=...,
-#: trace_stores=...)`` returning an interpreter-compatible executor.
-_EXTRA_BACKENDS: Dict[str, Callable[..., object]] = {}
-
-
-def register_execution_backend(name: str,
-                               factory: Callable[..., object]) -> None:
-    """Register an additional differential execution backend.
-
-    The registered semantic engines (:mod:`repro.engines`) participate
-    automatically; this hook is for prototype executors that are not
-    (yet) full engines.
-    """
-    _EXTRA_BACKENDS[name] = factory
-
-
-def execution_backend_names() -> Tuple[str, ...]:
-    """Every backend the oracle cross-checks by default: the semantic
-    engines, in registration order, then the extra registrations."""
-    names = list(semantic_engine_names())
-    names.extend(n for n in _EXTRA_BACKENDS if n not in names)
-    return tuple(names)
-
-
-def _make_executor(name: str, program, max_steps: int,
-                   collect_profile: bool):
-    factory = _EXTRA_BACKENDS.get(name)
-    if factory is None:
-        return get_engine(name).executor(
-            program, max_steps=max_steps, collect_profile=collect_profile,
-            trace_stores=True)
-    return factory(program, max_steps=max_steps,
-                   collect_profile=collect_profile, trace_stores=True)
 
 #: SpD knob grid: the paper's defaults, a tight budget (small
 #: MaxExpansion, high MinGain) and the profile-weighted ablation.
@@ -134,10 +97,10 @@ class OracleConfig:
     #: variant already sweeps every sequence)
     grafted_cleanup_sequences: Tuple[Tuple[str, ...], ...] = \
         ((), DEFAULT_CLEANUP)
-    #: execution backends every semantic comparison runs under
-    #: (``None`` = all registered: the semantic engines plus any
-    #: :func:`register_execution_backend` extras).  The first listed
-    #: backend is the primary; others are labelled ``stage@engine``.
+    #: execution engines every semantic comparison runs under
+    #: (``None`` = every registered engine, see
+    #: :func:`repro.engines.register_engine`).  The first listed
+    #: engine is the primary; others are labelled ``stage@engine``.
     engines: Optional[Tuple[str, ...]] = None
     #: run the hardware simulator as a differential backend: the base
     #: program under each of these predictors, plus the SPEC view under
@@ -236,21 +199,22 @@ def _compare_execution(report: ConformanceReport, label: str,
                        engines: Optional[Tuple[str, ...]] = None
                        ) -> Optional[Tuple[object, Interpreter]]:
     """Re-execute a transformed view under every configured execution
-    backend and diff each run against the reference.
+    engine and diff each run against the reference.
 
-    Returns the first backend's (result, executor) pair when its
+    Returns the first engine's (result, executor) pair when its
     execution succeeded so callers can reuse the run (the grafted
     variant needs its profile), ``None`` if it crashed.  Runs beyond
     the first are labelled ``stage@engine`` (the bare ``interp`` run
     keeps the historical plain label).
     """
-    names = execution_backend_names() if engines is None else engines
+    names = engine_names() if engines is None else engines
     primary: Optional[Tuple[object, Interpreter]] = None
     for index, engine in enumerate(names):
         exec_label = label if engine == "interp" else f"{label}@{engine}"
         try:
-            executor = _make_executor(engine, view_program, max_steps,
-                                      collect_profile)
+            executor = get_engine(engine).executor(
+                view_program, max_steps=max_steps,
+                collect_profile=collect_profile, trace_stores=True)
             result = executor.run()
         except InterpreterError as exc:
             report.divergences.append(Divergence(
@@ -329,9 +293,9 @@ def check_source(source: str,
             report.error = f"frontend crash {type(exc).__name__}: {exc}"
             return report
 
-        engines = (execution_backend_names() if config.engines is None
+        engines = (engine_names() if config.engines is None
                    else config.engines)
-        # the untransformed program under every non-reference backend:
+        # the untransformed program under every non-reference engine:
         # an engine miscompile diverges here even when every view is
         # semantically clean
         other_engines = tuple(e for e in engines if e != "interp")

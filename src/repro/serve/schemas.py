@@ -24,7 +24,7 @@ from typing import Dict, Optional, Tuple
 
 from ..disambig.pipeline import Disambiguator
 from ..disambig.spd_heuristic import SpDConfig
-from ..engines import DEFAULT_ENGINE, semantic_engine_names
+from ..engines import DEFAULT_ENGINE, engine_names
 from ..frontend.grafting import GraftConfig
 from ..machine.description import LifeMachine, machine
 from ..machine.hw import PREDICTOR_NAMES, HwMachine, hw_machine
@@ -188,9 +188,9 @@ def parse_request(endpoint: str, payload: object) -> ServeRequest:
             f"unknown disambiguator kind {kind_name!r} "
             f"(known: {', '.join(k.value for k in Disambiguator)})")
     engine = payload.get("engine", DEFAULT_ENGINE)
-    _require(engine in semantic_engine_names(),
+    _require(engine in engine_names(),
              f"unknown engine {engine!r} "
-             f"(known: {', '.join(semantic_engine_names())})")
+             f"(known: {', '.join(engine_names())})")
     spd, graft, passes, guard_words = _parse_knobs(payload.get("knobs"))
     return ServeRequest(
         endpoint=endpoint, label=label, source=source, kind=kind,

@@ -80,10 +80,6 @@ class ServeConfig:
     queue_limit: int = 256
     #: per-request wall-clock budget before a 504
     request_timeout: float = 120.0
-    #: largest drained batch per dispatch round
-    batch_max: int = 32
-    #: extra coalescing window before draining (0 = one loop tick)
-    batch_window_s: float = 0.0
     #: rendered 200 responses kept for the warm fast path (0 disables);
     #: keyed by the canonicalised request payload, so repeat requests
     #: skip parse/plan/render entirely
@@ -100,8 +96,6 @@ class ServeConfig:
             raise ValueError("jobs must be >= 1")
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if self.batch_max < 1:
-            raise ValueError("batch_max must be >= 1")
 
     def resolve_cache_root(self) -> Optional[Path]:
         if self.cache_root is None:
@@ -486,21 +480,19 @@ class CompileService:
     # -- dispatch / completion -----------------------------------------------
 
     async def _drain(self) -> None:
-        """Collect queued misses into batches and dispatch them."""
-        if self.config.batch_window_s > 0:
-            await asyncio.sleep(self.config.batch_window_s)
-        else:
-            await asyncio.sleep(0)  # let same-tick arrivals coalesce
-        while self._pending:
-            batch = self._pending[:self.config.batch_max]
-            del self._pending[:len(batch)]
-            self._incr("serve.batches")
-            self._observe("serve.batch_size", len(batch))
-            generation = self._executor_generation
-            for item in batch:
-                item.dispatch_future = self._loop.create_task(
-                    run_chunk(self._executor, item.spec, item.jobs))
-                self._loop.create_task(self._complete(item, generation))
+        """Dispatch every queued miss, each as its own worker task; the
+        misses drained together count as one batch."""
+        await asyncio.sleep(0)  # let same-tick arrivals coalesce
+        batch, self._pending = self._pending, []
+        if not batch:
+            return
+        self._incr("serve.batches")
+        self._observe("serve.batch_size", len(batch))
+        generation = self._executor_generation
+        for item in batch:
+            item.dispatch_future = self._loop.create_task(
+                run_chunk(self._executor, item.spec, item.jobs))
+            self._loop.create_task(self._complete(item, generation))
 
     async def _complete(self, item: _WorkItem, generation: int) -> None:
         try:

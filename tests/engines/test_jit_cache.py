@@ -4,7 +4,7 @@ import pytest
 
 from repro import obs
 from repro.engines import jit
-from repro.engines.codegen import generate_tree_source
+from repro.engines.codegen import generate_function_source
 from repro.engines.jit import (clear_code_cache, code_cache_size, compiled_fn,
                                run_program_jit)
 
@@ -82,12 +82,11 @@ class TestTreeSharing:
                 > first.get("engines.jit.cache_hits", 0))
 
     def test_generated_source_is_deterministic(self, example22_program):
-        trees = [tree for _fn, tree in example22_program.all_trees()]
-        for tree in trees:
-            assert (generate_tree_source(tree)
-                    == generate_tree_source(tree))
+        for func in example22_program.functions.values():
+            assert (generate_function_source(func)
+                    == generate_function_source(func))
 
     def test_profile_variant_is_a_distinct_key(self, example22_program):
-        _fn, tree = next(iter(example22_program.all_trees()))
-        assert (generate_tree_source(tree, collect_profile=True)
-                != generate_tree_source(tree, collect_profile=False))
+        func = next(iter(example22_program.functions.values()))
+        assert (generate_function_source(func, collect_profile=True)
+                != generate_function_source(func, collect_profile=False))

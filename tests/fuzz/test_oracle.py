@@ -84,18 +84,17 @@ class TestInjectedBug:
 
 class TestBackendRegistry:
     def test_semantic_engines_are_default_backends(self):
-        from repro.fuzz.oracle import execution_backend_names
-        names = execution_backend_names()
+        from repro.engines import engine_names
+        names = engine_names()
         assert names[0] == "interp"
         assert "jit" in names
-        assert "hw" not in names  # timing model, not a semantic backend
+        assert "hw" not in names  # timing model, not an engine
 
     def test_registered_backend_participates(self):
-        """A buggy extra backend must surface as a divergence — proof
-        that registration wires it into the differential loop."""
-        from repro.engines import get_engine
-        from repro.fuzz.oracle import (_EXTRA_BACKENDS,
-                                       register_execution_backend)
+        """A buggy registered engine must surface as a divergence —
+        proof that registration wires it into the differential loop."""
+        from repro.engines import ExecutionEngine, get_engine, register_engine
+        from repro.engines.base import _ENGINES
 
         def lying_backend(program, **kwargs):
             executor = get_engine("interp").executor(program, **kwargs)
@@ -109,11 +108,12 @@ class TestBackendRegistry:
             executor.run = run
             return executor
 
-        register_execution_backend("lying", lying_backend)
+        register_engine(ExecutionEngine("lying", "corrupts its output",
+                                        lying_backend))
         try:
             report = check_source(DIAMOND, FAST)
         finally:
-            _EXTRA_BACKENDS.pop("lying")
+            _ENGINES.pop("lying")
         assert report.error is None
         assert not report.ok
         assert any("@lying" in d.stage for d in report.divergences)

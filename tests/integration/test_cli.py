@@ -417,7 +417,7 @@ class TestEngineFlag:
             main(["run", demo_source, "--engine", "nonesuch"])
 
     def test_run_rejects_hw_engine(self, demo_source, capsys):
-        # hw is a timing model, not a semantic engine; --engine excludes it
+        # hw is a timing model, not a registered engine; --engine excludes it
         with pytest.raises(SystemExit):
             main(["run", demo_source, "--engine", "hw"])
 

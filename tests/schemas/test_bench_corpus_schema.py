@@ -1,5 +1,7 @@
-"""Validate ``BENCH_corpus.json`` — committed and freshly produced —
-against its JSON schema.
+"""Validate the corpus bench payloads — the committed smoke
+``BENCH_corpus.json``, the committed full-corpus
+``benchmarks/corpus/BENCH_corpus_full.json`` and freshly produced ones —
+against their JSON schema.
 
 The schema (``tests/schemas/bench_corpus.schema.json``) is the contract
 for the ``repro.bench_corpus/1`` payload of ``repro bench --corpus``;
@@ -16,15 +18,22 @@ jsonschema = pytest.importorskip("jsonschema")
 HERE = Path(__file__).parent
 REPO = HERE.parent.parent
 SCHEMA = json.loads((HERE / "bench_corpus.schema.json").read_text())
-PAYLOAD = json.loads((REPO / "BENCH_corpus.json").read_text())
+#: the committed payloads: the smoke slice and the whole corpus
+COMMITTED = {name: json.loads((REPO / path).read_text())
+             for name, path in (
+                 ("smoke", "BENCH_corpus.json"),
+                 ("full", "benchmarks/corpus/BENCH_corpus_full.json"))}
+PAYLOAD = COMMITTED["smoke"]
+committed = pytest.mark.parametrize("name", sorted(COMMITTED))
 
 
 def test_schema_itself_is_well_formed():
     jsonschema.Draft7Validator.check_schema(SCHEMA)
 
 
-def test_committed_payload_validates():
-    jsonschema.Draft7Validator(SCHEMA).validate(PAYLOAD)
+@committed
+def test_committed_payload_validates(name):
+    jsonschema.Draft7Validator(SCHEMA).validate(COMMITTED[name])
 
 
 def test_fresh_payloads_validate(tmp_path):
@@ -62,6 +71,8 @@ def test_schema_rejects_mutations():
     assert invalid(lambda p: p["machine"].update(num_fus=0))
     assert invalid(lambda p: p.update(strata={}))
     assert invalid(lambda p: p["strata"][stratum]["cycles"].pop("spec"))
+    assert invalid(lambda p: p["strata"][stratum].pop("hw"))
+    assert invalid(lambda p: p["totals"].pop("hw"))
     assert invalid(
         lambda p: p["strata"][stratum]["spd"].update(application_rate=1.5))
     assert invalid(
@@ -74,10 +85,12 @@ def test_schema_rejects_mutations():
         assert invalid(lambda p: p["lab"].update(jobs=0))
 
 
-def test_committed_payload_is_internally_consistent():
+@committed
+def test_committed_payload_is_internally_consistent(name):
     """Cross-field invariants the schema language cannot express."""
-    totals = PAYLOAD["totals"]
-    strata = PAYLOAD["strata"].values()
+    payload = COMMITTED[name]
+    totals = payload["totals"]
+    strata = payload["strata"].values()
     assert totals["programs"] == sum(s["programs"] for s in strata)
     assert totals["cycles"]["naive"] == sum(
         s["cycles"]["naive"] for s in strata)
@@ -85,9 +98,13 @@ def test_committed_payload_is_internally_consistent():
         s["cycles"]["spec"] for s in strata)
     assert totals["spd"]["programs_applied"] == sum(
         s["spd"]["programs_applied"] for s in strata)
+    assert totals["hw"]["cycles_spec"] == sum(
+        s["hw"]["cycles_spec"] for s in strata)
     for bucket in list(strata) + [totals]:
+        assert bucket["hw"]["programs"] == bucket["programs"]
         assert bucket["spd"]["programs_applied"] <= bucket["programs"]
         assert bucket["spd"]["application_rate"] == pytest.approx(
             bucket["spd"]["programs_applied"] / bucket["programs"],
             abs=1e-5)
-    assert (PAYLOAD["selection"]["programs"] == totals["programs"])
+    assert payload["selection"]["programs"] == totals["programs"]
+    assert payload["selection"]["hw_sampled"] == totals["programs"]

@@ -179,8 +179,6 @@ class TestQueueBound:
             ServeConfig(jobs=0)
         with pytest.raises(ValueError):
             ServeConfig(queue_limit=0)
-        with pytest.raises(ValueError):
-            ServeConfig(batch_max=0)
 
 
 class TestStatsBodies:
