@@ -62,7 +62,6 @@ class BenchmarkRunner:
     """Name-addressed façade over the artifact-store pipeline."""
 
     def __init__(self, spd_config: SpDConfig = SpDConfig(),
-                 validate_spec_output: bool = True,
                  graft: Optional[GraftConfig] = None,
                  jobs: int = 1,
                  store: Optional[ArtifactStore] = None,
@@ -70,11 +69,9 @@ class BenchmarkRunner:
                  guard_words: int = 0,
                  engine: str = DEFAULT_ENGINE):
         self.spd_config = spd_config
-        self.validate_spec_output = validate_spec_output
         self.graft = graft
         self.jobs = jobs
         self.pipeline = Pipeline(spd_config=spd_config, graft=graft,
-                                 validate_spec_output=validate_spec_output,
                                  store=store, passes=passes,
                                  guard_words=guard_words, engine=engine)
         self.engine = self.pipeline.engine

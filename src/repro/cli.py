@@ -38,6 +38,8 @@ alongside the unchanged text output; ``OUT`` may be ``-`` for stdout.
 ``bench`` and ``report`` accept ``--jobs N`` to fan the timing matrix
 out over worker processes, and both are served from the artifact cache
 (``$REPRO_CACHE_DIR``, see docs/architecture.md) on repeat runs.
+``analyze``, ``schedule`` and ``trace`` run the same cached pipeline
+on a memory-only store.
 """
 
 from __future__ import annotations
@@ -49,9 +51,8 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import obs
-from .bench.runner import BenchmarkRunner
 from .bench.suite import SUITE
-from .disambig.pipeline import Disambiguator, disambiguate
+from .disambig.pipeline import Disambiguator
 from .disambig.spd_heuristic import SpDConfig
 from .engines import DEFAULT_ENGINE, engine_names
 from .frontend.driver import compile_source
@@ -61,7 +62,10 @@ from .machine.description import machine
 from .machine.hw import PREDICTOR_NAMES
 from .passes import (DEFAULT_CLEANUP, PassPipelineConfig, UnknownPassError,
                      registered_passes)
-from .sim.evaluate import evaluate_program
+from .pipeline.artifacts import report_table
+from .pipeline.core import Pipeline
+from .pipeline.executor import HwTimingJob, TimingJob
+from .pipeline.store import ArtifactStore
 from .sim.interpreter import run_program
 
 __all__ = ["main"]
@@ -114,6 +118,16 @@ def _pass_config_from(args) -> PassPipelineConfig:
         raise SystemExit(f"repro: {error}")
 
 
+def _pipeline_from(args, store: Optional[ArtifactStore] = None) -> Pipeline:
+    """The cached pipeline the toolchain flags describe; *store*
+    defaults to the shared disk cache."""
+    return Pipeline(spd_config=_spd_config_from(args),
+                    graft=GraftConfig() if getattr(args, "graft", False)
+                    else None,
+                    store=store, passes=_pass_config_from(args),
+                    engine=_engine_from(args))
+
+
 def _write_json(path: str, payload: dict) -> int:
     """Write *payload* to *path* ('-' = stdout); return an exit status.
 
@@ -131,11 +145,6 @@ def _write_json(path: str, payload: dict) -> int:
         print(f"cannot write --json output: {exc}", file=sys.stderr)
         return 2
     return 0
-
-
-def _machine_dict(mach) -> dict:
-    return {"name": mach.name, "num_fus": mach.num_fus,
-            "memory_latency": mach.memory_latency}
 
 
 def _cmd_run(args) -> int:
@@ -157,92 +166,87 @@ def _cmd_compile(args) -> int:
     return 0
 
 
-def _analyze(program, mach, label: str,
-             spd_config: SpDConfig = SpDConfig(),
-             reference=None, stages=None,
-             passes: Optional[PassPipelineConfig] = None,
-             engine: str = DEFAULT_ENGINE) -> dict:
-    """Print the per-disambiguator cycle table; return it structured.
+def _timed_views(pipeline: Pipeline, label: str, source: str, mach,
+                 jobs: int = 1, hw_mach=None) -> dict:
+    """Each disambiguator's ``(view, timing)`` artifacts for one program.
 
-    ``stages(kind) -> (view, timing)``, when given, supplies the
-    per-disambiguator results (e.g. from the cached benchmark pipeline)
-    instead of the ad-hoc computation used for loose source files.
-    """
-    if reference is None:
-        reference = run_program(program, engine=engine)
-    print(f"{label}: {program.size()} ops, output {reference.output[:6]}"
+    ``jobs > 1`` first fans the timing matrix (plus the SPEC hwtime job
+    on *hw_mach*) out over worker processes, whose spans merge under
+    ``pipeline.parallel`` with per-pid lanes; each kind's view and
+    timing then run under its own ``analyze.<kind>`` span."""
+    if jobs > 1:
+        prefetch = [TimingJob(label, source, kind, mach)
+                    for kind in Disambiguator]
+        if hw_mach is not None:
+            prefetch.append(HwTimingJob(label, source, Disambiguator.SPEC,
+                                        hw_mach))
+        pipeline.prefetch(prefetch, jobs)
+    stages = {}
+    for kind in Disambiguator:
+        with obs.span(f"analyze.{kind.value}"):
+            stages[kind] = (
+                pipeline.view(label, source, kind, mach.memory_latency),
+                pipeline.timing(label, source, kind, mach))
+    return stages
+
+
+def _analyze(args, pipeline: Pipeline, label: str, source: str) -> dict:
+    """Print the per-disambiguator cycle table; return it structured."""
+    mach = _machine_from(args)
+    stages = _timed_views(pipeline, label, source, mach,
+                          getattr(args, "jobs", 1))
+    reference = pipeline.profile(label, source).reference
+    data = report_table(mach, pipeline.compiled(label, source),
+                        stages[Disambiguator.SPEC][0],
+                        {kind: timing for kind, (_, timing) in stages.items()})
+    print(f"{label}: {data['ops']} ops, output {reference.output[:6]}"
           f"{'...' if len(reference.output) > 6 else ''}")
     print(f"machine: {mach.name}")
-    data: dict = {"program": label, "ops": program.size(),
-                  "machine": _machine_dict(mach), "disambiguators": {}}
-    naive_cycles: Optional[int] = None
-    for kind in Disambiguator:
-        if stages is not None:
-            view, timing = stages(kind)
-        else:
-            view = disambiguate(program, kind, profile=reference.profile,
-                                machine=mach, spd_config=spd_config,
-                                passes=passes)
-            timing = evaluate_program(view.program, view.graphs, mach,
-                                      reference.profile)
-        if kind is Disambiguator.NAIVE:
-            naive_cycles = timing.cycles
+    naive_cycles = stages[Disambiguator.NAIVE][1].cycles
+    for kind, (view, timing) in stages.items():
+        entry = data["disambiguators"][kind.value]
+        # the text formats the unrounded ratio, not the JSON's 6 digits
         speedup = naive_cycles / timing.cycles - 1 if timing.cycles else 0.0
-        entry = {"cycles": timing.cycles,
-                 "speedup_over_naive": round(speedup, 6)}
         extra = ""
         if kind is Disambiguator.SPEC:
-            counts = {k.value.split("_")[1]: v
-                      for k, v in view.spd_counts().items() if v}
+            counts = {k: v for k, v in entry["spd_counts"].items() if v}
             extra = f"  SpD: {counts or 'none'}"
-            entry["spd_counts"] = {k.value.split("_")[1]: v
-                                   for k, v in view.spd_counts().items()}
-            entry["code_size"] = view.code_size()
-        if view.pass_stats:
-            entry["passes"] = view.pass_stats
+        if view.result.pass_stats:
+            entry["passes"] = view.result.pass_stats
         print(f"  {kind.value:>8}: {timing.cycles:10d} cycles "
               f"({speedup:+7.1%} vs naive){extra}")
-        data["disambiguators"][kind.value] = entry
-    return data
+    return {"program": label, **data}
 
 
-def _run_analysis(args, program, label: str, reference=None,
-                  stages=None) -> int:
+def _run_analysis(args, pipeline: Pipeline, label: str, source: str) -> int:
     """Shared analyze/bench tail: text table, optional JSON + trace."""
-    mach = _machine_from(args)
-    spd_config = _spd_config_from(args)
-    passes = _pass_config_from(args)
-    engine = _engine_from(args)
     profiling = getattr(args, "profile", False)
-    if args.json or profiling:
-        if profiling:
-            obs.enable_profiling()
-        try:
-            with obs.tracing() as tracer:
-                data = _analyze(program, mach, label, spd_config, reference,
-                                stages, passes, engine)
-        finally:
-            obs.disable_profiling()
-        if profiling:
-            tables = obs.format_profile_tables(tracer.root)
-            if tables:
-                print()
-                print(tables)
-        if args.json:
-            payload = {"schema": "repro.analysis/1", **data,
-                       **tracer.to_dict()}
-            return _write_json(args.json, payload)
+    if not (args.json or profiling):
+        _analyze(args, pipeline, label, source)
         return 0
-    _analyze(program, mach, label, spd_config, reference, stages, passes,
-             engine)
+    if profiling:
+        obs.enable_profiling()
+    try:
+        with obs.tracing() as tracer:
+            data = _analyze(args, pipeline, label, source)
+    finally:
+        obs.disable_profiling()
+    if profiling:
+        tables = obs.format_profile_tables(tracer.root)
+        if tables:
+            print()
+            print(tables)
+    if args.json:
+        payload = {"schema": "repro.analysis/1", **data, **tracer.to_dict()}
+        return _write_json(args.json, payload)
     return 0
 
 
 def _cmd_analyze(args) -> int:
-    program = compile_source(_load_source(args.program))
-    if args.graft:
-        program, _stats = graft_program(program)
-    return _run_analysis(args, program, args.program)
+    # a memory-only store, like `repro trace`: a loose file leaves no
+    # cache entries behind
+    return _run_analysis(args, _pipeline_from(args, ArtifactStore(None)),
+                         args.program, _load_source(args.program))
 
 
 def _cmd_bench(args) -> int:
@@ -260,31 +264,14 @@ def _cmd_bench(args) -> int:
         print(f"unknown benchmark {args.name!r}; see 'repro list'",
               file=sys.stderr)
         return 2
-    runner = BenchmarkRunner(
-        spd_config=_spd_config_from(args),
-        graft=GraftConfig() if args.graft else None,
-        jobs=args.jobs,
-        passes=_pass_config_from(args),
-        engine=_engine_from(args))
-    mach = _machine_from(args)
-    if args.jobs > 1:
-        runner.prefetch_timings([(args.name, kind, mach)
-                                 for kind in Disambiguator])
-    compiled = runner.compiled(args.name)
-
-    def stages(kind):
-        return (runner.view(args.name, kind, mach.memory_latency),
-                runner.timing(args.name, kind, mach))
-
-    return _run_analysis(args, compiled.program, args.name,
-                         reference=compiled.reference, stages=stages)
+    return _run_analysis(args, _pipeline_from(args), args.name,
+                         SUITE[args.name].source)
 
 
 def _cmd_bench_corpus(args) -> int:
     """``repro bench --corpus``: stream a corpus slice through the
     cached pipeline and write the BENCH_corpus.json payload."""
     from .corpus import history_benchmarks, load_manifest, run_corpus_bench
-    from .pipeline.core import Pipeline
 
     try:
         manifest = load_manifest(args.corpus)
@@ -292,10 +279,7 @@ def _cmd_bench_corpus(args) -> int:
         print(f"bench --corpus: {error}", file=sys.stderr)
         return 2
     mach = _machine_from(args)
-    pipeline = Pipeline(spd_config=_spd_config_from(args),
-                        graft=GraftConfig() if args.graft else None,
-                        passes=_pass_config_from(args),
-                        engine=_engine_from(args))
+    pipeline = _pipeline_from(args)
     try:
         payload = run_corpus_bench(
             pipeline, manifest, mach, stratum=args.stratum, jobs=args.jobs,
@@ -427,9 +411,6 @@ def _cmd_trace(args) -> int:
     """Run the full cached pipeline under tracing; show the per-pass
     tree, or export it (``--format chrome`` / ``--format folded``)."""
     from .machine.hw import hw_machine
-    from .pipeline.core import Pipeline
-    from .pipeline.executor import HwTimingJob, TimingJob
-    from .pipeline.store import ArtifactStore
 
     if args.target in SUITE:
         label, source = args.target, SUITE[args.target].source
@@ -444,11 +425,7 @@ def _cmd_trace(args) -> int:
     # a fresh memory-only store: every stage is a cold miss, so the
     # trace shows the real pipeline (a shared disk cache would hide
     # stages behind hits)
-    pipeline = Pipeline(spd_config=_spd_config_from(args),
-                        graft=GraftConfig() if args.graft else None,
-                        store=ArtifactStore(None),
-                        passes=_pass_config_from(args),
-                        engine=_engine_from(args))
+    pipeline = _pipeline_from(args, ArtifactStore(None))
     hw_mach = (hw_machine(4, mach.memory_latency)
                if args.hw else None)
     if args.profile:
@@ -456,21 +433,8 @@ def _cmd_trace(args) -> int:
     try:
         with obs.tracing() as tracer:
             with obs.span("pipeline", program=label):
-                if args.jobs > 1:
-                    # fan the timing matrix out first: worker subprocesses
-                    # record their own spans, merged under
-                    # pipeline.parallel with per-pid lanes
-                    jobs = [TimingJob(label, source, kind, mach)
-                            for kind in Disambiguator]
-                    if hw_mach is not None:
-                        jobs.append(HwTimingJob(label, source,
-                                                Disambiguator.SPEC, hw_mach))
-                    pipeline.prefetch(jobs, args.jobs)
-                for kind in Disambiguator:
-                    with obs.span(f"analyze.{kind.value}"):
-                        pipeline.view(label, source, kind,
-                                      mach.memory_latency)
-                        pipeline.timing(label, source, kind, mach)
+                _timed_views(pipeline, label, source, mach, args.jobs,
+                             hw_mach)
                 if hw_mach is not None:
                     pipeline.hw_timing(label, source, Disambiguator.SPEC,
                                        hw_mach)
@@ -505,7 +469,7 @@ def _cmd_trace(args) -> int:
             print(tables)
     if args.json:
         payload = {"schema": "repro.trace/1", "program": label,
-                   "machine": _machine_dict(mach), **tracer.to_dict()}
+                   "machine": mach.to_dict(), **tracer.to_dict()}
         return _write_json(args.json, payload)
     return 0
 
@@ -514,19 +478,14 @@ def _cmd_schedule(args) -> int:
     from .sched.dump import format_schedule
     from .sched.list_scheduler import list_schedule
 
-    program = compile_source(_load_source(args.program))
-    if args.graft:
-        program, _stats = graft_program(program)
     mach = _machine_from(args)
     if mach.is_infinite:
         print("schedule dumps need a finite machine (--fus N > 0)",
               file=sys.stderr)
         return 2
-    profile = run_program(program, engine=_engine_from(args)).profile
     kind = Disambiguator.SPEC if args.spec else Disambiguator.STATIC
-    view = disambiguate(program, kind, profile=profile, machine=mach,
-                        spd_config=_spd_config_from(args),
-                        passes=_pass_config_from(args))
+    view = _pipeline_from(args, ArtifactStore(None)).view(
+        args.program, _load_source(args.program), kind, mach.memory_latency)
     for (func, name), graph in sorted(view.graphs.items()):
         if args.tree and args.tree not in name:
             continue
@@ -600,11 +559,9 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_hwcompare(args) -> int:
     """Compiler vs. hardware disambiguation sweep (docs/hardware-baseline.md)."""
-    from .experiments import hw_compare
+    from .experiments import hw_compare, runner_over
 
-    runner = BenchmarkRunner(spd_config=_spd_config_from(args),
-                             jobs=args.jobs, passes=_pass_config_from(args),
-                             engine=_engine_from(args))
+    runner = runner_over(_pipeline_from(args), args.jobs)
     names = args.names or None
 
     def produce():
@@ -775,11 +732,9 @@ def _cmd_loadgen(args) -> int:
 
 def _cmd_report(args) -> int:
     from .experiments import (ablation, figure6_2, figure6_3, figure6_4,
-                              table6_1, table6_2, table6_3)
+                              runner_over, table6_1, table6_2, table6_3)
     jobs = args.jobs
-    runner = BenchmarkRunner(spd_config=_spd_config_from(args), jobs=jobs,
-                             passes=_pass_config_from(args),
-                             engine=_engine_from(args))
+    runner = runner_over(_pipeline_from(args), jobs)
     producers = {
         "table6_1": lambda: table6_1.run(),
         "table6_2": lambda: table6_2.run(),
@@ -830,10 +785,19 @@ def _cmd_report(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser without prefix matching (``allow_abbrev=False``), so an
+    unknown option such as ``analyze --profile`` is an error rather
+    than a silent ``--profiled-alias``.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     from .perf import check as perf_defaults
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="repro",
         description="Speculative Disambiguation (ISCA 1994) reproduction")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -32,6 +32,7 @@ from .. import obs
 from ..disambig.pipeline import Disambiguator
 from ..machine.description import LifeMachine
 from ..machine.hw import hw_machine
+from ..pipeline.artifacts import spd_count_names
 from ..pipeline.core import Pipeline
 from ..pipeline.executor import HwTimingJob, TimingJob, ViewJob
 from .manifest import entry_source, select_bench_entries
@@ -64,15 +65,10 @@ class _StratumAgg:
 
     def add(self, view, naive, spec, hw, base_ops: int) -> None:
         self.programs += 1
-        counts = {kind.value: count
-                  for kind, count in view.spd_counts().items()}
-        applied = 0
-        for short, key in (("raw", "mem_raw"), ("war", "mem_war"),
-                           ("waw", "mem_waw")):
-            count = int(counts.get(key, 0))
+        counts = spd_count_names(view)
+        for short, count in counts.items():
             self.applications[short] += count
-            applied += count
-        if applied:
+        if sum(counts.values()):
             self.programs_applied += 1
         self.cycles_naive += naive.cycles
         self.cycles_spec += spec.cycles
@@ -185,11 +181,7 @@ def run_corpus_bench(pipeline: Pipeline, manifest: Dict[str, object],
             "hw_sampled": len(entries),
             "jobs_submitted": len(job_list),
         },
-        "machine": {
-            "name": mach.name,
-            "num_fus": mach.num_fus,
-            "memory_latency": memory_latency,
-        },
+        "machine": mach.to_dict(),
         "strata": {name: agg.summary()
                    for name, agg in sorted(strata.items())},
         "totals": totals.summary(),

@@ -174,8 +174,7 @@ def disambiguate(
 
     with obs.span(f"disambig.{kind.value}") as pipeline_span:
         if pass_list:
-            manager = PassManager(pass_list, validate=config.validate,
-                                  dump_after=config.dump_after,
+            manager = PassManager(pass_list, dump_after=config.dump_after,
                                   dump_sink=dump_sink)
             ctx = PassContext(profile=profile, machine=machine,
                               spd_config=spd_config)

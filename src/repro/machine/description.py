@@ -53,6 +53,12 @@ class LifeMachine:
     def with_fus(self, num_fus: Optional[int]) -> "LifeMachine":
         return replace(self, num_fus=num_fus, name="")
 
+    def to_dict(self) -> dict:
+        """The ``machine`` block of JSON payloads (``num_fus`` is
+        ``None`` on the infinite machine)."""
+        return {"name": self.name, "num_fus": self.num_fus,
+                "memory_latency": self.memory_latency}
+
 
 #: The idealised machine used by the profiling simulator.
 INFINITE = LifeMachine(num_fus=None)

@@ -185,15 +185,14 @@ class PassPipelineConfig:
 
     ``cleanup`` names the cleanup passes every disambiguated view runs
     after its transform (after SpD for SPEC views); the default is
-    empty, which reproduces the paper's toolchain exactly.  ``validate``
-    and ``dump_after`` are observational knobs: they never change the
-    produced program, so :meth:`cache_key` excludes them (a non-empty
+    empty, which reproduces the paper's toolchain exactly.
+    ``dump_after`` is an observational knob: it never changes the
+    produced program, so :meth:`cache_key` excludes it (a non-empty
     ``dump_after`` additionally makes the artifact cache bypass itself
     so the dump always happens).
     """
 
     cleanup: Tuple[str, ...] = ()
-    validate: bool = True
     dump_after: Tuple[str, ...] = ()
 
     def __post_init__(self) -> None:

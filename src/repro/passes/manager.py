@@ -10,8 +10,8 @@ program through every pass, and around each pass it
   counters,
 * accumulates the pass's declared invalidations into the context when
   the pass reports a change — and drops a now-stale profile,
-* re-validates the whole program (``passes.validate`` span) unless
-  validation is off,
+* re-validates the whole program (``passes.validate`` span) when
+  the pass reports a change,
 * dumps the IR via :mod:`repro.ir.printer` when the pass is named in
   ``dump_after``.
 
@@ -48,12 +48,10 @@ class PassManager:
     def __init__(
         self,
         passes: Sequence[Pass],
-        validate: bool = True,
         dump_after: Sequence[str] = (),
         dump_sink: Optional[DumpSink] = None,
     ):
         self.passes = list(passes)
-        self.validate = validate
         self.dump_after = frozenset(dump_after)
         self.dump_sink = dump_sink if dump_sink is not None else _stderr_dump_sink
         #: per-pass op-delta reports of the most recent :meth:`run`
@@ -88,7 +86,7 @@ class PassManager:
                     ctx.invalidated |= pass_.invalidates
                     if "profile" in pass_.invalidates:
                         ctx.profile = None
-                if self.validate and result.changed:
+                if result.changed:
                     with obs.span("passes.validate", after=pass_.name):
                         validate_program(program)
             self.reports.append(

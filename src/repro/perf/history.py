@@ -67,8 +67,7 @@ def machine_entry(mach: LifeMachine) -> Dict[str, object]:
     if mach.is_infinite:
         raise ValueError(f"perf records need a finite machine (--fus >= 1), "
                          f"not {mach.name}")
-    return {"name": mach.name, "num_fus": mach.num_fus,
-            "memory_latency": mach.memory_latency}
+    return mach.to_dict()
 
 
 def make_record(mach: LifeMachine, benchmarks: Dict[str, Dict[str, object]],

@@ -38,6 +38,7 @@ from ..disambig.pipeline import Disambiguator
 from ..engines import DEFAULT_ENGINE
 from ..machine.description import LifeMachine
 from ..passes import DEFAULT_CLEANUP, PassPipelineConfig
+from ..pipeline.artifacts import spd_count_names
 from ..pipeline.store import ArtifactStore
 from .history import machine_entry
 
@@ -168,10 +169,7 @@ def measure_benchmark(name: str, mach: LifeMachine, cache_dir: str,
             kind.value: round(naive / cycles[kind.value] - 1.0, 6)
             for kind in Disambiguator if cycles[kind.value]
         },
-        "spd_applications": {
-            arc.value.split("_")[1]: count
-            for arc, count in spec.spd_counts().items()
-        },
+        "spd_applications": spd_count_names(spec),
         "code_growth": round(runner.code_growth(name, memory_latency), 6),
         "spec_code_size": spec.code_size(),
         "cleanup": cleanup,

@@ -20,7 +20,7 @@ exists.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from .. import obs
 from ..disambig.pipeline import Disambiguator, disambiguate
@@ -49,18 +49,19 @@ class Pipeline:
 
     def __init__(self, spd_config: SpDConfig = SpDConfig(),
                  graft: Optional[GraftConfig] = None,
-                 validate_spec_output: bool = True,
                  store: Optional[ArtifactStore] = None,
                  passes: Optional[PassPipelineConfig] = None,
                  guard_words: int = 0,
                  engine: str = DEFAULT_ENGINE):
         self.spd_config = spd_config
         self.graft = graft
-        self.validate_spec_output = validate_spec_output
         self.store = store if store is not None else ArtifactStore()
         self.passes = (passes if passes is not None
                        else PassPipelineConfig()).validated()
         self.guard_words = guard_words
+        #: views computed under ``--dump-after``, which the store never
+        #: sees (see :meth:`view`)
+        self._dumped_views: Dict[str, DisambiguationArtifact] = {}
         # fail fast on unknown names; stages key their fingerprints on
         # the engine, so every registered engine gets its own cache rows
         get_engine(engine)
@@ -148,11 +149,13 @@ class Pipeline:
              memory_latency: int = 2) -> DisambiguationArtifact:
         fp = self.view_fingerprint(source, kind, memory_latency)
         # --dump-after is observational (excluded from the fingerprint),
-        # so a requested dump must bypass the cache: neither serve a hit
-        # (no passes would run, no dump would happen) nor poison the
-        # store with an entry other configs would then share
-        use_cache = not self.passes.dump_after
-        artifact = self.store.get("view", fp) if use_cache else None
+        # so a requested dump must bypass the store: neither serve a hit
+        # (no passes would run, no dump would happen) nor poison it with
+        # an entry other configs would then share.  This pipeline keeps
+        # the view instead, so each view dumps once and is then reused.
+        dumping = bool(self.passes.dump_after)
+        artifact = (self._dumped_views.get(fp) if dumping
+                    else self.store.get("view", fp))
         if artifact is None:
             compiled = self.compiled(label, source)
             profiled = self.profile(label, source)
@@ -162,7 +165,7 @@ class Pipeline:
                     compiled.program, kind, profile=profiled.profile,
                     machine=machine(None, memory_latency),
                     spd_config=self.spd_config, passes=self.passes)
-                if kind is Disambiguator.SPEC and self.validate_spec_output:
+                if kind is Disambiguator.SPEC:
                     transformed = run_program(result.program.copy(),
                                               collect_profile=False,
                                               engine=self.engine)
@@ -170,7 +173,9 @@ class Pipeline:
                         raise AssertionError(
                             f"SpD changed the output of program {label!r}")
             artifact = DisambiguationArtifact(fp, label, result)
-            if use_cache:
+            if dumping:
+                self._dumped_views[fp] = artifact
+            else:
                 self.store.put("view", fp, artifact)
         return artifact
 

@@ -126,7 +126,6 @@ class WorkerSpec:
 
     spd_config: SpDConfig
     graft: Optional[GraftConfig]
-    validate_spec_output: bool
     cache_root: Optional[str]
     passes: PassPipelineConfig = PassPipelineConfig()
     guard_words: int = 0
@@ -138,7 +137,6 @@ class WorkerSpec:
         """The spec that rebuilds *pipeline* over its disk store."""
         store = pipeline.store
         return cls(spd_config=pipeline.spd_config, graft=pipeline.graft,
-                   validate_spec_output=pipeline.validate_spec_output,
                    cache_root=(str(store.root)
                                if store.root is not None else None),
                    passes=pipeline.passes, guard_words=pipeline.guard_words,
@@ -193,7 +191,6 @@ def _worker_pipeline(spec: WorkerSpec) -> Pipeline:
     if pipeline is None:
         pipeline = Pipeline(
             spd_config=spec.spd_config, graft=spec.graft,
-            validate_spec_output=spec.validate_spec_output,
             store=ArtifactStore(spec.cache_root,
                                 size_budget_bytes=spec.size_budget_bytes),
             passes=spec.passes, guard_words=spec.guard_words,

@@ -53,9 +53,9 @@ from .. import obs
 from ..disambig.pipeline import Disambiguator
 from ..frontend.errors import CompileError
 from ..ir.printer import format_program
-from ..machine.description import LifeMachine
 from ..machine.hw import HwMachine
 from ..obs.metrics import MetricsRegistry
+from ..pipeline.artifacts import report_table, spd_count_names
 from ..pipeline.core import Pipeline
 from ..pipeline.executor import (INJECT_ENV, CompileJob, HwTimingJob,
                                  TimingJob, ViewJob, WorkerSpec, artifact_stage,
@@ -123,21 +123,11 @@ class _Plan:
         return (self.request.endpoint, self.fp)
 
 
-def _machine_dict(mach: LifeMachine) -> Dict[str, object]:
-    return {"name": mach.name, "num_fus": mach.num_fus,
-            "memory_latency": mach.memory_latency}
-
-
 def _hw_machine_dict(mach: HwMachine) -> Dict[str, object]:
     return {"name": mach.name, "num_fus": mach.num_fus,
             "window": mach.window, "predictor": mach.predictor,
             "replay_penalty": mach.replay_penalty,
             "memory_latency": mach.memory_latency}
-
-
-def _spd_counts_dict(view) -> Dict[str, int]:
-    return {kind.value.split("_")[1]: count
-            for kind, count in view.spd_counts().items()}
 
 
 def make_plan(request: ServeRequest) -> _Plan:
@@ -169,7 +159,7 @@ def make_plan(request: ServeRequest) -> _Plan:
         def render(artifacts):
             view = artifacts["view"]
             return {"kind": kind.value, "code_size": view.code_size(),
-                    "spd_counts": _spd_counts_dict(view),
+                    "spd_counts": spd_count_names(view),
                     "passes": view.result.pass_stats}
 
         return _Plan(request, fp,
@@ -181,7 +171,7 @@ def make_plan(request: ServeRequest) -> _Plan:
 
         def render(artifacts):
             timing = artifacts["timing"]
-            return {"kind": kind.value, "machine": _machine_dict(mach),
+            return {"kind": kind.value, "machine": mach.to_dict(),
                     "cycles": timing.cycles}
 
         return _Plan(request, fp, (TimingJob(label, source, kind, mach),),
@@ -219,22 +209,10 @@ def make_plan(request: ServeRequest) -> _Plan:
                            "needed": sorted(fp for _, fp in named.values())})
 
     def render(artifacts):
-        naive = artifacts[f"timing.{Disambiguator.NAIVE.value}"].cycles
-        table: Dict[str, object] = {}
-        for each in Disambiguator:
-            cycles = artifacts[f"timing.{each.value}"].cycles
-            entry: Dict[str, object] = {
-                "cycles": cycles,
-                "speedup_over_naive": (round(naive / cycles - 1, 6)
-                                       if cycles else 0.0)}
-            if each is Disambiguator.SPEC:
-                view = artifacts["view_spec"]
-                entry["spd_counts"] = _spd_counts_dict(view)
-                entry["code_size"] = view.code_size()
-            table[each.value] = entry
-        return {"machine": _machine_dict(mach),
-                "ops": artifacts["compiled"].program.size(),
-                "disambiguators": table}
+        return report_table(
+            mach, artifacts["compiled"], artifacts["view_spec"],
+            {each: artifacts[f"timing.{each.value}"]
+             for each in Disambiguator})
 
     return _Plan(request, fp, tuple(jobs), named, render)
 
@@ -423,7 +401,6 @@ class CompileService:
         request = plan.request
         spec = WorkerSpec(
             spd_config=request.spd_config, graft=request.graft,
-            validate_spec_output=True,
             cache_root=(str(self.store.root)
                         if self.store.root is not None else None),
             passes=request.passes, guard_words=request.guard_words,

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.bench.suite import SUITE
 from repro.cli import main
+from repro.sim.interpreter import RunResult
 
 
 @pytest.fixture
@@ -338,6 +340,13 @@ class TestPasses:
         with pytest.raises(SystemExit, match="cannot run as a cleanup"):
             main(["bench", "perm", "--passes", "spd"])
 
+    def test_dump_after_dumps_each_view_once(self, capsys):
+        # timing a view must reuse the dumped view, not recompute (and
+        # re-dump) it; four views -> four dumps
+        assert main(["bench", "perm", "--memory", "2", "--passes",
+                     "default", "--dump-after", "dce"]) == 0
+        assert capsys.readouterr().err.count("; IR after pass dce") == 4
+
     def test_dump_after_writes_ir_to_stderr(self, demo_source, capsys):
         assert main(["analyze", demo_source, "--passes", "default",
                      "--dump-after", "dce"]) == 0
@@ -357,6 +366,43 @@ class TestPasses:
         for report in spec["passes"]:
             assert report["ops_after"] - report["ops_before"] == \
                 report["delta"]
+
+
+class TestOneAnalysisPath:
+    """``analyze FILE`` and ``bench NAME`` run the same cached pipeline."""
+
+    @pytest.mark.parametrize("passes", ["none", "default"])
+    @pytest.mark.parametrize("fus", ["0", "5"])
+    @pytest.mark.parametrize("name", ["perm", "towers", "bubble"])
+    def test_analyze_file_matches_bench_name(self, name, fus, passes,
+                                             capsys, tmp_path):
+        path = tmp_path / f"{name}.tc"
+        path.write_text(SUITE[name].source)
+        flags = ["--fus", fus, "--memory", "2", "--passes", passes]
+        assert main(["bench", name, *flags]) == 0
+        bench = capsys.readouterr().out.splitlines()
+        assert main(["analyze", str(path), *flags]) == 0
+        analyze = capsys.readouterr().out.splitlines()
+        # only the first line names the program
+        assert analyze[1:] == bench[1:]
+        assert len(bench) == 6
+
+    def test_loose_file_rechecks_spec_output(self, demo_source, capsys,
+                                             monkeypatch):
+        monkeypatch.setattr(RunResult, "output_equal",
+                            lambda self, other: False)
+        with pytest.raises(AssertionError, match="SpD changed the output"):
+            main(["analyze", demo_source])
+
+    @pytest.mark.parametrize("command", ["analyze", "schedule"])
+    def test_option_prefixes_are_not_expanded(self, command, demo_source,
+                                              capsys):
+        # --profile is not an analyze/schedule option; it must not pass
+        # for --profiled-alias
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, demo_source, "--profile"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --profile" in capsys.readouterr().err
 
 
 class TestSchedule:

@@ -59,8 +59,7 @@ class TestPipelineConfig:
         assert config.cache_key() == {"cleanup": ["dce"]}
 
     def test_observational_knobs_not_in_cache_key(self):
-        loud = PassPipelineConfig(cleanup=("dce",), validate=False,
-                                  dump_after=("dce",))
+        loud = PassPipelineConfig(cleanup=("dce",), dump_after=("dce",))
         quiet = PassPipelineConfig(cleanup=("dce",))
         assert loud.cache_key() == quiet.cache_key()
 
@@ -100,13 +99,14 @@ class TestManagerRun:
         assert out is replacement
         assert seen == [replacement]
 
-    def test_invalidations_accumulate_and_drop_profile(self):
+    def test_invalidations_accumulate_and_drop_profile(self,
+                                                       raw_tree_program):
         ctx = PassContext(profile=object())
         manager = PassManager([
             _Recorder("a", [], changed=True, invalidates={"depgraph"}),
             _Recorder("b", [], changed=True, invalidates={"profile"}),
-        ], validate=False)
-        manager.run(Program(), ctx)
+        ])
+        manager.run(raw_tree_program.copy(), ctx)
         assert ctx.invalidated == {"depgraph", "profile"}
         assert ctx.profile is None
 
@@ -127,8 +127,7 @@ class TestManagerRun:
 
         manager = PassManager([_Recorder("noop", []),
                                _Recorder("shrink", [], changed=True,
-                                         mutate=drop_one)],
-                              validate=False)
+                                         mutate=drop_one)])
         program = raw_tree_program.copy()
         tree = program.functions["main"].trees["t0"]
         from repro.ir import Register
@@ -150,15 +149,6 @@ class TestManagerRun:
                                          mutate=corrupt)])
         with pytest.raises(IRValidationError):
             manager.run(raw_tree_program.copy())
-
-    def test_validation_can_be_disabled(self, raw_tree_program):
-        def corrupt(program):
-            tree = program.functions["main"].trees["t0"]
-            del tree.ops[0]
-
-        manager = PassManager([_Recorder("bad", [], changed=True,
-                                         mutate=corrupt)], validate=False)
-        manager.run(raw_tree_program.copy())  # no exception
 
 
 class TestDumpAfter:

@@ -134,7 +134,6 @@ class TestPassPipelineFingerprint:
             passes=PassPipelineConfig(cleanup=DEFAULT_CLEANUP))
         loud = memory_pipeline(
             passes=PassPipelineConfig(cleanup=DEFAULT_CLEANUP,
-                                      validate=False,
                                       dump_after=("dce",)))
         assert (quiet.view_fingerprint(SOURCE, Disambiguator.SPEC)
                 == loud.view_fingerprint(SOURCE, Disambiguator.SPEC))
@@ -148,17 +147,22 @@ class TestPassPipelineFingerprint:
         assert (plain.compile_fingerprint(SOURCE)
                 == cleaned.compile_fingerprint(SOURCE))
 
-    def test_dump_after_bypasses_view_cache(self):
+    def test_dump_after_bypasses_view_cache(self, capsys):
         store = ArtifactStore(root=None)
-        pipe = Pipeline(store=store,
-                        passes=PassPipelineConfig(cleanup=DEFAULT_CLEANUP,
-                                                  dump_after=("dce",)))
+        passes = PassPipelineConfig(cleanup=DEFAULT_CLEANUP,
+                                    dump_after=("dce",))
+        pipe = Pipeline(store=store, passes=passes)
         dumped = pipe.view("t", SOURCE, Disambiguator.SPEC)
         key = pipe.view_fingerprint(SOURCE, Disambiguator.SPEC)
         assert store.get("view", key) is None
-        # a second call recomputes rather than serving a cached artifact
-        again = pipe.view("t", SOURCE, Disambiguator.SPEC)
+        # the same pipeline reuses its dumped view (no second dump) ...
+        assert pipe.view("t", SOURCE, Disambiguator.SPEC) is dumped
+        assert capsys.readouterr().err.count("; IR after pass dce") == 1
+        # ... while another pipeline over the same store dumps again
+        again = Pipeline(store=store, passes=passes).view(
+            "t", SOURCE, Disambiguator.SPEC)
         assert again is not dumped
+        assert capsys.readouterr().err.count("; IR after pass dce") == 1
 
 
 class TestTimingFingerprint:

@@ -1,9 +1,11 @@
 """CompileService semantics: dedup, warm paths, byte-identity, queue."""
 
 import asyncio
+import json
 
 import pytest
 
+from repro.cli import main as repro_main
 from repro.serve.schemas import RequestError, encode_body
 from repro.serve.service import CompileService, ServeConfig
 
@@ -152,6 +154,31 @@ class TestByteIdentityAcrossJobs:
         serial = self.collect(tmp_path, 1, "serial")
         parallel = self.collect(tmp_path, 4, "parallel")
         assert serial == parallel
+
+
+class TestReportMatchesAnalyze:
+    def test_report_disambiguators_equal_analyze_json(self, tmp_path,
+                                                      capsys):
+        path = tmp_path / "prog.tc"
+        path.write_text(SOURCE)
+        out = tmp_path / "analysis.json"
+        assert repro_main(["analyze", str(path), "--fus", "5", "--memory",
+                           "2", "--passes", "default", "--json",
+                           str(out)]) == 0
+        analysis = json.loads(out.read_text())
+        for entry in analysis["disambiguators"].values():
+            entry.pop("passes", None)
+
+        async def scenario(service):
+            return await service.handle("report", {
+                "source": SOURCE, "machine": {"fus": 5, "memory": 2},
+                "knobs": {"passes": "default"}})
+
+        status, body, _ = run_service(config_for(tmp_path), scenario)
+        assert status == 200, body
+        assert body["result"]["disambiguators"] == \
+            analysis["disambiguators"]
+        assert body["result"]["machine"] == analysis["machine"]
 
 
 class TestQueueBound:
