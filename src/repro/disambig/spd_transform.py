@@ -128,9 +128,11 @@ def _hoist_chain(tree: DecisionTree, operand: Operand, insert_pos: int,
     above ``insert_pos``.
 
     Only unguarded side-effect-free non-load chains qualify, each moved
-    register must have a unique reaching definition, and no operation
-    jumped over may redefine a chain input.  Raises
-    :class:`SpDNotApplicable` when any condition fails.
+    register must have a unique reaching definition, no operation
+    jumped over may redefine a chain input, and no operation jumped
+    over may read or write a chain result (it would see the hoisted
+    value instead of the old one).  Raises :class:`SpDNotApplicable`
+    when any condition fails.
     """
     if not isinstance(operand, Register):
         return
@@ -171,6 +173,12 @@ def _hoist_chain(tree: DecisionTree, operand: Operand, insert_pos: int,
                 if k not in chain and ops[k].dest == reg:
                     raise SpDNotApplicable(
                         f"hoist: input %{reg.name} redefined in jumped span")
+        dest = ops[idx].dest
+        for k in range(insert_pos, idx):
+            if k not in chain and (ops[k].dest == dest
+                                   or dest in ops[k].source_registers()):
+                raise SpDNotApplicable(
+                    f"hoist: %{dest.name} used in jumped span")
     moved = [ops[i] for i in sorted(chain)]
     remaining = [op for i, op in enumerate(ops) if i not in chain]
     tree.ops = remaining[:insert_pos] + moved + remaining[insert_pos:]

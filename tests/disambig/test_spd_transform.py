@@ -8,6 +8,7 @@ claims (cost model, critical-path reduction, guard disjointness).
 import pytest
 
 from repro.disambig import SpDNotApplicable, apply_spd
+from repro.frontend import compile_source
 from repro.ir import (ArcKind, ArrayDecl, Constant, Function, Guard, Opcode,
                       Program, Register, TreeBuilder, build_dependence_graph,
                       validate_program)
@@ -208,6 +209,27 @@ class TestWAW:
         # store's re-guard costs nothing for unguarded stores
         assert app.ops_added == 1
         assert app.replicated == 0
+
+    def test_address_chain_not_hoisted_over_a_reader(self):
+        """S2's address is defined after a print of the old value:
+        hoisting the definition above S1 would make the print see the
+        new value, so the transform must refuse."""
+        program = compile_source("""
+            int ga[16];
+            int main() {
+                int x0 = 0;
+                int x1 = 1;
+                ga[x0] = 0; print(x1); x1 = 0; ga[x1] = 0;
+                print(ga[0]);
+                return 0;
+            }
+        """)
+        tree = program.functions["main"].trees["main.b0_entry"]
+        before = [op.op_id for op in tree.ops]
+        with pytest.raises(SpDNotApplicable, match="used in jumped span"):
+            apply_spd(tree, ambiguous_arc(tree, ArcKind.MEM_WAW))
+        assert [op.op_id for op in tree.ops] == before
+        assert run_program(program).output == [1, 0]
 
     def test_first_store_suppressed_on_alias(self):
         program = self.build_waw(3, 3)
