@@ -14,7 +14,7 @@ import pathlib
 
 import pytest
 
-from repro.bench.runner import BenchmarkRunner
+from repro.pipeline import Pipeline
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -34,10 +34,10 @@ def _hermetic_cache(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def runner():
-    """One shared runner: compilation/profiling results are reused
+def pipeline():
+    """One shared pipeline: compilation/profiling results are reused
     across every table and figure, like the paper's platform."""
-    return BenchmarkRunner()
+    return Pipeline()
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,9 @@ from repro.experiments import ablation
 from conftest import publish
 
 
-def test_ablation_alias_probability(benchmark, output_dir):
+def test_ablation_alias_probability(benchmark, pipeline, output_dir):
     study = benchmark.pedantic(ablation.run_alias_probability_study,
-                               rounds=1, iterations=1)
+                               args=(pipeline,), rounds=1, iterations=1)
     for name, (assumed, profiled) in study.results.items():
         assert assumed >= -1e-9, name
         assert profiled >= -1e-9, name

@@ -10,9 +10,9 @@ from repro.experiments import ablation
 from conftest import publish
 
 
-def test_ablation_grafting(benchmark, output_dir):
+def test_ablation_grafting(benchmark, pipeline, output_dir):
     study = benchmark.pedantic(ablation.run_grafting_study,
-                               rounds=1, iterations=1)
+                               args=(pipeline,), rounds=1, iterations=1)
     for name, (b_apps, g_apps, b_speed, g_speed) in study.results.items():
         assert g_speed >= b_speed - 0.02, name
     assert study.total_applications(grafted=True) >= 1

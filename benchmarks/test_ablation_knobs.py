@@ -9,9 +9,9 @@ from repro.experiments import ablation
 from conftest import publish
 
 
-def test_ablation_knobs(benchmark, output_dir):
+def test_ablation_knobs(benchmark, pipeline, output_dir):
     sweep = benchmark.pedantic(
-        ablation.run_knob_sweep,
+        ablation.run_knob_sweep, args=(pipeline,),
         kwargs={"max_expansions": (1.25, 2.0), "min_gains": (0.5, 2.0)},
         rounds=1, iterations=1)
     by_config = {(p.max_expansion, p.min_gain): p for p in sweep.points}

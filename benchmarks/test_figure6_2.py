@@ -10,8 +10,8 @@ from repro.experiments import figure6_2
 from conftest import publish
 
 
-def test_figure6_2(benchmark, runner, output_dir):
-    figure = benchmark.pedantic(figure6_2.run, args=(runner,),
+def test_figure6_2(benchmark, pipeline, output_dir):
+    figure = benchmark.pedantic(figure6_2.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     for (name, _lat), bars in figure.speedups.items():
         assert bars[Disambiguator.SPEC] >= bars[Disambiguator.STATIC] - 1e-9

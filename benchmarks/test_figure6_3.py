@@ -11,8 +11,8 @@ from repro.experiments import figure6_3
 from conftest import publish
 
 
-def test_figure6_3(benchmark, runner, output_dir):
-    figure = benchmark.pedantic(figure6_3.run, args=(runner,),
+def test_figure6_3(benchmark, pipeline, output_dir):
+    figure = benchmark.pedantic(figure6_3.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     assert min(series[0] for series in figure.series.values()) < 0
     for name in NRC_BENCHMARKS:

@@ -10,8 +10,8 @@ from repro.experiments import figure6_4
 from conftest import publish
 
 
-def test_figure6_4(benchmark, runner, output_dir):
-    figure = benchmark.pedantic(figure6_4.run, args=(runner,),
+def test_figure6_4(benchmark, pipeline, output_dir):
+    figure = benchmark.pedantic(figure6_4.run, args=(pipeline,),
                                 rounds=1, iterations=1)
     growths = [figure.growth(n) for n in REPORTED]
     assert all(0 <= g <= 1.0 for g in growths)

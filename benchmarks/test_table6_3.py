@@ -11,8 +11,8 @@ from repro.experiments import table6_3
 from conftest import publish
 
 
-def test_table6_3(benchmark, runner, output_dir):
-    table = benchmark.pedantic(table6_3.run, args=(runner,),
+def test_table6_3(benchmark, pipeline, output_dir):
+    table = benchmark.pedantic(table6_3.run, args=(pipeline,),
                                rounds=1, iterations=1)
     raw2, war2, waw2 = table.totals(2)
     raw6, war6, waw6 = table.totals(6)

@@ -12,30 +12,36 @@ width below which SpD's extra code hurts.
 Run:  python examples/fft_spd_study.py
 """
 
-from repro.bench import BenchmarkRunner
+from repro.bench import get_benchmark
 from repro.disambig import Disambiguator
 from repro.machine import machine
+from repro.pipeline import Pipeline
 
 
 def main() -> None:
-    runner = BenchmarkRunner()
-    compiled = runner.compiled("fft")
-    print(f"benchmark: {compiled.benchmark.name} — "
-          f"{compiled.benchmark.description}")
-    print(f"compiled size: {compiled.base_size} operations; "
-          f"dynamic: {compiled.reference.steps} operations\n")
+    pipeline = Pipeline()
+    benchmark = get_benchmark("fft")
+    source = benchmark.source
+    base_size = pipeline.compiled("fft", source).base_size
+    steps = pipeline.profile("fft", source).reference.steps
+    print(f"benchmark: {benchmark.name} — {benchmark.description}")
+    print(f"compiled size: {base_size} operations; "
+          f"dynamic: {steps} operations\n")
 
     for memory_latency in (2, 6):
-        view = runner.view("fft", Disambiguator.SPEC, memory_latency)
+        view = pipeline.view("fft", source, Disambiguator.SPEC,
+                             memory_latency)
         counts = {k.value: v for k, v in view.spd_counts().items() if v}
+        growth = view.code_size() / base_size - 1
         print(f"memory latency {memory_latency}: SpD applications {counts}, "
-              f"code growth {runner.code_growth('fft', memory_latency):+.1%}")
+              f"code growth {growth:+.1%}")
         print(f"{'FUs':>4} {'STATIC':>10} {'SPEC':>10} {'SPEC/STATIC':>12}")
         crossover = None
         for width in range(1, 9):
             mach = machine(width, memory_latency)
-            static = runner.timing("fft", Disambiguator.STATIC, mach).cycles
-            spec = runner.timing("fft", Disambiguator.SPEC, mach).cycles
+            static, spec = (
+                pipeline.timing("fft", source, kind, mach).cycles
+                for kind in (Disambiguator.STATIC, Disambiguator.SPEC))
             ratio = static / spec - 1
             if crossover is None and ratio >= 0:
                 crossover = width

@@ -11,17 +11,26 @@ speedup-vs-code-size trade-off.
 Run:  python examples/heuristic_tuning.py      (takes a minute or two)
 """
 
-from repro import SpDConfig
-from repro.bench import BenchmarkRunner, NRC_BENCHMARKS
+from repro import Disambiguator, SpDConfig
+from repro.bench import NRC_BENCHMARKS, get_benchmark
 from repro.machine import machine
+from repro.pipeline import Pipeline
 
 
 def evaluate(config: SpDConfig, names, mach):
-    runner = BenchmarkRunner(spd_config=config)
+    pipeline = Pipeline(spd_config=config)
     speedups, growths = [], []
     for name in names:
-        speedups.append(runner.spec_over_static(name, mach))
-        growths.append(runner.code_growth(name, mach.memory_latency))
+        source = get_benchmark(name).source
+        static, spec = (
+            pipeline.timing(name, source, kind, mach).timing
+            for kind in (Disambiguator.STATIC, Disambiguator.SPEC))
+        speedups.append(spec.speedup_over(static))
+        view = pipeline.view(name, source, Disambiguator.SPEC,
+                             mach.memory_latency)
+        base_size = pipeline.compiled(name, source).base_size
+        growths.append(view.code_size() / base_size - 1.0)
+
     def mean(xs):
         return sum(xs) / len(xs)
 

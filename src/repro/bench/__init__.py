@@ -1,9 +1,7 @@
-"""Benchmark suite (Table 6-2) and the experimental-flow runner."""
+"""Benchmark suite (Table 6-2): tinyc sources addressed by name."""
 
-from .runner import BenchmarkRunner, CompiledBenchmark
 from .suite import (Benchmark, NRC_BENCHMARKS, REPORTED, SUITE, UNAFFECTED,
                     benchmark_names, get_benchmark)
 
-__all__ = ["Benchmark", "BenchmarkRunner", "CompiledBenchmark",
-           "NRC_BENCHMARKS", "REPORTED", "SUITE", "UNAFFECTED",
+__all__ = ["Benchmark", "NRC_BENCHMARKS", "REPORTED", "SUITE", "UNAFFECTED",
            "benchmark_names", "get_benchmark"]

@@ -559,13 +559,13 @@ def _cmd_fuzz(args) -> int:
 
 def _cmd_hwcompare(args) -> int:
     """Compiler vs. hardware disambiguation sweep (docs/hardware-baseline.md)."""
-    from .experiments import hw_compare, runner_over
+    from .experiments import hw_compare
 
-    runner = runner_over(_pipeline_from(args), args.jobs)
+    pipeline = _pipeline_from(args)
     names = args.names or None
 
     def produce():
-        return hw_compare.run(runner, names=names,
+        return hw_compare.run(pipeline, names=names,
                               memory_latency=args.memory,
                               predictor=args.predictor, jobs=args.jobs)
 
@@ -732,21 +732,24 @@ def _cmd_loadgen(args) -> int:
 
 def _cmd_report(args) -> int:
     from .experiments import (ablation, figure6_2, figure6_3, figure6_4,
-                              runner_over, table6_1, table6_2, table6_3)
+                              table6_1, table6_2, table6_3)
     jobs = args.jobs
-    runner = runner_over(_pipeline_from(args), jobs)
+    pipeline = _pipeline_from(args)
     producers = {
         "table6_1": lambda: table6_1.run(),
         "table6_2": lambda: table6_2.run(),
-        "table6_3": lambda: table6_3.run(runner, jobs=jobs),
-        "figure6_2": lambda: figure6_2.run(runner, jobs=jobs),
-        "figure6_3": lambda: figure6_3.run(runner, jobs=jobs),
-        "figure6_4": lambda: figure6_4.run(runner, jobs=jobs),
+        "table6_3": lambda: table6_3.run(pipeline, jobs=jobs),
+        "figure6_2": lambda: figure6_2.run(pipeline, jobs=jobs),
+        "figure6_3": lambda: figure6_3.run(pipeline, jobs=jobs),
+        "figure6_4": lambda: figure6_4.run(pipeline, jobs=jobs),
         "ablation_knobs": lambda: ablation.run_knob_sweep(
-            max_expansions=(1.25, 2.0), min_gains=(0.5, 2.0), jobs=jobs),
+            pipeline, max_expansions=(1.25, 2.0), min_gains=(0.5, 2.0),
+            jobs=jobs),
         "ablation_alias_prob":
-            lambda: ablation.run_alias_probability_study(jobs=jobs),
-        "ablation_grafting": lambda: ablation.run_grafting_study(jobs=jobs),
+            lambda: ablation.run_alias_probability_study(pipeline,
+                                                         jobs=jobs),
+        "ablation_grafting":
+            lambda: ablation.run_grafting_study(pipeline, jobs=jobs),
         "ablation_combined": lambda: ablation.run_combined_study(),
     }
     wanted = list(producers) if args.which == "all" else [args.which]

@@ -11,18 +11,23 @@ probability 0.1 because its platform cannot profile it (Section 5.3),
 and suggests profile-driven probabilities as future work (Section 7).
 Our functional simulator *does* measure them, so compare Gain() with
 and without profiled-probability weighting.
+
+Each study runs its variants on pipelines derived from the one it is
+given: a variant overrides only the knob under study and inherits the
+store, engine, cleanup passes and the other heuristic knobs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Tuple
 
-from ..bench.runner import BenchmarkRunner
-from ..bench.suite import NRC_BENCHMARKS
+from ..bench.suite import NRC_BENCHMARKS, REPORTED, get_benchmark
 from ..disambig.pipeline import Disambiguator
-from ..disambig.spd_heuristic import SpDConfig
-from ..machine.description import machine
+from ..frontend.grafting import GraftConfig
+from ..machine.description import LifeMachine, machine
+from ..pipeline.core import Pipeline
+from ..pipeline.executor import CompileJob, TimingJob, ViewJob
 from .report import format_percent, format_table, round6
 
 __all__ = ["KnobPoint", "KnobSweep", "AliasProbStudy", "GraftingStudy",
@@ -72,43 +77,61 @@ class KnobSweep:
         }
 
 
-def _prefetch_static_spec(runner: BenchmarkRunner, names: List[str],
-                          mach, memory_latency: int, jobs: int) -> None:
-    """Warm one runner's cache for a STATIC/SPEC speedup + growth study."""
-    if jobs <= 1:
-        return
-    runner.prefetch_timings(
-        [(name, kind, mach) for name in names
-         for kind in (Disambiguator.STATIC, Disambiguator.SPEC)], jobs=jobs)
-    runner.prefetch_views(
-        [(name, Disambiguator.SPEC, memory_latency) for name in names],
-        jobs=jobs)
+def _variant(pipeline: Pipeline, **overrides) -> Pipeline:
+    """A pipeline over *pipeline*'s store and toolchain with the
+    ``spd_config`` and/or ``graft`` in *overrides* replaced."""
+    knobs = dict(spd_config=pipeline.spd_config, graft=pipeline.graft,
+                 store=pipeline.store, passes=pipeline.passes,
+                 guard_words=pipeline.guard_words, engine=pipeline.engine)
+    knobs.update(overrides)
+    return Pipeline(**knobs)
 
 
-def run_knob_sweep(names: List[str] = NRC_BENCHMARKS,
+def _static_spec(pipeline: Pipeline, names: List[str], mach: LifeMachine,
+                 jobs: int) -> List[Tuple[float, int, float]]:
+    """Per benchmark in *names*: the SPEC/STATIC speedup on *mach*, and
+    the SpD applications and fractional code growth of the SPEC view at
+    *mach*'s memory latency."""
+    sources = [(name, get_benchmark(name).source) for name in names]
+    # the timings go first: they compute the SPEC views, so the view
+    # jobs behind them are store hits rather than parallel recomputes
+    job_list = [TimingJob(name, source, kind, mach)
+                for name, source in sources
+                for kind in (Disambiguator.STATIC, Disambiguator.SPEC)]
+    job_list += [job for name, source in sources
+                 for job in (CompileJob(name, source),
+                             ViewJob(name, source, Disambiguator.SPEC,
+                                     mach.memory_latency))]
+    artifacts = iter(pipeline.prefetch(job_list, jobs))
+    speedups = [spec.timing.speedup_over(static.timing)
+                for _, static, spec in zip(names, artifacts, artifacts)]
+    return [(speedup, sum(view.spd_counts().values()),
+             view.code_size() / compiled.base_size - 1.0)
+            for speedup, compiled, view in zip(speedups, artifacts,
+                                               artifacts)]
+
+
+def run_knob_sweep(pipeline: Optional[Pipeline] = None,
+                   names: List[str] = NRC_BENCHMARKS,
                    max_expansions: Tuple[float, ...] = (1.25, 2.0, 4.0),
                    min_gains: Tuple[float, ...] = (0.25, 0.5, 2.0),
                    num_fus: int = 5, memory_latency: int = 6,
                    jobs: int = 1) -> KnobSweep:
     """Sweep MaxExpansion x MinGain; mean speedup/code-growth per point."""
+    pipeline = pipeline or Pipeline()
     sweep = KnobSweep(num_fus, memory_latency)
     mach = machine(num_fus, memory_latency)
     for max_expansion in max_expansions:
         for min_gain in min_gains:
-            config = SpDConfig(max_expansion=max_expansion,
-                               min_gain=min_gain)
-            runner = BenchmarkRunner(spd_config=config)
-            _prefetch_static_spec(runner, names, mach, memory_latency, jobs)
-            speedups, growths, apps = [], [], 0
-            for name in names:
-                speedups.append(runner.spec_over_static(name, mach))
-                growths.append(runner.code_growth(name, memory_latency))
-                view = runner.view(name, Disambiguator.SPEC, memory_latency)
-                apps += sum(view.spd_counts().values())
+            config = replace(pipeline.spd_config,
+                             max_expansion=max_expansion, min_gain=min_gain)
+            rows = _static_spec(_variant(pipeline, spd_config=config),
+                                names, mach, jobs)
+            speedups, apps, growths = zip(*rows)
             sweep.points.append(KnobPoint(
                 max_expansion, min_gain,
                 sum(speedups) / len(speedups),
-                sum(growths) / len(growths), apps))
+                sum(growths) / len(growths), sum(apps)))
     return sweep
 
 
@@ -141,22 +164,25 @@ class AliasProbStudy:
         }
 
 
-def run_alias_probability_study(names: List[str] = NRC_BENCHMARKS,
+def run_alias_probability_study(pipeline: Optional[Pipeline] = None,
+                                names: List[str] = NRC_BENCHMARKS,
                                 num_fus: int = 5,
                                 memory_latency: int = 6,
                                 jobs: int = 1) -> AliasProbStudy:
     """Compare Gain() under assumed-0.1 vs profiled alias probabilities."""
+    pipeline = pipeline or Pipeline()
     study = AliasProbStudy(num_fus, memory_latency)
     mach = machine(num_fus, memory_latency)
-    assumed_runner = BenchmarkRunner()
-    profiled_runner = BenchmarkRunner(
-        spd_config=SpDConfig(alias_probability_weighting=True))
-    _prefetch_static_spec(assumed_runner, names, mach, memory_latency, jobs)
-    _prefetch_static_spec(profiled_runner, names, mach, memory_latency, jobs)
-    for name in names:
-        study.results[name] = (
-            assumed_runner.spec_over_static(name, mach),
-            profiled_runner.spec_over_static(name, mach))
+
+    def speedups(weighting: bool) -> List[float]:
+        config = replace(pipeline.spd_config,
+                         alias_probability_weighting=weighting)
+        return [speedup for speedup, _apps, _growth in _static_spec(
+            _variant(pipeline, spd_config=config), names, mach, jobs)]
+
+    for name, assumed, profiled in zip(names, speedups(False),
+                                       speedups(True)):
+        study.results[name] = (assumed, profiled)
     return study
 
 
@@ -206,32 +232,25 @@ class GraftingStudy:
         }
 
 
-def run_grafting_study(names: List[str] = None, num_fus: int = 5,
+def run_grafting_study(pipeline: Optional[Pipeline] = None,
+                       names: Optional[List[str]] = None, num_fus: int = 5,
                        memory_latency: int = 6,
                        jobs: int = 1) -> GraftingStudy:
     """Compare SpD opportunity and benefit with and without grafting."""
-    from ..frontend.grafting import GraftConfig
-
+    pipeline = pipeline or Pipeline()
     if names is None:
-        from ..bench.suite import REPORTED
         names = [n for n in REPORTED
                  if n in ("perm", "queen", "quick", "tree",
                           "fft", "moment", "espresso")]
     study = GraftingStudy(num_fus, memory_latency)
     mach = machine(num_fus, memory_latency)
-    base_runner = BenchmarkRunner()
-    graft_runner = BenchmarkRunner(graft=GraftConfig())
-    _prefetch_static_spec(base_runner, names, mach, memory_latency, jobs)
-    _prefetch_static_spec(graft_runner, names, mach, memory_latency, jobs)
-    for name in names:
-        base_apps = sum(base_runner.view(
-            name, Disambiguator.SPEC, memory_latency).spd_counts().values())
-        graft_apps = sum(graft_runner.view(
-            name, Disambiguator.SPEC, memory_latency).spd_counts().values())
-        study.results[name] = (
-            base_apps, graft_apps,
-            base_runner.spec_over_static(name, mach),
-            graft_runner.spec_over_static(name, mach))
+    base = _static_spec(_variant(pipeline, graft=None), names, mach, jobs)
+    grafted = _static_spec(_variant(pipeline, graft=GraftConfig()),
+                           names, mach, jobs)
+    for name, (base_speedup, base_apps, _), (graft_speedup, graft_apps, _) \
+            in zip(names, base, grafted):
+        study.results[name] = (base_apps, graft_apps,
+                               base_speedup, graft_speedup)
     return study
 
 

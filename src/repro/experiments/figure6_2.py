@@ -12,12 +12,13 @@ the static-to-perfect gap); for quick, SPEC can outperform PERFECT.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..bench.runner import BenchmarkRunner
-from ..bench.suite import REPORTED
+from ..bench.suite import REPORTED, get_benchmark
 from ..disambig.pipeline import Disambiguator
 from ..machine.description import machine
+from ..pipeline.core import Pipeline
+from ..pipeline.executor import TimingJob
 from .report import format_percent, format_table, round6
 
 __all__ = ["Figure62", "run"]
@@ -69,25 +70,24 @@ class Figure62:
         }
 
 
-def run(runner: BenchmarkRunner = None, names: List[str] = REPORTED,
+def run(pipeline: Optional[Pipeline] = None, names: List[str] = REPORTED,
         num_fus: int = 5, jobs: int = 1) -> Figure62:
     """Regenerate Figure 6-2: speedups over NAIVE on the 5-FU machine.
 
-    ``jobs > 1`` precomputes the timing matrix on that many worker
-    processes; the result is identical to the serial run.
+    The timing matrix is computed on *jobs* worker processes; the
+    result is the same for every ``jobs``.
     """
-    runner = runner or BenchmarkRunner()
-    if jobs > 1:
-        runner.prefetch_timings(
-            [(name, kind, machine(num_fus, memory_latency))
-             for name in names for memory_latency in (2, 6)
-             for kind in (Disambiguator.NAIVE,) + _KINDS], jobs=jobs)
+    pipeline = pipeline or Pipeline()
+    keys = [(name, memory_latency)
+            for name in names for memory_latency in (2, 6)]
+    timings = iter(pipeline.prefetch(
+        [TimingJob(name, get_benchmark(name).source, kind,
+                   machine(num_fus, memory_latency))
+         for name, memory_latency in keys
+         for kind in (Disambiguator.NAIVE,) + _KINDS], jobs))
     figure = Figure62(num_fus)
-    for name in names:
-        for memory_latency in (2, 6):
-            mach = machine(num_fus, memory_latency)
-            figure.speedups[(name, memory_latency)] = {
-                kind: runner.speedup_over_naive(name, kind, mach)
-                for kind in _KINDS
-            }
+    for key in keys:
+        naive = next(timings).timing
+        figure.speedups[key] = {kind: next(timings).timing.speedup_over(naive)
+                                for kind in _KINDS}
     return figure

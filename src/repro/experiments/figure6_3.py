@@ -14,11 +14,13 @@ because ambiguous aliases hurt more as memory latency grows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..bench.runner import BenchmarkRunner
-from ..bench.suite import NRC_BENCHMARKS
+from ..bench.suite import NRC_BENCHMARKS, get_benchmark
+from ..disambig.pipeline import Disambiguator
 from ..machine.description import machine
+from ..pipeline.core import Pipeline
+from ..pipeline.executor import TimingJob
 from .report import format_percent, format_table, round6
 
 __all__ = ["Figure63", "run"]
@@ -71,29 +73,25 @@ class Figure63:
         }
 
 
-def run(runner: BenchmarkRunner = None,
+def run(pipeline: Optional[Pipeline] = None,
         names: List[str] = NRC_BENCHMARKS, jobs: int = 1) -> Figure63:
     """Regenerate Figure 6-3: SPEC/STATIC across 1..8 FUs, both latencies.
 
-    ``jobs > 1`` precomputes the timing matrix on that many worker
-    processes; the result is identical to the serial run.
+    The timing matrix is computed on *jobs* worker processes; the
+    result is the same for every ``jobs``.
     """
-    from ..disambig.pipeline import Disambiguator
-
-    runner = runner or BenchmarkRunner()
-    if jobs > 1:
-        runner.prefetch_timings(
-            [(name, kind, machine(width, memory_latency))
-             for name in names for memory_latency in (2, 6)
-             for width in WIDTHS
-             for kind in (Disambiguator.STATIC, Disambiguator.SPEC)],
-            jobs=jobs)
+    pipeline = pipeline or Pipeline()
+    keys = [(name, memory_latency)
+            for name in names for memory_latency in (2, 6)]
+    timings = iter(pipeline.prefetch(
+        [TimingJob(name, get_benchmark(name).source, kind,
+                   machine(width, memory_latency))
+         for name, memory_latency in keys for width in WIDTHS
+         for kind in (Disambiguator.STATIC, Disambiguator.SPEC)], jobs))
     figure = Figure63()
-    for name in names:
-        for memory_latency in (2, 6):
-            values = [
-                runner.spec_over_static(name, machine(w, memory_latency))
-                for w in WIDTHS
-            ]
-            figure.series[(name, memory_latency)] = values
+    for key in keys:
+        # each width's two timings come back as a (STATIC, SPEC) pair
+        figure.series[key] = [
+            spec.timing.speedup_over(static.timing)
+            for _, static, spec in zip(WIDTHS, timings, timings)]
     return figure

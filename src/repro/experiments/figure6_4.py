@@ -10,11 +10,12 @@ benchmarks (the paper's smooft 0.5% vs solvde 16% contrast).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..bench.runner import BenchmarkRunner
-from ..bench.suite import REPORTED
+from ..bench.suite import REPORTED, get_benchmark
 from ..disambig.pipeline import Disambiguator
+from ..pipeline.core import Pipeline
+from ..pipeline.executor import CompileJob, ViewJob
 from .report import format_percent, format_table, round6
 
 __all__ = ["Figure64", "run"]
@@ -52,22 +53,24 @@ class Figure64:
         }
 
 
-def run(runner: BenchmarkRunner = None, names: List[str] = REPORTED,
+def run(pipeline: Optional[Pipeline] = None, names: List[str] = REPORTED,
         memory_latency: int = 2, jobs: int = 1) -> Figure64:
     """Regenerate Figure 6-4: SpD code growth per benchmark.
 
-    ``jobs > 1`` precomputes the SPEC views on that many worker
-    processes; the result is identical to the serial run.
+    The SPEC views are computed on *jobs* worker processes; the result
+    is the same for every ``jobs``.
     """
-    runner = runner or BenchmarkRunner()
-    if jobs > 1:
-        runner.prefetch_views(
-            [(name, Disambiguator.SPEC, memory_latency) for name in names],
-            jobs=jobs)
+    pipeline = pipeline or Pipeline()
+    sources = [(name, get_benchmark(name).source) for name in names]
+    # the views compile each program, so the compile jobs behind them
+    # are store hits rather than parallel recomputes
+    job_list = [ViewJob(name, source, Disambiguator.SPEC, memory_latency)
+                for name, source in sources]
+    job_list += [CompileJob(name, source) for name, source in sources]
+    artifacts = iter(pipeline.prefetch(job_list, jobs))
+    views = [next(artifacts) for _ in names]
     figure = Figure64(memory_latency)
-    for name in names:
-        base = runner.compiled(name).base_size
-        spec = runner.view(name, Disambiguator.SPEC,
-                           memory_latency).code_size()
+    for name, view, compiled in zip(names, views, artifacts):
+        base, spec = compiled.base_size, view.code_size()
         figure.sizes[name] = (base, spec, spec / base - 1.0)
     return figure

@@ -27,11 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from ..bench.runner import BenchmarkRunner
-from ..bench.suite import benchmark_names
+from ..bench.suite import benchmark_names, get_benchmark
 from ..disambig.pipeline import Disambiguator
 from ..machine.description import machine
 from ..machine.hw import hw_machine
+from ..pipeline.core import Pipeline
+from ..pipeline.executor import HwTimingJob, TimingJob
 from .report import format_percent, format_table, round6
 
 __all__ = ["CONFIGS", "WIDTHS", "HwCompare", "run"]
@@ -112,7 +113,7 @@ class HwCompare:
         }
 
 
-def run(runner: Optional[BenchmarkRunner] = None,
+def run(pipeline: Optional[Pipeline] = None,
         names: Optional[Sequence[str]] = None,
         widths: Sequence[int] = WIDTHS,
         memory_latency: int = 2,
@@ -120,41 +121,37 @@ def run(runner: Optional[BenchmarkRunner] = None,
         jobs: int = 1) -> HwCompare:
     """Time every benchmark under the four configurations per width.
 
-    ``jobs > 1`` warms the artifact store on that many worker processes
-    first; results are identical to the serial run (property-tested).
+    The timings are computed on *jobs* worker processes; results are
+    the same for every ``jobs``.
     """
-    runner = runner or BenchmarkRunner()
+    pipeline = pipeline or Pipeline()
     names = list(names) if names is not None else benchmark_names()
-    vliw_specs = [(name, kind, machine(width, memory_latency))
-                  for name in names for width in widths
-                  for kind in (Disambiguator.NAIVE, Disambiguator.SPEC)]
-    hw_specs = [(name, kind,
-                 hw_machine(width, memory_latency, predictor))
-                for name in names for width in widths
-                for kind in (Disambiguator.NAIVE, Disambiguator.SPEC)]
-    if jobs > 1:
-        runner.prefetch_timings(vliw_specs, jobs=jobs)
-        runner.prefetch_hw_timings(hw_specs, jobs=jobs)
+    cells = [(name, get_benchmark(name).source, width)
+             for name in names for width in widths]
+    kinds = (Disambiguator.NAIVE, Disambiguator.SPEC)
+    # the VLIW timings go first: they compute the views, so the hardware
+    # jobs behind them read those views instead of recomputing them
+    job_list = [TimingJob(name, source, kind, machine(width, memory_latency))
+                for name, source, width in cells for kind in kinds]
+    job_list += [HwTimingJob(name, source, kind,
+                             hw_machine(width, memory_latency, predictor))
+                 for name, source, width in cells for kind in kinds]
+    artifacts = iter(pipeline.prefetch(job_list, jobs))
+    vliw = [(naive.timing, spec.timing)
+            for _, naive, spec in zip(cells, artifacts, artifacts)]
 
     table = HwCompare(predictor, memory_latency, tuple(widths))
-    for name in names:
-        table.cycles[name] = {}
-        table.squashes[name] = {}
-        for width in widths:
-            vliw = machine(width, memory_latency)
-            hw = hw_machine(width, memory_latency, predictor)
-            hw_naive = runner.hw_timing(name, Disambiguator.NAIVE, hw)
-            hw_spec = runner.hw_timing(name, Disambiguator.SPEC, hw)
-            table.cycles[name][width] = {
-                "no-disamb": runner.timing(
-                    name, Disambiguator.NAIVE, vliw).cycles,
-                "spd": runner.timing(
-                    name, Disambiguator.SPEC, vliw).cycles,
-                "hw": hw_naive.cycles,
-                "spd+hw": hw_spec.cycles,
-            }
-            table.squashes[name][width] = {
-                "hw": hw_naive.stats["squashes"],
-                "spd+hw": hw_spec.stats["squashes"],
-            }
+    for (name, _, width), (naive, spec), hw_naive, hw_spec in zip(
+            cells, vliw, artifacts, artifacts):
+        hw_naive, hw_spec = hw_naive.timing, hw_spec.timing
+        table.cycles.setdefault(name, {})[width] = {
+            "no-disamb": naive.cycles,
+            "spd": spec.cycles,
+            "hw": hw_naive.cycles,
+            "spd+hw": hw_spec.cycles,
+        }
+        table.squashes.setdefault(name, {})[width] = {
+            "hw": hw_naive.stats["squashes"],
+            "spd+hw": hw_spec.stats["squashes"],
+        }
     return table

@@ -13,12 +13,13 @@ RAW, WAR and WAW dependences.  The paper's headline shapes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..bench.runner import BenchmarkRunner
-from ..bench.suite import REPORTED
+from ..bench.suite import REPORTED, get_benchmark
 from ..disambig.pipeline import Disambiguator
 from ..ir.depgraph import ArcKind
+from ..pipeline.core import Pipeline
+from ..pipeline.executor import ViewJob
 from .report import format_table
 
 __all__ = ["Table63", "run"]
@@ -77,24 +78,23 @@ class Table63:
         }
 
 
-def run(runner: BenchmarkRunner = None,
+def run(pipeline: Optional[Pipeline] = None,
         names: List[str] = REPORTED, jobs: int = 1) -> Table63:
     """Regenerate Table 6-3: SpD application counts per benchmark.
 
-    ``jobs > 1`` precomputes the SPEC views on that many worker
-    processes; the result is identical to the serial run.
+    The SPEC views are computed on *jobs* worker processes; the result
+    is the same for every ``jobs``.
     """
-    runner = runner or BenchmarkRunner()
-    if jobs > 1:
-        runner.prefetch_views(
-            [(name, Disambiguator.SPEC, memory_latency)
-             for name in names for memory_latency in (2, 6)], jobs=jobs)
+    pipeline = pipeline or Pipeline()
+    views = iter(pipeline.prefetch(
+        [ViewJob(name, get_benchmark(name).source, Disambiguator.SPEC,
+                 memory_latency)
+         for name in names for memory_latency in (2, 6)], jobs))
     table = Table63()
     for name in names:
         per_latency: Dict[int, Tuple[int, int, int]] = {}
         for memory_latency in (2, 6):
-            counts = runner.view(name, Disambiguator.SPEC,
-                                 memory_latency).spd_counts()
+            counts = next(views).spd_counts()
             per_latency[memory_latency] = (counts[ArcKind.MEM_RAW],
                                            counts[ArcKind.MEM_WAR],
                                            counts[ArcKind.MEM_WAW])

@@ -21,8 +21,8 @@ Restrictions keeping the transform simple and obviously sound:
   size-capped (``max_target_size``).
 
 Profiles are tree-structure-specific, so a program must be re-profiled
-after grafting (see :func:`repro.bench.runner.BenchmarkRunner`'s
-``graft`` option and the grafting ablation).
+after grafting (see :class:`repro.pipeline.core.Pipeline`'s ``graft``
+option and the grafting ablation).
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ three times against an isolated artifact store:
    list-scheduled timings into an empty store (per-stage wall-times
    recorded as ``compile_profile`` / ``disambiguate`` / ``timing`` /
    ``total``);
-2. **warm** — fresh runners replay the same requests against the
+2. **warm** — fresh pipelines replay the same requests against the
    now-populated disk cache; ``warm_total`` is the best of
    :data:`WARM_REPLAYS`, so one GC pause cannot pass for a slow path;
 3. **cleanup** — the SPEC view rebuilt with the default cleanup pass
@@ -32,13 +32,13 @@ import time
 from typing import Callable, Dict, Optional, Sequence
 
 from .. import obs
-from ..bench.runner import BenchmarkRunner
-from ..bench.suite import SUITE
+from ..bench.suite import SUITE, get_benchmark
 from ..disambig.pipeline import Disambiguator
 from ..engines import DEFAULT_ENGINE
 from ..machine.description import LifeMachine
 from ..passes import DEFAULT_CLEANUP, PassPipelineConfig
 from ..pipeline.artifacts import spd_count_names
+from ..pipeline.core import Pipeline
 from ..pipeline.store import ArtifactStore
 from .history import machine_entry
 
@@ -62,7 +62,7 @@ STAGE_SPANS = (
     "span.pipeline.timing",
 )
 
-#: Fresh-runner warm replays per benchmark; ``warm_total`` is the best.
+#: Fresh-pipeline warm replays per benchmark; ``warm_total`` is the best.
 WARM_REPLAYS = 3
 
 #: Environment variable of the synthetic-slowdown testing hook.
@@ -97,13 +97,14 @@ def _stage_percentiles(tracer: obs.Tracer) -> Dict[str, Dict[str, float]]:
 
 def _warm_replay_ms(name: str, mach: LifeMachine, cache_dir: str,
                     engine: str) -> float:
-    """One fresh runner replaying every request from the disk store."""
-    runner = BenchmarkRunner(store=ArtifactStore(cache_dir), engine=engine)
+    """One fresh pipeline replaying every request from the disk store."""
+    pipeline = Pipeline(store=ArtifactStore(cache_dir), engine=engine)
+    source = get_benchmark(name).source
     t0 = time.perf_counter()
-    runner.compiled(name)
+    pipeline.profile(name, source)
     for kind in Disambiguator:
-        runner.view(name, kind, mach.memory_latency)
-        runner.timing(name, kind, mach)
+        pipeline.view(name, source, kind, mach.memory_latency)
+        pipeline.timing(name, source, kind, mach)
     return (time.perf_counter() - t0) * 1e3
 
 
@@ -113,28 +114,32 @@ def measure_benchmark(name: str, mach: LifeMachine, cache_dir: str,
     stage-span percentiles on *mach* (see the module docstring for the
     cold/warm/cleanup passes)."""
     memory_latency = mach.memory_latency
-    runner = BenchmarkRunner(store=ArtifactStore(cache_dir), engine=engine)
+    source = get_benchmark(name).source
+    pipeline = Pipeline(store=ArtifactStore(cache_dir), engine=engine)
     wall_ms: Dict[str, float] = {}
     cycles: Dict[str, int] = {}
 
     with obs.tracing() as tracer:
         started = time.perf_counter()
         t0 = started
-        compiled = runner.compiled(name)
+        pipeline.profile(name, source)
         wall_ms["compile_profile"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
         for kind in Disambiguator:
-            runner.view(name, kind, memory_latency)
+            pipeline.view(name, source, kind, memory_latency)
         wall_ms["disambiguate"] = (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
         for kind in Disambiguator:
-            cycles[kind.value] = runner.timing(name, kind, mach).cycles
+            cycles[kind.value] = pipeline.timing(name, source, kind,
+                                                 mach).cycles
         wall_ms["timing"] = (time.perf_counter() - t0) * 1e3
         wall_ms["total"] = (time.perf_counter() - started) * 1e3
 
-        spec = runner.view(name, Disambiguator.SPEC, memory_latency)
+        base_size = pipeline.compiled(name, source).base_size
+        spec = pipeline.view(name, source, Disambiguator.SPEC,
+                             memory_latency)
         counters = {key: tracer.metrics.counters[key]
                     for key in TRACKED_COUNTERS
                     if key in tracer.metrics.counters}
@@ -147,30 +152,30 @@ def measure_benchmark(name: str, mach: LifeMachine, cache_dir: str,
     # cleanup pass: rebuild the SPEC view with the default cleanup
     # pipeline (same store, so compile/profile are cache hits) and
     # record the post-DCE code size plus per-pass op deltas
-    clean_runner = BenchmarkRunner(
-        store=ArtifactStore(cache_dir),
-        passes=PassPipelineConfig(cleanup=DEFAULT_CLEANUP),
-        engine=engine)
-    spec_clean = clean_runner.view(name, Disambiguator.SPEC, memory_latency)
+    clean = Pipeline(store=ArtifactStore(cache_dir),
+                     passes=PassPipelineConfig(cleanup=DEFAULT_CLEANUP),
+                     engine=engine)
+    spec_clean = clean.view(name, source, Disambiguator.SPEC,
+                            memory_latency)
     cleanup = {
         "code_size": spec_clean.code_size(),
         "ops_removed": spec.code_size() - spec_clean.code_size(),
         "pass_deltas": {report["pass"]: report["delta"]
-                        for report in spec_clean.pass_stats},
+                        for report in spec_clean.result.pass_stats},
     }
 
     inject_env_slowdowns(wall_ms)
 
     naive = cycles[Disambiguator.NAIVE.value]
     return {
-        "ops": compiled.base_size,
+        "ops": base_size,
         "cycles": cycles,
         "speedup_over_naive": {
             kind.value: round(naive / cycles[kind.value] - 1.0, 6)
             for kind in Disambiguator if cycles[kind.value]
         },
         "spd_applications": spd_count_names(spec),
-        "code_growth": round(runner.code_growth(name, memory_latency), 6),
+        "code_growth": round(spec.code_size() / base_size - 1.0, 6),
         "spec_code_size": spec.code_size(),
         "cleanup": cleanup,
         "wall_ms": {stage: round(ms, 2) for stage, ms in wall_ms.items()},

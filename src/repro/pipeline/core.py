@@ -9,13 +9,8 @@ therefore skips compilation, profiling and disambiguation entirely.
 
 The pipeline is deliberately *source-addressed*: stages take the tinyc
 source text (plus a display label), not a benchmark name, so the layer
-knows nothing about :mod:`repro.bench` — benchmark-name resolution
-lives in the :class:`~repro.bench.runner.BenchmarkRunner` façade one
-level up.  That layering is also what lets this module import
-:func:`~repro.frontend.driver.compile_source` at module level: the old
-``BenchmarkRunner`` deferred the import to dodge the
-``repro.bench ↔ repro.frontend`` package-init cycle, which no longer
-exists.
+knows nothing about :mod:`repro.bench`; callers resolve a benchmark
+name with ``repro.bench.suite.get_benchmark(name).source``.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ from repro.bench import SUITE
 
 
 @pytest.fixture(scope="module")
-def compiled(runner):
-    return {name: runner.compiled(name) for name in SUITE}
+def compiled(pipeline):
+    """Each benchmark's profiling run (a ProfileArtifact) by name."""
+    return {name: pipeline.profile(name, benchmark.source)
+            for name, benchmark in SUITE.items()}
 
 
 class TestAllBenchmarks:
@@ -22,10 +24,10 @@ class TestAllBenchmarks:
         assert result.steps > 1000, f"{name} is trivially small"
 
     @pytest.mark.parametrize("name", sorted(SUITE))
-    def test_deterministic(self, compiled, name, runner):
+    def test_deterministic(self, compiled, name, pipeline):
         from repro.sim import run_program
-        again = run_program(compiled[name].program.copy(),
-                            collect_profile=False)
+        program = pipeline.compiled(name, SUITE[name].source).program
+        again = run_program(program.copy(), collect_profile=False)
         assert compiled[name].reference.output_equal(again)
 
 
@@ -108,18 +110,24 @@ class TestKnownAnswers:
 
 
 class TestRunnerCaching:
-    def test_compiled_cached(self, runner):
-        assert runner.compiled("fft") is runner.compiled("fft")
+    """The session pipeline serves repeated stage requests from its
+    memory tier."""
 
-    def test_views_cached_per_latency(self, runner):
+    source = SUITE["fft"].source
+
+    def test_compiled_cached(self, pipeline):
+        assert (pipeline.compiled("fft", self.source)
+                is pipeline.compiled("fft", self.source))
+
+    def test_views_cached_per_latency(self, pipeline):
         from repro.disambig import Disambiguator
-        a = runner.view("fft", Disambiguator.SPEC, 2)
-        b = runner.view("fft", Disambiguator.SPEC, 2)
-        c = runner.view("fft", Disambiguator.SPEC, 6)
+        a = pipeline.view("fft", self.source, Disambiguator.SPEC, 2)
+        b = pipeline.view("fft", self.source, Disambiguator.SPEC, 2)
+        c = pipeline.view("fft", self.source, Disambiguator.SPEC, 6)
         assert a is b and a is not c
 
-    def test_non_spec_views_share_across_latency(self, runner):
+    def test_non_spec_views_share_across_latency(self, pipeline):
         from repro.disambig import Disambiguator
-        a = runner.view("fft", Disambiguator.STATIC, 2)
-        b = runner.view("fft", Disambiguator.STATIC, 6)
+        a = pipeline.view("fft", self.source, Disambiguator.STATIC, 2)
+        b = pipeline.view("fft", self.source, Disambiguator.STATIC, 6)
         assert a is b

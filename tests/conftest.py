@@ -1,4 +1,4 @@
-"""Shared fixtures: canonical programs, trees, and a session-wide runner."""
+"""Shared fixtures: canonical programs, trees, and a session-wide pipeline."""
 
 from __future__ import annotations
 
@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.runner import BenchmarkRunner
+from repro.bench import get_benchmark
+from repro.disambig import Disambiguator
 from repro.frontend import compile_source
 from repro.ir import (ArrayDecl, Function, Opcode, Program,
                       TreeBuilder, validate_program)
+from repro.pipeline import Pipeline
 from repro.sim import run_program
 
 # ---------------------------------------------------------------------------
@@ -94,9 +96,17 @@ def _hermetic_cache(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
-def runner():
-    """One BenchmarkRunner for the whole session (stages are cached)."""
-    return BenchmarkRunner()
+def pipeline():
+    """One Pipeline for the whole session (stages are cached)."""
+    return Pipeline()
+
+
+def spec_over_static(pipeline, name, mach) -> float:
+    """SPEC's speedup over STATIC for one benchmark on *mach*."""
+    source = get_benchmark(name).source
+    static, spec = (pipeline.timing(name, source, kind, mach).timing
+                    for kind in (Disambiguator.STATIC, Disambiguator.SPEC))
+    return spec.speedup_over(static)
 
 
 # ---------------------------------------------------------------------------

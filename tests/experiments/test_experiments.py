@@ -7,31 +7,36 @@ benchmarks/ directory re-runs the same harness with timing.
 
 import pytest
 
-from repro.bench import NRC_BENCHMARKS, REPORTED, UNAFFECTED
+from repro.bench import NRC_BENCHMARKS, REPORTED, UNAFFECTED, get_benchmark
 from repro.disambig import Disambiguator
-from repro.experiments import (figure6_2, figure6_3, figure6_4, table6_1,
-                               table6_2, table6_3)
+from repro.experiments import (ablation, figure6_2, figure6_3, figure6_4,
+                               table6_1, table6_2, table6_3)
+from repro.frontend import GraftConfig
 from repro.machine import machine
+from repro.passes import DEFAULT_CLEANUP, PassPipelineConfig
+from repro.pipeline import ArtifactStore, Pipeline
+
+from ..conftest import spec_over_static
 
 
 @pytest.fixture(scope="module")
-def t63(runner):
-    return table6_3.run(runner)
+def t63(pipeline):
+    return table6_3.run(pipeline)
 
 
 @pytest.fixture(scope="module")
-def f62(runner):
-    return figure6_2.run(runner)
+def f62(pipeline):
+    return figure6_2.run(pipeline)
 
 
 @pytest.fixture(scope="module")
-def f63(runner):
-    return figure6_3.run(runner)
+def f63(pipeline):
+    return figure6_3.run(pipeline)
 
 
 @pytest.fixture(scope="module")
-def f64(runner):
-    return figure6_4.run(runner)
+def f64(pipeline):
+    return figure6_4.run(pipeline)
 
 
 class TestTable61:
@@ -183,15 +188,36 @@ class TestFigure64:
 
 
 class TestUnaffectedPrograms:
-    def test_three_stanford_programs_unaffected(self, runner):
+    def test_three_stanford_programs_unaffected(self, pipeline):
         """Paper: 'With StanfInt, three of the programs were not
         affected by SpD at all.'"""
         for name in UNAFFECTED:
-            view = runner.view(name, Disambiguator.SPEC, 2)
+            source = get_benchmark(name).source
+            view = pipeline.view(name, source, Disambiguator.SPEC, 2)
             assert sum(view.spd_counts().values()) == 0
-            assert runner.code_growth(name, 2) == 0.0
+            assert (view.code_size()
+                    == pipeline.compiled(name, source).base_size)
 
-    def test_unaffected_spec_equals_static(self, runner):
+    def test_unaffected_spec_equals_static(self, pipeline):
         mach = machine(5, 2)
         for name in UNAFFECTED:
-            assert runner.spec_over_static(name, mach) == pytest.approx(0.0)
+            assert (spec_over_static(pipeline, name, mach)
+                    == pytest.approx(0.0))
+
+
+class TestAblationsRunOnTheGivenPipeline:
+    def test_grafting_study_inherits_cleanup_passes(self):
+        """Both variants of the grafting study keep the given pipeline's
+        cleanup passes; only ``graft`` is overridden."""
+        passes = PassPipelineConfig(cleanup=DEFAULT_CLEANUP)
+        store = ArtifactStore(None)
+        pipeline = Pipeline(store=store, passes=passes)
+        study = ablation.run_grafting_study(pipeline, names=["perm"])
+        mach = machine(5, 6)
+        grafted = Pipeline(store=store, passes=passes, graft=GraftConfig())
+        expected = (spec_over_static(pipeline, "perm", mach),
+                    spec_over_static(grafted, "perm", mach))
+        assert study.results["perm"][2:] == expected
+        # the cleaned-up toolchain really measures differently
+        plain = Pipeline(store=store)
+        assert expected[0] != spec_over_static(plain, "perm", mach)

@@ -119,11 +119,13 @@ class TestSpDInteraction:
         """The Section 7 hypothesis, as an invariant: with grafted trees
         SPEC-over-STATIC is at least as good (modulo 1-cycle scheduler
         noise) as without, on a wide machine."""
-        from repro.bench import BenchmarkRunner
         from repro.machine import machine
+        from repro.pipeline import Pipeline
+
+        from ..conftest import spec_over_static
         mach = machine(8, 6)
-        base = BenchmarkRunner()
-        grafted = BenchmarkRunner(graft=GraftConfig())
+        base = Pipeline()
+        grafted = Pipeline(graft=GraftConfig())
         for name in ("perm", "quick", "queen"):
-            assert (grafted.spec_over_static(name, mach)
-                    >= base.spec_over_static(name, mach) - 0.02), name
+            assert (spec_over_static(grafted, name, mach)
+                    >= spec_over_static(base, name, mach) - 0.02), name

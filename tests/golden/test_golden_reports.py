@@ -1,6 +1,6 @@
 """Golden-file regression tests for the ``repro report`` tables.
 
-Each test renders one paper table/figure through the session runner and
+Each test renders one paper table/figure through the session pipeline and
 compares the exact text against a file pinned under ``tests/golden/``.
 Any toolchain change that shifts a cycle count, an SpD application
 count or even column alignment fails loudly with a diff; intentional
@@ -26,23 +26,23 @@ def test_table6_2_golden(golden):
     golden("table6_2.txt", table6_2.run().render())
 
 
-def test_table6_3_golden(golden, runner):
-    golden("table6_3.txt", table6_3.run(runner).render())
+def test_table6_3_golden(golden, pipeline):
+    golden("table6_3.txt", table6_3.run(pipeline).render())
 
 
-def test_figure6_2_golden(golden, runner):
-    golden("figure6_2.txt", figure6_2.run(runner).render())
+def test_figure6_2_golden(golden, pipeline):
+    golden("figure6_2.txt", figure6_2.run(pipeline).render())
 
 
-def test_figure6_3_golden(golden, runner):
-    golden("figure6_3.txt", figure6_3.run(runner).render())
+def test_figure6_3_golden(golden, pipeline):
+    golden("figure6_3.txt", figure6_3.run(pipeline).render())
 
 
-def test_figure6_4_golden(golden, runner):
-    golden("figure6_4.txt", figure6_4.run(runner).render())
+def test_figure6_4_golden(golden, pipeline):
+    golden("figure6_4.txt", figure6_4.run(pipeline).render())
 
 
-def test_hw_compare_golden(golden, runner):
+def test_hw_compare_golden(golden, pipeline):
     """Pin the new compiler-vs-hardware table on a fast subset."""
-    table = hw_compare.run(runner, names=["perm", "quick"], widths=(1, 4))
+    table = hw_compare.run(pipeline, names=["perm", "quick"], widths=(1, 4))
     golden("hw_compare.txt", table.render())

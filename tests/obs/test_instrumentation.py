@@ -11,8 +11,9 @@ import pytest
 
 from repro import (Disambiguator, compile_source, disambiguate,
                    evaluate_program, machine, obs, run_program)
-from repro.bench.runner import BenchmarkRunner
+from repro.bench import get_benchmark
 from repro.frontend.grafting import graft_program
+from repro.pipeline import ArtifactStore, Pipeline
 
 SOURCE = """
 int a[8];
@@ -125,11 +126,18 @@ class TestDisabledIsInert:
         assert timing.cycles > 0
 
     def test_results_identical_with_and_without_tracing(self):
+        # each run gets its own memory-only store, so the traced run
+        # recomputes every stage instead of reading the plain run's
         mach = machine(5, 6)
-        plain = BenchmarkRunner()
-        cycles_plain = plain.timing("perm", Disambiguator.SPEC, mach).cycles
-        with obs.tracing():
-            traced = BenchmarkRunner()
-            cycles_traced = traced.timing("perm", Disambiguator.SPEC,
-                                          mach).cycles
+        source = get_benchmark("perm").source
+
+        def spec_cycles():
+            pipeline = Pipeline(store=ArtifactStore(None))
+            return pipeline.timing("perm", source, Disambiguator.SPEC,
+                                   mach).cycles
+
+        cycles_plain = spec_cycles()
+        with obs.tracing() as tracer:
+            cycles_traced = spec_cycles()
         assert cycles_plain == cycles_traced
+        assert "pipeline.timing" in span_names(tracer.root)

@@ -8,7 +8,6 @@ must be indistinguishable from the serial path.
 import pytest
 
 from repro import obs
-from repro.bench.runner import BenchmarkRunner
 from repro.disambig.pipeline import Disambiguator
 from repro.experiments import figure6_2
 from repro.machine.description import machine
@@ -179,11 +178,10 @@ class TestParallelExperimentEquivalence:
     @pytest.mark.slow
     def test_figure6_2_jobs4_equals_jobs1(self, tmp_path):
         names = ["bcuint", "tree"]
-        serial_runner = BenchmarkRunner(
-            store=ArtifactStore(tmp_path / "serial"))
-        parallel_runner = BenchmarkRunner(
+        serial_pipeline = Pipeline(store=ArtifactStore(tmp_path / "serial"))
+        parallel_pipeline = Pipeline(
             store=ArtifactStore(tmp_path / "parallel"))
-        serial = figure6_2.run(serial_runner, names=names, jobs=1)
-        parallel = figure6_2.run(parallel_runner, names=names, jobs=4)
+        serial = figure6_2.run(serial_pipeline, names=names, jobs=1)
+        parallel = figure6_2.run(parallel_pipeline, names=names, jobs=4)
         assert parallel.to_dict() == serial.to_dict()
         assert parallel.render() == serial.render()

@@ -99,14 +99,15 @@ def test_default_pipeline_on_spec_view(source):
 
 
 @pytest.mark.parametrize("name", sorted(SUITE))
-def test_benchmark_spec_views_survive_cleanup(name, runner):
+def test_benchmark_spec_views_survive_cleanup(name, pipeline):
     """On every benchmark: cleanup of the SPEC view keeps the output
     byte-identical and the sequence settles to a fixpoint."""
-    compiled = runner.compiled(name)
-    view = runner.view(name, Disambiguator.SPEC)
+    source = SUITE[name].source
+    profiled = pipeline.profile(name, source)
+    view = pipeline.view(name, source, Disambiguator.SPEC)
     cleaned, _reports = run_cleanup(view.program, DEFAULT_CLEANUP)
     validate_program(cleaned)
     assert cleaned.size() <= view.program.size()
     result = run_program(cleaned.copy(), collect_profile=False)
-    assert compiled.reference.output_equal(result)
+    assert profiled.reference.output_equal(result)
     assert_converges(cleaned, DEFAULT_CLEANUP)
