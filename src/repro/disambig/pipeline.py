@@ -90,7 +90,8 @@ class SpDPass(Pass):
 
     Mutates the program in place (the caller is expected to pass a
     copy, which :func:`disambiguate` does), recording per-tree outcomes
-    in ``ctx.spd_results``.  Reads the profile, Gain() machine and
+    in ``ctx.spd_results`` and the final dependence graph of every tree
+    it visited in ``ctx.graphs``.  Reads the profile, Gain() machine and
     heuristic knobs from the pass context.
     """
 
@@ -122,7 +123,7 @@ class SpDPass(Pass):
                         return profile.pair(
                             (_key[0], _key[1], pair[0], pair[1]))
 
-                spd_result = speculative_disambiguation(
+                spd_result, ctx.graphs[key] = speculative_disambiguation(
                     tree, oracle, gain_machine, path_probs, spd_config,
                     stats_fn)
                 if spd_result.applications:
@@ -162,6 +163,13 @@ def disambiguate(
     The ``machine`` parameter matters only to SPEC, whose Gain()
     estimates depend on the latency table (this is why Table 6-3
     reports different application counts for 2- and 6-cycle memory).
+
+    Each tree's dependence graph is built here under the view's oracle,
+    except for the trees whose graph the passes left in
+    ``PassContext.graphs``: SPEC's ``spd`` pass leaves the final graph
+    of every tree it visited, and a later cleanup that changes the
+    program drops them.  A graph built on another tree object is
+    rebuilt.
     """
     config = passes if passes is not None else PassPipelineConfig()
     pass_list: List[Pass] = []
@@ -171,6 +179,7 @@ def disambiguate(
 
     working = program.copy() if pass_list else program
     result = DisambiguationResult(kind=kind, program=working)
+    carried: Dict[TreeKey, DependenceGraph] = {}
 
     with obs.span(f"disambig.{kind.value}") as pipeline_span:
         if pass_list:
@@ -182,13 +191,21 @@ def disambiguate(
             result.program = working
             result.spd_results = ctx.spd_results
             result.pass_stats = manager.reports
+            carried = ctx.graphs
 
         with obs.span("disambig.build_graphs") as graphs_span:
+            reused = 0
             for function_name, tree in working.all_trees():
-                oracle = _oracle_for(kind, function_name, tree, profile)
-                result.graphs[(function_name, tree.name)] = \
-                    build_dependence_graph(tree, oracle)
+                key = (function_name, tree.name)
+                graph = carried.get(key)
+                if graph is not None and graph.tree is tree:
+                    reused += 1
+                else:
+                    oracle = _oracle_for(kind, function_name, tree, profile)
+                    graph = build_dependence_graph(tree, oracle)
+                result.graphs[key] = graph
             graphs_span.incr("trees", len(result.graphs))
+            graphs_span.incr("reused", reused)
         if obs.is_enabled():
             pipeline_span.annotate(
                 ambiguous_arcs=result.ambiguous_arc_count())

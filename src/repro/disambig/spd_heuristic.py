@@ -40,7 +40,8 @@ from ..ir.depgraph import (AliasOracle, Arc, ArcKind, DependenceGraph,
 from ..ir.tree import DecisionTree
 from ..machine.description import LifeMachine
 from ..sim.profile import PairStats
-from ..sim.timing import average_time, infinite_machine_timing
+from ..sim.timing import (average_time, infinite_machine_timing,
+                          release_timing)
 from .spd_transform import SpDApplication, SpDNotApplicable, apply_spd
 
 __all__ = ["SpDConfig", "SpDTreeResult", "speculative_disambiguation"]
@@ -144,13 +145,20 @@ def speculative_disambiguation(
     path_probabilities: Optional[List[float]] = None,
     config: SpDConfig = SpDConfig(),
     pair_stats: Optional[Callable[[Tuple[int, int]], PairStats]] = None,
-) -> SpDTreeResult:
+) -> Tuple[SpDTreeResult, DependenceGraph]:
     """Run the Figure 5-1 heuristic on one tree, mutating it in place.
 
     ``oracle`` is the static disambiguator already in effect (SPEC =
     STATIC followed by SpD).  ``path_probabilities`` come from the
     profiling run; uniform when absent.  ``pair_stats`` (op-id pair ->
     dynamic stats) feeds the optional alias-probability weighting.
+
+    Returns the outcome and the final tree's dependence graph under
+    *oracle*.  The graph is carried with the tree state: built once at
+    the start and once after each application, and kept with the best
+    state and the rollback copy, so no tree state's graph is built
+    twice.  It is built on *tree* itself (``graph.tree is tree``) and
+    equals a fresh ``build_dependence_graph(tree, oracle)``.
     """
     result = SpDTreeResult()
     if path_probabilities is None:
@@ -160,8 +168,7 @@ def speculative_disambiguation(
     max_size = int(base_size * config.max_expansion)
     rejected: set = set()
 
-    def measured_average() -> float:
-        graph = build_dependence_graph(tree, oracle)
+    def measured_average(graph: DependenceGraph) -> float:
         timing = infinite_machine_timing(graph, machine)
         return average_time(timing.path_times, path_probabilities)
 
@@ -174,12 +181,12 @@ def speculative_disambiguation(
     # wide machine is enforced by restoring that best state at the end.
     applications: List[SpDApplication] = []
     gains_taken: List[float] = []
-    best_time = measured_average()
-    best_state = (tree.copy(), 0)
+    graph = build_dependence_graph(tree, oracle)
+    best_time = measured_average(graph)
+    best_state = (tree.copy(), 0, graph)
 
     while (tree.size() < max_size
            and len(applications) < config.max_applications):
-        graph = build_dependence_graph(tree, oracle)
         gains = _candidate_gains(graph, machine, path_probabilities)
         gains = [(g, a) for g, a in gains if a.key not in rejected]
         if pair_stats is not None and config.alias_probability_weighting:
@@ -203,36 +210,44 @@ def speculative_disambiguation(
         gain, arc = gains[0]
         if gain < config.min_gain:
             break
-        previous = tree.copy()
+        previous, previous_graph = tree.copy(), graph
+        ops_before = tree.ops
         try:
             application = apply_spd(tree, arc)
         except SpDNotApplicable:
             rejected.add(arc.key)
             obs.incr("spd.not_applicable")
+            if tree.ops is not ops_before:
+                # the transform hoisted an address chain before it
+                # refused, so the tree (and its graph) changed anyway
+                graph = build_dependence_graph(tree, oracle)
             continue
         obs.incr("spd.applications_attempted")
         applications.append(application)
         gains_taken.append(gain)
-        current = measured_average()
+        graph = build_dependence_graph(tree, oracle)
+        current = measured_average(graph)
         if current < best_time:
             best_time = current
-            best_state = (tree.copy(), len(applications))
+            best_state = (tree.copy(), len(applications), graph)
         elif current > best_time * (1.0 + config.exploration_slack):
             # clearly regressive: undo and blacklist, keeping the
             # pristine state available for the remaining candidates
             tree.ops = previous.ops
             tree.exits = previous.exits
             tree.spd_resolved = previous.spd_resolved
+            graph = previous_graph
             applications.pop()
             gains_taken.pop()
             rejected.add(arc.key)
             obs.incr("spd.rollbacks")
 
-    best_tree, kept = best_state
+    best_tree, kept, graph = best_state
     tree.ops = best_tree.ops
     tree.exits = best_tree.exits
     tree.spd_resolved = best_tree.spd_resolved
     result.applications = applications[:kept]
     result.ops_added = tree.size() - base_size
     result.predicted_gain = sum(gains_taken[:kept])
-    return result
+    release_timing(graph)
+    return result, graph

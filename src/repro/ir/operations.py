@@ -125,8 +125,6 @@ _CATEGORY = {
     Opcode.STORE: OpCategory.MEMORY,
 }
 
-_MEMORY_OPS = frozenset({Opcode.LOAD, Opcode.STORE})
-_SIDE_EFFECT_OPS = frozenset({Opcode.STORE, Opcode.PRINT})
 _COMMUTATIVE = frozenset(
     {Opcode.ADD, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR,
      Opcode.FADD, Opcode.FMUL, Opcode.CMP_EQ, Opcode.CMP_NE,
@@ -178,7 +176,10 @@ class Operation:
 
     @property
     def is_memory(self) -> bool:
-        return self.opcode in _MEMORY_OPS
+        # identity tests: a frozenset lookup hashes the enum member, and
+        # these predicates run on every op of every graph build
+        opcode = self.opcode
+        return opcode is Opcode.LOAD or opcode is Opcode.STORE
 
     @property
     def is_load(self) -> bool:
@@ -196,7 +197,8 @@ class Operation:
     def has_side_effect(self) -> bool:
         """True for operations that modify state outside the register
         file (paper Section 4.1: only stores — and, here, PRINTs)."""
-        return self.opcode in _SIDE_EFFECT_OPS
+        opcode = self.opcode
+        return opcode is Opcode.STORE or opcode is Opcode.PRINT
 
     @property
     def is_commutative(self) -> bool:

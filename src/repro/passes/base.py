@@ -30,6 +30,7 @@ from ..ir.program import Program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..disambig.spd_heuristic import SpDConfig, SpDTreeResult
+    from ..ir.depgraph import DependenceGraph
     from ..machine.description import LifeMachine
     from ..sim.profile import ProfileData
 
@@ -60,6 +61,8 @@ class PassContext:
     The manager clears :attr:`profile` when a changing pass declares a
     ``"profile"`` invalidation (grafting rewrites the tree structure the
     profile is keyed by); downstream passes must re-check for ``None``.
+    Likewise a changing pass that declares ``"depgraph"`` leaves in
+    :attr:`graphs` only the graphs it built itself.
     """
 
     #: reference-run profile (path probabilities, alias pair stats)
@@ -70,6 +73,11 @@ class PassContext:
     spd_config: Optional["SpDConfig"] = None
     #: per-tree SpD outcomes, filled by the ``spd`` pass
     spd_results: Dict[Tuple[str, str], "SpDTreeResult"] = field(
+        default_factory=dict,
+    )
+    #: per-tree dependence graphs of the current trees, filled by the
+    #: ``spd`` pass and reused by ``disambiguate``
+    graphs: Dict[Tuple[str, str], "DependenceGraph"] = field(
         default_factory=dict,
     )
     #: frontend-private inputs (parse unit, semantic env, memory layout)

@@ -9,7 +9,8 @@ program through every pass, and around each pass it
 * bumps the ``passes.<name>.runs`` and signed ``passes.<name>.ops_delta``
   counters,
 * accumulates the pass's declared invalidations into the context when
-  the pass reports a change — and drops a now-stale profile,
+  the pass reports a change — and drops a now-stale profile, and on a
+  ``depgraph`` invalidation every graph the pass did not build itself,
 * re-validates the whole program (``passes.validate`` span) when
   the pass reports a change,
 * dumps the IR via :mod:`repro.ir.printer` when the pass is named in
@@ -67,6 +68,7 @@ class PassManager:
         self.reports = []
         for pass_ in self.passes:
             ops_before = program.size()
+            graphs_before = dict(ctx.graphs)
             with obs.span(f"passes.{pass_.name}") as span:
                 result = pass_.run(program, ctx)
                 program = result.program
@@ -86,6 +88,10 @@ class PassManager:
                     ctx.invalidated |= pass_.invalidates
                     if "profile" in pass_.invalidates:
                         ctx.profile = None
+                    if "depgraph" in pass_.invalidates:
+                        ctx.graphs = {
+                            key: graph for key, graph in ctx.graphs.items()
+                            if graphs_before.get(key) is not graph}
                 if result.changed:
                     with obs.span("passes.validate", after=pass_.name):
                         validate_program(program)

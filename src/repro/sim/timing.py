@@ -37,7 +37,7 @@ from ..machine.description import LifeMachine
 from ..machine.latencies import LatencyTable
 
 __all__ = ["TreeTiming", "issue_constraint", "infinite_machine_timing",
-           "average_time"]
+           "release_timing", "average_time"]
 
 
 @dataclass
@@ -221,10 +221,14 @@ class _CompiledTiming:
         return TreeTiming(issue, completion, path_times)
 
 
-#: graph -> {latency table -> compiled evaluator}.  Keyed weakly: SpD
-#: builds a fresh graph per iteration and never mutates one after
-#: construction, so entries die with their graphs.  Must not live *on*
-#: the graph — graphs are pickled inside cached view artifacts.
+#: graph -> {latency table -> compiled evaluator}.  Keyed weakly: no
+#: graph is mutated after construction, so an entry lives at most as
+#: long as its graph.  SpD scores a tree state and then ranks its
+#: Gain() candidates on one carried graph, so both use one evaluator;
+#: the final graph lives on in the SPEC view, so SpD releases its
+#: evaluator (:func:`release_timing`), which would otherwise double
+#: the view's memory.  Must not live *on* the graph — graphs are
+#: pickled inside cached view artifacts.
 _compiled_timing: "weakref.WeakKeyDictionary[DependenceGraph, Dict[LatencyTable, _CompiledTiming]]" = (
     weakref.WeakKeyDictionary())
 
@@ -247,6 +251,13 @@ def infinite_machine_timing(graph: DependenceGraph,
         compiled = per_graph[machine.latencies] = _CompiledTiming(
             graph, machine.latencies)
     return compiled.evaluate(ignore_keys)
+
+
+def release_timing(graph: DependenceGraph) -> None:
+    """Drop the evaluators compiled for *graph* by
+    :func:`infinite_machine_timing`, for a caller that is done timing a
+    graph that outlives it."""
+    _compiled_timing.pop(graph, None)
 
 
 def average_time(path_times: Sequence[int],

@@ -187,3 +187,10 @@ def build_raw_tree_program(store_index: int, load_index: int,
 @pytest.fixture
 def raw_tree_program():
     return build_raw_tree_program(3, 3)
+
+
+def graph_rows(graph):
+    """A dependence graph as comparable data: its op count and every
+    arc's fields, in arc order."""
+    return graph.num_ops, [(arc.src, arc.dst, arc.kind, arc.ambiguous,
+                            arc.via_guard, arc.key) for arc in graph.arcs]

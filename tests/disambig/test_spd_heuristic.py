@@ -2,13 +2,17 @@
 
 import pytest
 
-from repro.disambig import SpDConfig, speculative_disambiguation
+from repro.bench import get_benchmark
+from repro.disambig import (SpDConfig, SpDNotApplicable, make_static_oracle,
+                            speculative_disambiguation)
+from repro.disambig import spd_heuristic
 from repro.disambig.spd_heuristic import _candidate_gains
+from repro.frontend import compile_source
 from repro.ir import ArcKind, build_dependence_graph, naive_oracle
 from repro.machine import machine
 from repro.sim import run_program
 
-from ..conftest import build_raw_tree_program
+from ..conftest import build_raw_tree_program, graph_rows
 
 
 def loop_tree_and_probs(program, profile):
@@ -45,7 +49,7 @@ class TestHeuristicLoop:
     def run_heuristic(self, config=SpDConfig(), memory_latency=6):
         program = build_raw_tree_program(3, 5)
         tree = program.functions["main"].trees["t0"]
-        result = speculative_disambiguation(
+        result, _graph = speculative_disambiguation(
             tree, naive_oracle, machine(None, memory_latency),
             config=config)
         return program, tree, result
@@ -103,3 +107,60 @@ class TestHeuristicLoop:
             SpDConfig(min_gain=-1)
         with pytest.raises(ValueError):
             SpDConfig(assumed_alias_probability=1.5)
+
+
+class TestCarriedGraph:
+    """The loop carries each tree state's dependence graph instead of
+    rebuilding it; every graph it scores must still be the tree's."""
+
+    def test_hoist_then_reject_rebuilds_the_graph(self, monkeypatch):
+        """moment.b4_for at 6-cycle memory: twice a WAW application
+        hoists S2's address chain and then refuses (a load sits between
+        the stores), so the tree changes although nothing was applied."""
+        program = compile_source(get_benchmark("moment").source)
+        profile = run_program(program).profile
+        func, tree = next((f, t) for f, t in program.all_trees()
+                          if t.name == "moment.b4_for")
+        probs = profile.path_probabilities((func, tree.name),
+                                           len(tree.exits))
+        oracle = make_static_oracle(tree)
+
+        def fresh_rows():
+            return graph_rows(build_dependence_graph(tree, oracle))
+
+        hoisted_rejections = []
+        real_apply_spd = spd_heuristic.apply_spd
+
+        def apply_spd(tree_, arc):
+            ops_before = tree_.ops
+            try:
+                return real_apply_spd(tree_, arc)
+            except SpDNotApplicable:
+                if tree_.ops is not ops_before:
+                    hoisted_rejections.append(arc.key)
+                raise
+
+        def candidate_gains(graph, mach, path_probs):
+            assert graph.tree is tree
+            assert graph_rows(graph) == fresh_rows()
+            return _candidate_gains(graph, mach, path_probs)
+
+        monkeypatch.setattr(spd_heuristic, "apply_spd", apply_spd)
+        monkeypatch.setattr(spd_heuristic, "_candidate_gains",
+                            candidate_gains)
+        result, graph = speculative_disambiguation(
+            tree, oracle, machine(None, 6), probs)
+        assert len(hoisted_rejections) == 2
+        assert result.applications
+        assert graph.tree is tree
+        assert graph_rows(graph) == fresh_rows()
+
+    def test_final_graph_keeps_no_timing_evaluator(self):
+        """The SPEC view keeps the final graph; the evaluator compiled
+        for the Gain() loop must not live on with it."""
+        from repro.sim import timing
+        tree = build_raw_tree_program(3, 5).functions["main"].trees["t0"]
+        result, graph = speculative_disambiguation(tree, naive_oracle,
+                                                   machine(None, 6))
+        assert result.applications
+        assert graph not in timing._compiled_timing

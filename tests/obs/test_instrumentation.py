@@ -13,6 +13,7 @@ from repro import (Disambiguator, compile_source, disambiguate,
                    evaluate_program, machine, obs, run_program)
 from repro.bench import get_benchmark
 from repro.frontend.grafting import graft_program
+from repro.passes import DEFAULT_CLEANUP, PassPipelineConfig
 from repro.pipeline import ArtifactStore, Pipeline
 
 SOURCE = """
@@ -69,6 +70,37 @@ class TestPipelineSpans:
             graft_program(program)
         root = tracer.finish()
         assert "frontend.graft" in span_names(root)
+
+
+class TestGraphReuse:
+    """``disambig.build_graphs`` counts the graphs it took over from
+    the ``spd`` pass as ``reused`` next to its ``trees``."""
+
+    def build_graphs_span(self, name, passes=None):
+        program = compile_source(get_benchmark(name).source)
+        profile = run_program(program).profile
+        with obs.tracing() as tracer:
+            view = disambiguate(program, Disambiguator.SPEC,
+                                profile=profile, machine=machine(None, 6),
+                                passes=passes)
+        never_ran = sum(1 for f, tree in view.program.all_trees()
+                        if profile.executed((f, tree.name)) == 0)
+        span = next(each for each in tracer.finish().walk()
+                    if each.name == "disambig.build_graphs")
+        return span, never_ran
+
+    @pytest.mark.parametrize("name", ["perm", "fft"])
+    def test_only_trees_spd_skipped_are_built(self, name):
+        span, never_ran = self.build_graphs_span(name)
+        counters = span.counters
+        assert counters["trees"] - counters["reused"] == never_ran
+        assert counters["reused"] > 0
+
+    def test_changing_cleanup_drops_spd_graphs(self):
+        span, _never_ran = self.build_graphs_span(
+            "perm", PassPipelineConfig(cleanup=DEFAULT_CLEANUP))
+        assert span.counters["trees"] > 0
+        assert span.counters["reused"] == 0
 
 
 class TestSimulatorMetrics:

@@ -110,6 +110,30 @@ class TestManagerRun:
         assert ctx.invalidated == {"depgraph", "profile"}
         assert ctx.profile is None
 
+    def test_depgraph_invalidation_keeps_only_the_pass_graphs(
+            self, raw_tree_program):
+        """A changing pass that invalidates ``depgraph`` leaves only the
+        graphs it built; any other pass leaves every graph alone."""
+        old_graph, own_graph = object(), object()
+
+        class Builder(_Recorder):
+            def run(self, program_, ctx_):
+                ctx_.graphs[("main", "t1")] = own_graph
+                return super().run(program_, ctx_)
+
+        ctx = PassContext(graphs={("main", "t0"): old_graph})
+
+        def run(*passes):
+            PassManager(list(passes)).run(raw_tree_program, ctx)
+
+        run(_Recorder("same", [], changed=False, invalidates={"depgraph"}),
+            _Recorder("other", [], changed=True, invalidates={"profile"}))
+        assert ctx.graphs == {("main", "t0"): old_graph}
+        run(Builder("build", [], changed=True, invalidates={"depgraph"}))
+        assert ctx.graphs == {("main", "t1"): own_graph}
+        run(_Recorder("drop", [], changed=True, invalidates={"depgraph"}))
+        assert ctx.graphs == {}
+
     def test_unchanged_pass_does_not_invalidate(self):
         marker = object()
         ctx = PassContext(profile=marker)

@@ -1,0 +1,69 @@
+"""Every SPEC view's dependence graphs equal fresh builds.
+
+The ``spd`` pass carries each tree state's graph through the Gain()
+loop and hands the final one to ``disambiguate``, which then builds
+only the graphs it was not handed.  Whatever the path, a view's graph
+must be indistinguishable from ``build_dependence_graph`` run afresh on
+the view's tree under the static oracle: the same op count, the same
+arcs field by field and in the same order, and built on the view
+program's own tree object.  Checked over the paper's kernels at both
+memory latencies, the corpus smoke slice, and a pipeline whose cleanup
+passes drop the carried graphs.
+"""
+
+import pytest
+
+from repro.bench import SUITE, get_benchmark
+from repro.corpus import DEFAULT_MANIFEST_PATH, entry_source, load_manifest
+from repro.disambig import Disambiguator, make_static_oracle
+from repro.ir import build_dependence_graph
+from repro.passes import DEFAULT_CLEANUP, PassPipelineConfig
+from repro.pipeline import ArtifactStore, Pipeline
+
+from ..conftest import graph_rows
+
+_MANIFEST = load_manifest(DEFAULT_MANIFEST_PATH)
+_SMOKE = [entry for entry in _MANIFEST["entries"] if entry["smoke"]]
+
+
+def assert_graphs_are_fresh(view):
+    trees = list(view.program.all_trees())
+    assert sorted(view.graphs) == sorted((f, t.name) for f, t in trees)
+    for function_name, tree in trees:
+        graph = view.graphs[(function_name, tree.name)]
+        assert graph.tree is tree, (function_name, tree.name)
+        fresh = build_dependence_graph(tree, make_static_oracle(tree))
+        assert graph_rows(graph) == graph_rows(fresh), (function_name,
+                                                        tree.name)
+
+
+@pytest.fixture(scope="module")
+def cleanup_pipeline():
+    """A ``--passes default`` pipeline on a memory-only store."""
+    return Pipeline(store=ArtifactStore(root=None),
+                    passes=PassPipelineConfig(cleanup=DEFAULT_CLEANUP))
+
+
+@pytest.fixture(scope="module")
+def smoke_pipeline():
+    return Pipeline(store=ArtifactStore(root=None))
+
+
+@pytest.mark.parametrize("memory_latency", (2, 6))
+@pytest.mark.parametrize("name", SUITE)
+def test_kernel_spec_graphs_are_fresh(pipeline, name, memory_latency):
+    assert_graphs_are_fresh(pipeline.view(
+        name, get_benchmark(name).source, Disambiguator.SPEC,
+        memory_latency))
+
+
+@pytest.mark.parametrize("entry", _SMOKE, ids=lambda entry: entry["id"])
+def test_smoke_spec_graphs_are_fresh(smoke_pipeline, entry):
+    assert_graphs_are_fresh(smoke_pipeline.view(
+        entry["id"], entry_source(_MANIFEST, entry), Disambiguator.SPEC, 6))
+
+
+@pytest.mark.parametrize("name", SUITE)
+def test_cleaned_spec_graphs_are_fresh(cleanup_pipeline, name):
+    assert_graphs_are_fresh(cleanup_pipeline.view(
+        name, get_benchmark(name).source, Disambiguator.SPEC, 6))
