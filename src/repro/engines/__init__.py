@@ -11,7 +11,8 @@ engine.  Importing this package registers the two built-in engines:
 name     implementation
 ======== ====================================================
 interp   reference tree-walking interpreter
-jit      whole-function compiled Python (default)
+jit      tiered: interpreted while cold, whole-function
+         compiled Python once hot (default)
 ======== ====================================================
 
 Every registered engine is a drop-in replacement for the reference
@@ -36,5 +37,6 @@ register_engine(ExecutionEngine(
     "interp", "reference tree-walking interpreter (differential oracle)",
     Interpreter))
 register_engine(ExecutionEngine(
-    "jit", "per-tree compiled Python functions (default)",
+    "jit", "interprets cold functions, compiles hot or cached ones "
+    "(default)",
     JitInterpreter))

@@ -15,8 +15,9 @@ imported:
     The reference tree-walking interpreter, unchanged.  It stays the
     differential oracle every other engine is checked against.
 ``jit``
-    Per-tree compilation into specialized Python functions (see
-    :mod:`repro.engines.jit`): guards become plain ``if`` chains and the
+    Tiered (see :mod:`repro.engines.jit`): a function runs in the
+    reference interpreter until it is hot, then as one specialized
+    Python function in which guards become plain ``if`` chains and the
     operand-dispatch tables disappear.  Semantically identical to
     ``interp`` — the fuzz oracle cross-checks the two on every axis.
 

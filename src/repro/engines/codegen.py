@@ -570,7 +570,7 @@ class _FunctionEmitter(_Emitter):
             header.append("    _dyn = 0")
             header.append(f"    _cb = interp._fcounts[{self.function.name!r}]")
             if self.any_mem_trace:
-                header.append("    _rap = interp._record_alias_pairs_keyed")
+                header.append("    _rap = interp._record_alias_pairs")
         return header
 
 

@@ -1,20 +1,42 @@
-"""The ``jit`` execution engine: compile-and-cache tree execution.
+"""The ``jit`` execution engine: tiered tree execution.
 
-:class:`JitInterpreter` subclasses the reference interpreter and swaps
-the execution core: the first time a function is entered, *all* of its
-decision trees are compiled into one specialized Python function (see
-:mod:`repro.engines.codegen`) whose dispatch loop keeps registers in
-Python locals across intra-function GOTOs — the transfer every source
-loop compiles to.  Control returns to the (inherited) CALL/RETURN
-plumbing only at inter-function exits.  Profile aggregation and
-observability flushing stay shared with the reference engine, so the
-two engines differ only in how a tree's operations are executed — which
-is exactly the part the tree-walking interpreter spends its time in.
+:class:`JitInterpreter` subclasses the reference interpreter and keeps
+its CALL/RETURN loop; only the per-frame step differs.  Each function
+starts *cold*: its trees run through the inherited tree-walking
+:meth:`~repro.sim.interpreter.Interpreter._execute_tree`, and the
+engine counts the steps they take.  Once a function has spent its step
+budget (:data:`TIER_THRESHOLD` steps per operation or exit, the size
+its ``compile()`` cost grows with) it *tiers up*: all of its decision
+trees are compiled into one specialized Python function (see
+:mod:`repro.engines.codegen`), entered at the frame's current tree, so
+a hot loop switches over mid-run.  The compiled dispatch loop keeps
+registers in Python locals across intra-function GOTOs — the transfer
+every source loop compiles to — and returns to the call loop only at
+inter-function exits.
 
-Compiled code is cached at two levels:
+Short runs (most corpus programs, most functions) never generate or
+``compile()`` any source; long-running kernels compile once per
+function, after an interpreted prefix that costs about half as much
+as the compile.  The engine remembers each function *shape* (name,
+tree, operation and exit counts, generation flags) process-wide:
 
-* per interpreter, function name → compiled entry — one dict hit per
-  function entry/resume;
+* a shape that was compiled before has its source generated on entry,
+  and when the code cache holds that source — compiling it costs
+  nothing — the function enters compiled on its first call;
+* a shape that stayed cold resumes its step count in the next run, so
+  a program run again and again — the paper kernels in a benchmark
+  loop — still ends up compiled.
+
+Both tiers record into the same profile: the interpreted trees through
+``record_tree``, the compiled code through per-exit count lists that
+start as the profile's own rows (see ``JitInterpreter._link``), so the
+totals are the reference interpreter's.
+
+Execution state is kept at three levels:
+
+* per run, function name → tier state — one dict hit per step;
+* process-wide, function shape → steps interpreted so far, or a mark
+  that it was compiled (bounded by :data:`SEEN_CAPACITY`);
 * process-wide, generated source → function object, bounded LRU
   (:data:`CODE_CACHE_CAPACITY`).  The generated source is a
   deterministic structural fingerprint of the function's trees, so
@@ -22,31 +44,49 @@ Compiled code is cached at two levels:
   thousands of near-identical ones) share one ``compile()``/``exec()``.
 
 Cache behaviour is observable as ``engines.jit.cache_hits`` /
-``cache_misses`` / ``cache_evictions`` / ``compiles`` counters (see
+``cache_misses`` / ``cache_evictions`` / ``compiles`` counters, and
+promotions by hotness as ``engines.jit.tier_ups`` (see
 docs/observability.md).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .. import obs
 from ..ir.program import Program
-from ..ir.tree import ExitKind
-from ..sim.interpreter import (Interpreter, InterpreterError, Number,
-                               RunResult, _Frame)
+from ..sim.interpreter import Interpreter, InterpreterError, _Frame
 from .codegen import EXEC_GLOBALS, generate_function_source
 
-__all__ = ["CODE_CACHE_CAPACITY", "compiled_fn", "code_cache_size",
-           "clear_code_cache", "JitInterpreter", "run_program_jit"]
+__all__ = ["CODE_CACHE_CAPACITY", "TIER_THRESHOLD", "compiled_fn",
+           "code_cache_size", "clear_code_cache", "JitInterpreter"]
 
 #: Process-wide bound on distinct compiled tree functions kept alive.
 #: Sized for whole fuzz campaigns (a few hundred distinct tree shapes);
 #: eviction only costs a recompile, never changes behaviour.
 CODE_CACHE_CAPACITY = 512
 
+#: Interpreted steps (``Interpreter.steps`` units) per operation or
+#: exit of a function after which the function is compiled.  On a
+#: 2-core x86-64 host under CPython 3.11, ``compile()`` costs ~70 us
+#: per operation and a compiled step saves ~1-1.3 us, so 24 spends a
+#: third to a half of a compile on the interpreted prefix.  0 compiles
+#: every function on entry; 1 tiers up after about one pass over its
+#: trees.
+TIER_THRESHOLD = 24
+
+#: Bound on the function shapes whose history outlives their run.
+SEEN_CAPACITY = 4096
+
+#: ``_seen`` value of a shape that was compiled: probe the code cache.
+_COMPILED = -1
+
 _code_cache: "OrderedDict[str, Callable]" = OrderedDict()
+
+#: function shape (name, trees, operations and exits, generation
+#: flags) -> steps interpreted in earlier runs, or ``_COMPILED``
+_seen: Dict[tuple, int] = {}
 
 
 def compiled_fn(source: str) -> Callable:
@@ -78,16 +118,29 @@ def code_cache_size() -> int:
 
 
 def clear_code_cache() -> None:
+    """Forget every compiled function and every cold function's count."""
     _code_cache.clear()
+    _seen.clear()
+
+
+class _Tier:
+    """One function's state within a run: interpreted while ``fn`` is
+    None and ``steps`` is below ``budget``, compiled after."""
+
+    __slots__ = ("shape", "steps", "budget", "source", "fn", "tree_index",
+                 "exits")
+
+    def __init__(self, shape: tuple, size: int):
+        self.shape = shape
+        self.steps = 0
+        self.budget = TIER_THRESHOLD * size
+        self.source: Optional[str] = None
+        self.fn: Optional[Callable] = None
 
 
 class JitInterpreter(Interpreter):
-    """Interpreter-identical execution through compiled functions."""
-
-    #: tree/exit counts are recorded by the compiled code (live per-exit
-    #: count lists, folded in ``_run``), not by a per-execution
-    #: ``record_tree`` in a dispatch loop
-    _profile_in_engine = True
+    """Interpreter-identical execution: interpreted while a function
+    is cold, compiled once it is hot or already in the code cache."""
 
     def __init__(self, program: Program, max_steps: int = 200_000_000,
                  collect_profile: bool = True, strict_memory: bool = False,
@@ -96,19 +149,27 @@ class JitInterpreter(Interpreter):
                          collect_profile=collect_profile,
                          strict_memory=strict_memory,
                          trace_stores=trace_stores)
-        #: function name -> [fn, tree names, name -> index, exits per
-        #: tree index, obs_variant]
-        self._ffns: Dict[str, list] = {}
+        self._tiers: Dict[str, _Tier] = {}
         #: function name -> per-exit count lists, indexed by tree index;
         #: the compiled code increments these in place
         self._fcounts: Dict[str, List[List[int]]] = {}
         #: the same lists keyed the way ``ProfileData`` keys them
         self._counts: Dict[Tuple[str, str], List[int]] = {}
 
-    def _run(self, args: Tuple[Number, ...]) -> RunResult:
+    def _run(self, args):
+        # the generated source depends on whether a tracer is
+        # installed, which the inherited ``_run`` decides per run
+        self._tiers.clear()
+        self._fcounts.clear()
+        self._counts.clear()
         try:
-            return self._run_compiled(args)
+            return super()._run(args)
         finally:
+            for tier in self._tiers.values():
+                if tier.fn is None and _seen.get(tier.shape) != _COMPILED:
+                    _seen[tier.shape] = tier.steps
+            while len(_seen) > SEEN_CAPACITY:
+                del _seen[next(iter(_seen))]
             if self.collect_profile:
                 # tree_counts is exit_counts summed, and a tree whose
                 # counts are all zero never completed an execution —
@@ -120,93 +181,73 @@ class JitInterpreter(Interpreter):
                         ec[key] = counts
                         tc[key] = sum(counts)
 
-    def _run_compiled(self, args: Tuple[Number, ...]) -> RunResult:
-        self._obs_on = obs.is_enabled()
-        program = self.program
-        entry = program.functions[program.entry_function]
-        if len(args) != len(entry.params):
+    def _execute_tree(self, frame: _Frame):
+        tier = self._tiers.get(frame.function)
+        if tier is None:
+            tier = self._enter(frame.function)
+        fn = tier.fn
+        if fn is None:
+            if tier.steps < tier.budget:
+                steps = self.steps
+                exit_ = super()._execute_tree(frame)
+                tier.steps += self.steps - steps
+                return exit_
+            obs.incr("engines.jit.tier_ups")
+            fn = self._link(frame.function, tier, compiled_fn(
+                tier.source or self._source(frame.function)))
+        tree_idx, exit_idx = fn(frame.regs, self.memory, self,
+                                tier.tree_index[frame.tree])
+        if exit_idx < 0:
+            tree = list(self.program.functions[frame.function].trees)[tree_idx]
             raise InterpreterError(
-                f"entry function expects {len(entry.params)} args, got {len(args)}")
-        regs = {p.name: v for p, v in zip(entry.params, args)}
-        frame = _Frame(entry.name, entry.entry, regs)
-        stack: List[_Frame] = []
-        return_value = None
-        memory = self.memory
-        ffns = self._ffns
+                f"tree {frame.function}.{tree}: no exit taken")
+        return tier.exits[tree_idx][exit_idx]
 
-        while True:
-            fentry = ffns.get(frame.function)
-            if fentry is None or fentry[4] != self._obs_on:
-                fentry = self._compile_function(frame.function)
-            tree_idx, exit_idx = fentry[0](frame.regs, memory, self,
-                                           fentry[2][frame.tree])
-            if exit_idx < 0:
-                raise InterpreterError(
-                    f"tree {frame.function}.{fentry[1][tree_idx]}: "
-                    f"no exit taken")
-            exit_ = fentry[3][tree_idx][exit_idx]
-            kind = exit_.kind
-            if kind is ExitKind.CALL:
-                callee = program.functions[exit_.callee]
-                values = [self._read(frame.regs, a) for a in exit_.args]
-                frame.resume_tree = exit_.target
-                frame.result_reg = exit_.result.name if exit_.result else None
-                stack.append(frame)
-                if len(stack) > 100_000:
-                    raise InterpreterError("call-stack overflow")
-                frame = _Frame(callee.name, callee.entry,
-                               {p.name: v for p, v in zip(callee.params,
-                                                          values)})
-            elif kind is ExitKind.RETURN:
-                value = (self._read(frame.regs, exit_.value)
-                         if exit_.value is not None else None)
-                if not stack:
-                    return_value = value
-                    break
-                frame = stack.pop()
-                if frame.result_reg is not None:
-                    if value is None:
-                        raise InterpreterError(
-                            "void return where value expected")
-                    frame.regs[frame.result_reg] = value
-                frame.tree = frame.resume_tree
-            elif kind is ExitKind.GOTO:
-                # in-function GOTOs are consumed inside the compiled
-                # dispatch loop; this only fires for a (malformed)
-                # cross-function target, handled like the reference
-                frame.tree = exit_.target
-            else:  # HALT
-                break
-
-        return RunResult(self.output, self.profile, self.steps, return_value)
-
-    def _compile_function(self, name: str) -> list:
+    def _enter(self, name: str) -> _Tier:
+        """The first call of *name* in this run.  Resume the step count
+        earlier runs of its shape left; if one was compiled, generate
+        the source and link it at once when the code cache holds it."""
         func = self.program.functions[name]
-        source = generate_function_source(
-            func, collect_profile=self.collect_profile,
+        size = sum(len(tree.ops) + len(tree.exits)
+                   for tree in func.trees.values())
+        shape = (name, len(func.trees), size, self.collect_profile,
+                 self.trace_stores, self.strict_memory, self._obs_on)
+        tier = self._tiers[name] = _Tier(shape, size)
+        seen = _seen.get(shape, 0)
+        if seen != _COMPILED:
+            tier.steps = seen
+            return tier
+        tier.source = self._source(name)
+        if tier.source in _code_cache:
+            self._link(name, tier, compiled_fn(tier.source))
+        return tier
+
+    def _source(self, name: str) -> str:
+        return generate_function_source(
+            self.program.functions[name],
+            collect_profile=self.collect_profile,
             trace_stores=self.trace_stores, strict_memory=self.strict_memory,
-            # squash tallies only exist under a tracer; the obs variant
-            # is re-generated if tracing flips between runs
+            # squash tallies only exist under a tracer
             count_squashes=self._obs_on)
-        if self.collect_profile and name not in self._fcounts:
-            counts = self._fcounts[name] = [
-                [0] * len(tree.exits) for tree in func.trees.values()]
-            for tname, row in zip(func.trees, counts):
-                self._counts[(name, tname)] = row
-        tree_names = list(func.trees)
-        fentry = [compiled_fn(source), tree_names,
-                  {t: i for i, t in enumerate(tree_names)},
-                  [tree.exits for tree in func.trees.values()],
-                  self._obs_on]
-        self._ffns[name] = fentry
-        return fentry
 
+    def _link(self, name: str, tier: _Tier, fn: Callable) -> Callable:
+        """Run *name* through its compiled function *fn* from now on.
 
-def run_program_jit(program: Program, args: Tuple[Number, ...] = (),
-                    collect_profile: bool = True,
-                    max_steps: int = 200_000_000,
-                    strict_memory: bool = False) -> RunResult:
-    """Execute *program* through the JIT engine (reference-identical)."""
-    return JitInterpreter(program, max_steps=max_steps,
-                          collect_profile=collect_profile,
-                          strict_memory=strict_memory).run(args)
+        A tree the interpreted prefix already ran keeps counting in its
+        ``exit_counts`` row, so the compiled code adds to what
+        ``record_tree`` recorded; ``_run`` folds in the new rows."""
+        func = self.program.functions[name]
+        if self.collect_profile:
+            ec = self.profile.exit_counts
+            rows = self._fcounts[name] = []
+            for tname, tree in func.trees.items():
+                key = (name, tname)
+                row = ec.get(key) or [0] * len(tree.exits)
+                self._counts[key] = row
+                rows.append(row)
+        tier.tree_index = {t: i for i, t in enumerate(func.trees)}
+        tier.exits = [tree.exits for tree in func.trees.values()]
+        tier.source = None
+        tier.fn = fn
+        _seen[tier.shape] = _COMPILED
+        return fn

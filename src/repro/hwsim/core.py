@@ -246,7 +246,7 @@ class HwSimulator(Interpreter):
         self.cycles += tree_cycles
         if self._obs_on:
             obs.observe("hwsim.tree_cycles", tree_cycles)
-        return state.tree.exits[exit_index], exit_index
+        return state.tree.exits[exit_index]
 
     def _execute_memory_tree(self, frame, state: _TreeState):
         """Run the compiled pass on a copy of the registers, time it,

@@ -128,6 +128,11 @@ _UNARY = {
     Opcode.FABS: abs,
 }
 
+#: The opcodes ``_execute_tree`` tests each operation against, bound
+#: once: an enum attribute lookup per operation is measurable there.
+_LOAD, _STORE, _PRINT, _SELECT, _FSQRT = (
+    Opcode.LOAD, Opcode.STORE, Opcode.PRINT, Opcode.SELECT, Opcode.FSQRT)
+
 #: Public aliases of the opcode semantic tables, so alternative
 #: execution engines (notably :mod:`repro.hwsim`) evaluate operations
 #: with byte-identical semantics instead of re-implementing them.
@@ -175,11 +180,6 @@ class Interpreter:
         self._obs_tree_execs: Dict[Tuple[str, str], int] = {}
         self._obs_squashed: Dict[str, int] = {}
 
-    #: subclasses that record tree/exit counts inside ``_execute_tree``
-    #: (the JIT batches them into preallocated per-tree lists) set this
-    #: to skip the per-execution ``record_tree`` in the dispatch loop
-    _profile_in_engine = False
-
     # -- operand/guard evaluation -------------------------------------------
 
     def _read(self, regs: Dict[str, Number], operand: Operand) -> Number:
@@ -226,13 +226,7 @@ class Interpreter:
         return_value: Optional[Number] = None
 
         while True:
-            exit_, exit_index = self._execute_tree(frame)
-            if self.collect_profile and not self._profile_in_engine:
-                key = (frame.function, frame.tree)
-                num_exits = len(
-                    self.program.functions[frame.function].trees[frame.tree].exits)
-                self.profile.record_tree(key, num_exits, exit_index)
-
+            exit_ = self._execute_tree(frame)
             if exit_.kind is ExitKind.GOTO:
                 frame.tree = exit_.target
             elif exit_.kind is ExitKind.CALL:
@@ -263,6 +257,10 @@ class Interpreter:
         return RunResult(self.output, self.profile, self.steps, return_value)
 
     def _execute_tree(self, frame: _Frame):
+        """Run *frame* from its current tree to the next exit the call
+        loop in ``_run`` acts on, and return that exit.  Here that is
+        exactly one tree; an engine that runs intra-function GOTOs
+        itself (the tiered JIT) may execute many."""
         tree = self.program.functions[frame.function].trees[frame.tree]
         regs = frame.regs
         memory = self.memory
@@ -278,18 +276,28 @@ class Interpreter:
         if self.steps > self.max_steps:
             raise InterpreterError(f"step limit exceeded ({self.max_steps})")
 
+        read = self._read
         committed = 0
         for op in tree.ops:
-            if not self._guard_true(regs, op.guard):
-                if self._obs_on:
-                    name = op.opcode.name
-                    self._obs_squashed[name] = \
-                        self._obs_squashed.get(name, 0) + 1
-                continue
+            guard = op.guard
+            if guard is not None:
+                # _guard_true inlined: this loop is the interpreted
+                # tier's hot path
+                value = regs.get(guard.reg.name)
+                if value is None:
+                    raise InterpreterError(
+                        f"guard register %{guard.reg.name} read before "
+                        f"definition")
+                if bool(value) == guard.negate:
+                    if self._obs_on:
+                        name = op.opcode.name
+                        self._obs_squashed[name] = \
+                            self._obs_squashed.get(name, 0) + 1
+                    continue
             committed += 1
             opcode = op.opcode
-            if opcode is Opcode.LOAD:
-                addr = self._read(regs, op.srcs[0])
+            if opcode is _LOAD:
+                addr = read(regs, op.srcs[0])
                 if isinstance(addr, int) and 0 <= addr < len(memory):
                     regs[op.dest.name] = memory[addr]
                     if mem_trace is not None:
@@ -301,52 +309,51 @@ class Interpreter:
                     # out-of-range reads return a junk value that only a
                     # cancelled path could consume
                     regs[op.dest.name] = (0.0 if op.dest.type == FLOAT else 0)
-            elif opcode is Opcode.STORE:
-                value = self._read(regs, op.srcs[0])
-                addr = self._read(regs, op.srcs[1])
+            elif opcode is _STORE:
+                value = read(regs, op.srcs[0])
+                addr = read(regs, op.srcs[1])
                 self._check_addr(addr)
                 memory[addr] = value
                 if self.trace_stores:
                     self.store_trace.append((addr, value))
                 if mem_trace is not None:
                     mem_trace.append((op.op_id, addr, True))
-            elif opcode is Opcode.PRINT:
-                self.output.append(self._read(regs, op.srcs[0]))
-            elif opcode is Opcode.SELECT:
-                cond = self._read(regs, op.srcs[0])
+            elif opcode is _PRINT:
+                self.output.append(read(regs, op.srcs[0]))
+            elif opcode is _SELECT:
+                cond = read(regs, op.srcs[0])
                 picked = op.srcs[1] if cond else op.srcs[2]
-                regs[op.dest.name] = self._read(regs, picked)
+                regs[op.dest.name] = read(regs, picked)
             else:
                 handler = _BINARY.get(opcode)
                 if handler is not None:
                     regs[op.dest.name] = handler(
-                        self._read(regs, op.srcs[0]), self._read(regs, op.srcs[1]))
-                elif opcode is Opcode.FSQRT:
-                    value = self._read(regs, op.srcs[0])
+                        read(regs, op.srcs[0]), read(regs, op.srcs[1]))
+                elif opcode is _FSQRT:
+                    value = read(regs, op.srcs[0])
                     # speculated sqrt of a negative junk value must not trap
                     regs[op.dest.name] = math.sqrt(value) if value >= 0 else 0.0
                 else:
-                    regs[op.dest.name] = _UNARY[opcode](
-                        self._read(regs, op.srcs[0]))
+                    regs[op.dest.name] = _UNARY[opcode](read(regs, op.srcs[0]))
 
         if mem_trace is not None:
             # committed (guard-true) operations: the dynamic-operation
             # count Table 6-3's per-program sizes are normalised by
             self.profile.dynamic_operations += committed
             if len(mem_trace) > 1:
-                self._record_alias_pairs(frame, mem_trace)
+                self._record_alias_pairs(frame.function, frame.tree,
+                                         mem_trace)
 
         for exit_index, exit_ in enumerate(tree.exits):
             if self._guard_true(regs, exit_.guard):
-                return exit_, exit_index
+                if mem_trace is not None:
+                    self.profile.record_tree((frame.function, frame.tree),
+                                             len(tree.exits), exit_index)
+                return exit_
         raise InterpreterError(f"tree {frame.function}.{frame.tree}: no exit taken")
 
-    def _record_alias_pairs(self, frame: _Frame,
+    def _record_alias_pairs(self, func: str, tree: str,
                             trace: List[Tuple[int, int, bool]]) -> None:
-        self._record_alias_pairs_keyed(frame.function, frame.tree, trace)
-
-    def _record_alias_pairs_keyed(self, func: str, tree: str,
-                                  trace: List[Tuple[int, int, bool]]) -> None:
         record = self.profile.record_pair
         for i, (id_i, addr_i, store_i) in enumerate(trace):
             for id_j, addr_j, store_j in trace[i + 1:]:
