@@ -4,13 +4,16 @@ tinyc is the C subset in which the paper's benchmarks are re-implemented
 (see DESIGN.md).  The token set covers declarations (``int``, ``float``,
 ``void``), control flow (``if``/``else``/``while``/``for``/``return``),
 the ``print`` builtin, arithmetic/logical/comparison operators, and
-array indexing.
+array indexing.  Identifiers and digits are ASCII; docs/tinyc.md
+("Lexical structure") spells the token classes out.  One compiled
+pattern scans the source; positions come from a line-start table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Union
+import re
+from bisect import bisect_right
+from typing import List, NamedTuple, Union
 
 from .errors import CompileError
 
@@ -21,109 +24,68 @@ KEYWORDS = frozenset({
     "return", "print",
 })
 
-_SYMBOLS = [
-    "&&", "||", "==", "!=", "<=", ">=",
-    "(", ")", "{", "}", "[", "]", ";", ",",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!",
-]
+# Alternatives are tried in order: comments before the '/' symbol, and
+# two-character symbols before their one-character prefixes.  Only the
+# source's last line can end in a 'comment' match.
+_SCAN = re.compile(r"""
+    (?P<space>[ \t\r\n]+ | /\*.*?\*/ | //[^\n]*(?=\n))
+  | (?P<comment>//[^\n]*)
+  | (?P<open_comment>/\*)
+  | (?P<number>(?P<mantissa>\.?[0-9][0-9.]*)(?P<exponent>[eE][+-]?[0-9]*)?)
+  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<symbol>&& | \|\| | [=!<>]=? | [-+*/%(){}\[\];,])
+  | (?P<other>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
+    """One token with its 1-based source position."""
+
     kind: str                      #: 'ident' | 'int' | 'float' | 'kw' | symbol text | 'eof'
     text: str
     value: Union[int, float, None] = None
     line: int = 0
     column: int = 0
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Token({self.kind!r}, {self.text!r})"
-
 
 def tokenize(source: str) -> List[Token]:
     """Turn source text into a token list ending with an 'eof' token."""
+    line_starts = [0] + [match.end() for match in re.finditer("\n", source)]
     tokens: List[Token] = []
-    line, column = 1, 1
-    i, n = 0, len(source)
+    end = len(source)
 
-    def error(message: str) -> CompileError:
-        return CompileError(message, line, column)
+    def position(offset: int):
+        line = bisect_right(line_starts, offset)
+        return line, offset - line_starts[line - 1] + 1
 
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            column = 1
+    for match in _SCAN.finditer(source):
+        group = match.lastgroup
+        if group == "space":
             continue
-        if ch in " \t\r":
-            i += 1
-            column += 1
+        if group == "comment":  # a final '//' line: 'eof' takes its column
+            end = match.start()
             continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end < 0:
-                raise error("unterminated block comment")
-            skipped = source[i:end + 2]
-            line += skipped.count("\n")
-            if "\n" in skipped:
-                column = len(skipped) - skipped.rfind("\n")
-            else:
-                column += len(skipped)
-            i = end + 2
-            continue
-        start_line, start_column = line, column
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
-            j = i
-            is_float = False
-            while j < n and (source[j].isdigit() or source[j] == "."):
-                if source[j] == ".":
-                    if is_float:
-                        raise error("malformed number")
-                    is_float = True
-                j += 1
-            if j < n and source[j] in "eE":
-                is_float = True
-                j += 1
-                if j < n and source[j] in "+-":
-                    j += 1
-                if j >= n or not source[j].isdigit():
-                    raise error("malformed exponent")
-                while j < n and source[j].isdigit():
-                    j += 1
-            text = source[i:j]
-            if is_float:
-                tokens.append(Token("float", text, float(text),
-                                    start_line, start_column))
-            else:
-                tokens.append(Token("int", text, int(text),
-                                    start_line, start_column))
-            column += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            text = source[i:j]
+        text = match.group()
+        line, column = position(match.start())
+        if group == "word":
             kind = "kw" if text in KEYWORDS else "ident"
-            tokens.append(Token(kind, text, None, start_line, start_column))
-            column += j - i
-            i = j
-            continue
-        for symbol in _SYMBOLS:
-            if source.startswith(symbol, i):
-                tokens.append(Token(symbol, symbol, None,
-                                    start_line, start_column))
-                i += len(symbol)
-                column += len(symbol)
-                break
+            tokens.append(Token(kind, text, None, line, column))
+        elif group == "symbol":
+            tokens.append(Token(text, text, None, line, column))
+        elif group == "number":
+            if match.group("mantissa").count(".") > 1:
+                raise CompileError("malformed number", line, column)
+            exponent = match.group("exponent")
+            if exponent is None and "." not in text:
+                tokens.append(Token("int", text, int(text), line, column))
+            elif exponent is None or exponent[-1].isdigit():
+                tokens.append(Token("float", text, float(text), line, column))
+            else:
+                raise CompileError("malformed exponent", line, column)
+        elif group == "open_comment":
+            raise CompileError("unterminated block comment", line, column)
         else:
-            raise error(f"unexpected character {ch!r}")
-
-    tokens.append(Token("eof", "", None, line, column))
+            raise CompileError(f"unexpected character {text!r}",
+                               line, column)
+    tokens.append(Token("eof", "", None, *position(end)))
     return tokens

@@ -3,29 +3,51 @@
 Grammar (informal)::
 
     unit      := (global | func)*
-    global    := type IDENT '[' INT ']' ('[' INT ']')? ';'
-    func      := ('void' | type) IDENT '(' params? ')' block
+    global    := type IDENT dims ';'
+    func      := ('void' | type) IDENT '(' (param (',' param)*)? ')' block
     param     := type IDENT ('[' ']' ('[' INT ']')?)?
     stmt      := decl | assign | if | while | for | return | print
                | expr ';' | block
-    decl      := type IDENT ('[' INT ']' ('[' INT ']')? | '=' expr)? ';'
-    assign    := IDENT ('[' expr ']' ('[' expr ']')?)? '=' expr ';'
-    expr      := or-expr with C precedence:
-                 || , && , (== !=) , (< <= > >=) , (+ -) , (* / %) ,
-                 unary (- !), primary
-    primary   := INT | FLOAT | IDENT | IDENT '(' args ')' |
-                 IDENT '[' expr ']' ('[' expr ']')? | '(' expr ')'
+    decl      := type IDENT (dims | '=' expr)? ';'
+    assign    := IDENT index* '=' expr ';'
+    dims      := '[' INT ']' ('[' INT ']')?
+    index     := '[' expr ']'
+    expr      := unary (BINOP unary)*
+    unary     := ('-' | '!') unary | primary
+    primary   := INT | FLOAT | IDENT | IDENT '(' (expr (',' expr)*)? ')'
+               | IDENT index+ | '(' expr ')'
+
+A name takes at most two subscripts wherever it is indexed, ``for``
+headers included.  BINOP is a binary operator; all associate to the
+left, with C precedence from loosest to tightest binding::
+
+    ||
+    &&
+    ==  !=
+    <   <=  >   >=
+    +   -
+    *   /   %
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import ast_nodes as ast
 from .errors import CompileError
 from .lexer import Token, tokenize
 
 __all__ = ["parse"]
+
+#: Binding strength of each binary operator: the table in the docstring.
+_BINARY = {"||": 1, "&&": 2, "==": 3, "!=": 3, "<": 4, "<=": 4, ">": 4,
+           ">=": 4, "+": 5, "-": 5, "*": 6, "/": 6, "%": 6}
+
+
+def _limit_dims(dims: Sequence[object], most: int, at: Token) -> None:
+    if len(dims) > most:
+        raise CompileError("at most 2 array dimensions supported",
+                           at.line, at.column)
 
 
 class _Parser:
@@ -45,7 +67,7 @@ class _Parser:
         return token
 
     def check(self, kind: str, text: Optional[str] = None) -> bool:
-        token = self.peek()
+        token = self.tokens[self.pos]
         return token.kind == kind and (text is None or token.text == text)
 
     def accept(self, kind: str, text: Optional[str] = None) -> Optional[Token]:
@@ -53,13 +75,36 @@ class _Parser:
             return self.advance()
         return None
 
-    def expect(self, kind: str, text: Optional[str] = None) -> Token:
-        if not self.check(kind, text):
+    def expect(self, kind: str) -> Token:
+        if not self.check(kind):
             token = self.peek()
-            wanted = text or kind
-            raise CompileError(f"expected {wanted!r}, found {token.text!r}",
+            raise CompileError(f"expected {kind!r}, found {token.text!r}",
                                token.line, token.column)
         return self.advance()
+
+    def comma_list(self, item: Callable[[], object]) -> list:
+        """``(item (',' item)*)? ')'``, after the opening parenthesis."""
+        items = []
+        if not self.check(")"):
+            items.append(item())
+            while self.accept(","):
+                items.append(item())
+        self.expect(")")
+        return items
+
+    def const_dims(self) -> Tuple[int, ...]:
+        dims: List[int] = []
+        while self.accept("["):
+            dims.append(self.expect("int").value)
+            self.expect("]")
+        return tuple(dims)
+
+    def indices(self) -> List[ast.Expr]:
+        indices: List[ast.Expr] = []
+        while self.accept("["):
+            indices.append(self.parse_expr())
+            self.expect("]")
+        return indices
 
     # -- declarations --------------------------------------------------------
 
@@ -83,38 +128,25 @@ class _Parser:
             raise CompileError("globals cannot be void",
                                type_token.line, type_token.column)
         name = self.expect("ident")
-        dims = self.parse_const_dims(required=True)
+        dims = self.parse_array_dims()
         self.expect(";")
         return ast.GlobalDecl(type_token.text, name.text, dims, type_token.line)
 
-    def parse_const_dims(self, required: bool) -> Tuple[int, ...]:
-        dims: List[int] = []
-        while self.accept("["):
-            size = self.expect("int")
-            dims.append(size.value)
-            self.expect("]")
-        if required and not dims:
+    def parse_array_dims(self) -> Tuple[int, ...]:
+        dims = self.const_dims()
+        if not dims:
             token = self.peek()
             raise CompileError("globals must be arrays (scalars live in "
                                "registers)", token.line, token.column)
-        if len(dims) > 2:
-            token = self.peek()
-            raise CompileError("at most 2 array dimensions supported",
-                               token.line, token.column)
-        return tuple(dims)
+        _limit_dims(dims, 2, self.peek())
+        return dims
 
     def parse_function(self) -> ast.FuncDecl:
         type_token = self.expect("kw")
         return_type = None if type_token.text == "void" else type_token.text
         name = self.expect("ident")
         self.expect("(")
-        params: List[ast.Param] = []
-        if not self.check(")"):
-            while True:
-                params.append(self.parse_param())
-                if not self.accept(","):
-                    break
-        self.expect(")")
+        params = self.comma_list(self.parse_param)
         body = self.parse_block()
         return ast.FuncDecl(name.text, return_type, params, body,
                             type_token.line)
@@ -125,18 +157,12 @@ class _Parser:
             raise CompileError("void parameter", type_token.line,
                                type_token.column)
         name = self.expect("ident")
-        if self.accept("["):
-            self.expect("]")
-            dims: List[int] = []
-            while self.accept("["):
-                size = self.expect("int")
-                dims.append(size.value)
-                self.expect("]")
-            if len(dims) > 1:
-                raise CompileError("at most 2 array dimensions supported",
-                                   type_token.line, type_token.column)
-            return ast.Param(type_token.text, name.text, True, tuple(dims))
-        return ast.Param(type_token.text, name.text)
+        if not self.accept("["):
+            return ast.Param(type_token.text, name.text)
+        self.expect("]")
+        dims = self.const_dims()
+        _limit_dims(dims, 1, type_token)
+        return ast.Param(type_token.text, name.text, True, dims)
 
     # -- statements -----------------------------------------------------------
 
@@ -152,80 +178,74 @@ class _Parser:
         token = self.peek()
         if token.kind == "{":
             return ast.Block(token.line, self.parse_block())
-        if token.kind == "kw":
-            if token.text in ("int", "float"):
-                return self.parse_decl()
-            if token.text == "if":
-                return self.parse_if()
-            if token.text == "while":
-                return self.parse_while()
-            if token.text == "for":
-                return self.parse_for()
-            if token.text == "return":
-                self.advance()
-                value = None if self.check(";") else self.parse_expr()
-                self.expect(";")
-                return ast.Return(token.line, value)
-            if token.text == "print":
-                self.advance()
-                self.expect("(")
-                value = self.parse_expr()
-                self.expect(")")
-                self.expect(";")
-                return ast.Print(token.line, value)
         if token.kind == "ident":
-            return self.parse_assign_or_expr()
-        raise CompileError(f"unexpected token {token.text!r}",
-                           token.line, token.column)
+            # IDENT index* '=' starts an assignment.  An index that fails
+            # to parse here fails the same way in the expression.
+            save = self.pos
+            self.advance()
+            self.indices()
+            is_assign = self.check("=")
+            self.pos = save
+            if is_assign:
+                return self.parse_assign(";")
+            expr = self.parse_expr()
+            self.expect(";")
+            return ast.ExprStmt(token.line, expr)
+        if token.kind == "kw" and token.text in ("int", "float"):
+            return self.parse_decl()
+        if token.kind != "kw" or token.text not in (
+                "if", "while", "for", "return", "print"):
+            raise CompileError(f"unexpected token {token.text!r}",
+                               token.line, token.column)
+        self.advance()
+        if token.text == "if":
+            cond = self.parenthesized()
+            then_body = self.statement_as_body()
+            else_body: List[ast.Stmt] = []
+            if self.accept("kw", "else"):
+                else_body = self.statement_as_body()
+            return ast.If(token.line, cond, then_body, else_body)
+        if token.text == "while":
+            cond = self.parenthesized()
+            return ast.While(token.line, cond, self.statement_as_body())
+        if token.text == "for":
+            return self.parse_for(token)
+        if token.text == "print":
+            value = self.parenthesized()
+            self.expect(";")
+            return ast.Print(token.line, value)
+        value = None if self.check(";") else self.parse_expr()
+        self.expect(";")
+        return ast.Return(token.line, value)
 
     def parse_decl(self) -> ast.Stmt:
         type_token = self.expect("kw")
         name = self.expect("ident")
         if self.check("["):
-            dims = self.parse_const_dims(required=True)
+            dims = self.parse_array_dims()
             self.expect(";")
             return ast.ArrayDeclStmt(type_token.line, type_token.text,
                                      name.text, dims)
-        init = None
-        if self.accept("="):
-            init = self.parse_expr()
+        init = self.parse_expr() if self.accept("=") else None
         self.expect(";")
         return ast.DeclStmt(type_token.line, type_token.text, name.text, init)
 
-    def parse_if(self) -> ast.If:
-        token = self.expect("kw", "if")
+    def parenthesized(self) -> ast.Expr:
         self.expect("(")
-        cond = self.parse_expr()
+        expr = self.parse_expr()
         self.expect(")")
-        then_body = self.statement_as_body()
-        else_body: List[ast.Stmt] = []
-        if self.accept("kw", "else"):
-            else_body = self.statement_as_body()
-        return ast.If(token.line, cond, then_body, else_body)
+        return expr
 
-    def parse_while(self) -> ast.While:
-        token = self.expect("kw", "while")
-        self.expect("(")
-        cond = self.parse_expr()
-        self.expect(")")
-        return ast.While(token.line, cond, self.statement_as_body())
-
-    def parse_for(self) -> ast.For:
-        token = self.expect("kw", "for")
+    def parse_for(self, token: Token) -> ast.For:
         self.expect("(")
         init: Optional[ast.Stmt] = None
-        if not self.check(";"):
-            if self.check("kw"):
-                init = self.parse_decl()
-            else:
-                init = self.parse_simple_assign()
-                self.expect(";")
-        else:
-            self.expect(";")
+        if self.check("kw"):
+            init = self.parse_decl()
+        elif not self.accept(";"):
+            init = self.parse_assign(";")
         cond = None if self.check(";") else self.parse_expr()
         self.expect(";")
-        step = None if self.check(")") else self.parse_simple_assign()
-        self.expect(")")
+        step = None if self.accept(")") else self.parse_assign(")")
         return ast.For(token.line, init, cond, step,
                        self.statement_as_body())
 
@@ -235,137 +255,50 @@ class _Parser:
             return statement.body
         return [statement]
 
-    def parse_simple_assign(self) -> ast.Stmt:
+    def parse_assign(self, end: str) -> ast.Stmt:
+        """``IDENT index* '=' expr`` and then the *end* token."""
         name = self.expect("ident")
-        indices: List[ast.Expr] = []
-        while self.accept("["):
-            indices.append(self.parse_expr())
-            self.expect("]")
+        indices = self.indices()
         self.expect("=")
         value = self.parse_expr()
-        if indices:
-            return ast.IndexAssign(name.line, name.text, indices, value)
-        return ast.Assign(name.line, name.text, value)
-
-    def parse_assign_or_expr(self) -> ast.Stmt:
-        # lookahead: IDENT ('[' ... ']')* '=' is an assignment
-        save = self.pos
-        name = self.expect("ident")
-        indices: List[ast.Expr] = []
-        is_assign = False
-        try:
-            while self.accept("["):
-                indices.append(self.parse_expr())
-                self.expect("]")
-            is_assign = self.check("=")
-        except CompileError:
-            is_assign = False
-        if is_assign:
-            self.expect("=")
-            value = self.parse_expr()
-            self.expect(";")
-            if indices:
-                if len(indices) > 2:
-                    raise CompileError("at most 2 array dimensions supported",
-                                       name.line, name.column)
-                return ast.IndexAssign(name.line, name.text, indices, value)
+        self.expect(end)
+        if not indices:
             return ast.Assign(name.line, name.text, value)
-        self.pos = save
-        expr = self.parse_expr()
-        self.expect(";")
-        return ast.ExprStmt(name.line, expr)
+        _limit_dims(indices, 2, name)
+        return ast.IndexAssign(name.line, name.text, indices, value)
 
     # -- expressions -------------------------------------------------------------
 
-    def parse_expr(self) -> ast.Expr:
-        return self.parse_or()
-
-    def parse_or(self) -> ast.Expr:
-        expr = self.parse_and()
-        while self.check("||"):
-            token = self.advance()
-            expr = ast.Binary(token.line, "||", expr, self.parse_and())
-        return expr
-
-    def parse_and(self) -> ast.Expr:
-        expr = self.parse_equality()
-        while self.check("&&"):
-            token = self.advance()
-            expr = ast.Binary(token.line, "&&", expr, self.parse_equality())
-        return expr
-
-    def parse_equality(self) -> ast.Expr:
-        expr = self.parse_relational()
-        while self.check("==") or self.check("!="):
-            token = self.advance()
-            expr = ast.Binary(token.line, token.text, expr,
-                              self.parse_relational())
-        return expr
-
-    def parse_relational(self) -> ast.Expr:
-        expr = self.parse_additive()
-        while (self.check("<") or self.check("<=")
-               or self.check(">") or self.check(">=")):
-            token = self.advance()
-            expr = ast.Binary(token.line, token.text, expr,
-                              self.parse_additive())
-        return expr
-
-    def parse_additive(self) -> ast.Expr:
-        expr = self.parse_multiplicative()
-        while self.check("+") or self.check("-"):
-            token = self.advance()
-            expr = ast.Binary(token.line, token.text, expr,
-                              self.parse_multiplicative())
-        return expr
-
-    def parse_multiplicative(self) -> ast.Expr:
+    def parse_expr(self, lowest: int = 1) -> ast.Expr:
+        """Precedence climbing over operators binding at least *lowest*."""
         expr = self.parse_unary()
-        while self.check("*") or self.check("/") or self.check("%"):
+        while _BINARY.get(self.tokens[self.pos].kind, 0) >= lowest:
             token = self.advance()
-            expr = ast.Binary(token.line, token.text, expr, self.parse_unary())
+            expr = ast.Binary(token.line, token.text, expr,
+                              self.parse_expr(_BINARY[token.text] + 1))
         return expr
 
     def parse_unary(self) -> ast.Expr:
-        if self.check("-") or self.check("!"):
-            token = self.advance()
+        token = self.advance()
+        if token.kind in ("-", "!"):
             return ast.Unary(token.line, token.text, self.parse_unary())
-        return self.parse_primary()
-
-    def parse_primary(self) -> ast.Expr:
-        token = self.peek()
         if token.kind == "int":
-            self.advance()
             return ast.IntLit(token.line, token.value)
         if token.kind == "float":
-            self.advance()
             return ast.FloatLit(token.line, token.value)
         if token.kind == "(":
-            self.advance()
             expr = self.parse_expr()
             self.expect(")")
             return expr
         if token.kind == "ident":
-            self.advance()
             if self.accept("("):
-                args: List[ast.Expr] = []
-                if not self.check(")"):
-                    while True:
-                        args.append(self.parse_expr())
-                        if not self.accept(","):
-                            break
-                self.expect(")")
-                return ast.Call(token.line, token.text, args)
-            indices: List[ast.Expr] = []
-            while self.accept("["):
-                indices.append(self.parse_expr())
-                self.expect("]")
-            if indices:
-                if len(indices) > 2:
-                    raise CompileError("at most 2 array dimensions supported",
-                                       token.line, token.column)
-                return ast.Index(token.line, token.text, indices)
-            return ast.VarRef(token.line, token.text)
+                return ast.Call(token.line, token.text,
+                                self.comma_list(self.parse_expr))
+            indices = self.indices()
+            if not indices:
+                return ast.VarRef(token.line, token.text)
+            _limit_dims(indices, 2, token)
+            return ast.Index(token.line, token.text, indices)
         raise CompileError(f"unexpected token {token.text!r} in expression",
                            token.line, token.column)
 

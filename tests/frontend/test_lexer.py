@@ -83,3 +83,13 @@ class TestErrors:
     def test_unexpected_character(self):
         with pytest.raises(CompileError, match="unexpected character"):
             tokenize("a @ b")
+
+    @pytest.mark.parametrize("char", ["²", "١", "é"])
+    def test_non_ascii_character_is_unexpected(self, char):
+        # identifiers and digits are ASCII: no int() crash on '²', no
+        # Arabic-Indic digit, no accented identifier
+        with pytest.raises(CompileError, match="unexpected character") as info:
+            tokenize(f"int x;\n  x = 1{char};")
+        assert (info.value.line, info.value.column) == (2, 8)
+        with pytest.raises(CompileError, match="unexpected character"):
+            tokenize(f"int {char}x;")

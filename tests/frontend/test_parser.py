@@ -168,3 +168,13 @@ class TestErrors:
     def test_stray_token_at_top_level(self):
         with pytest.raises(CompileError, match="expected a declaration"):
             parse("42;")
+
+    @pytest.mark.parametrize("header", ["g[1][2][3] = 0; 0; ",
+                                        "; 0; g[1][2][3] = 0"])
+    def test_for_header_takes_at_most_two_subscripts(self, header):
+        source = "int g[4];\nint main() { for (%s) {} return 0; }" % header
+        with pytest.raises(CompileError,
+                           match="at most 2 array dimensions") as info:
+            parse(source)
+        column = source.index("g[1]") - source.index("\n")
+        assert (info.value.line, info.value.column) == (2, column)

@@ -119,10 +119,11 @@ class TestProtocolErrors:
         assert json.loads(data)["error"]["code"] == "bad_request"
 
     def test_compile_error_is_422(self, server):
-        status, _, data = server.post("compile",
-                                      {"source": "int main() { return 0 }"})
-        assert status == 422
-        assert json.loads(data)["error"]["code"] == "compile_error"
+        # '²' is a digit to str.isdigit() but not to int(): still a 422
+        for source in ("int main() { return 0 }", "int main() { return 2²; }"):
+            status, _, data = server.post("compile", {"source": source})
+            assert status == 422
+            assert json.loads(data)["error"]["code"] == "compile_error"
 
 
 class TestKeepAlive:
