@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from .. import obs
 from ..ir.guards import Guard
-from ..ir.operations import Opcode, Operation
+from ..ir.operations import NO_PATH, Opcode, Operation
 from ..ir.program import Function, Program
 from ..ir.tree import DecisionTree, ExitKind, TreeExit
 from ..ir.validate import validate_program
@@ -201,7 +201,7 @@ class _Grafter:
                 dest=mapped(op.dest) if op.dest is not None else None,
                 srcs=tuple(map_operand(s) for s in op.srcs),
                 guard=inlined_guard if needs_guard else map_guard(op.guard),
-                path_literals=path | op.path_literals,
+                path_literals=path | op.path_literals or NO_PATH,
                 access=op.access,
             ))
 
@@ -235,7 +235,7 @@ class _Grafter:
                 result=sub_exit.result,
                 value=(map_operand(sub_exit.value)
                        if sub_exit.value is not None else None),
-                path_literals=path | sub_exit.path_literals,
+                path_literals=path | sub_exit.path_literals or NO_PATH,
             ))
 
         tree.ops.extend(new_ops)

@@ -220,26 +220,43 @@ class _FunctionLowerer:
 
     def _extract_calls(self, expr: Optional[ast.Expr]) -> Optional[ast.Expr]:
         """Hoist non-intrinsic calls out of *expr*, emitting TCall chains;
-        returns the rewritten, call-free expression."""
+        returns the rewritten, call-free expression.  A subtree that
+        holds no such call comes back as the same node, not a copy."""
         if expr is None or isinstance(expr, (ast.IntLit, ast.FloatLit,
                                              ast.VarRef)):
             return expr
         if isinstance(expr, ast.Unary):
-            return ast.Unary(expr.line, expr.op,
-                             self._extract_calls(expr.operand))
+            operand = self._extract_calls(expr.operand)
+            if operand is expr.operand:
+                return expr
+            return ast.Unary(expr.line, expr.op, operand)
         if isinstance(expr, ast.Binary):
             left = self._extract_calls(expr.left)
             right = self._extract_calls(expr.right)
+            if left is expr.left and right is expr.right:
+                return expr
             return ast.Binary(expr.line, expr.op, left, right)
         if isinstance(expr, ast.Index):
-            return ast.Index(expr.line, expr.name,
-                             [self._extract_calls(ix) for ix in expr.indices])
+            indices = self._extract_list(expr.indices)
+            if indices is expr.indices:
+                return expr
+            return ast.Index(expr.line, expr.name, indices)
         if isinstance(expr, ast.Call):
             if expr.name in INTRINSICS:
-                return ast.Call(expr.line, expr.name,
-                                [self._extract_calls(a) for a in expr.args])
+                args = self._extract_list(expr.args)
+                if args is expr.args:
+                    return expr
+                return ast.Call(expr.line, expr.name, args)
             return self._lower_call(expr)
         raise self._error(f"unsupported expression {type(expr).__name__}")
+
+    def _extract_list(self, exprs: List[ast.Expr]) -> List[ast.Expr]:
+        """:meth:`_extract_calls` over a list; *exprs* itself when no
+        element changed."""
+        rewritten = [self._extract_calls(each) for each in exprs]
+        if all(new is old for new, old in zip(rewritten, exprs)):
+            return exprs
+        return rewritten
 
     def _lower_call(self, expr: ast.Call) -> ast.Expr:
         signature = self.env.signatures.get(expr.name)

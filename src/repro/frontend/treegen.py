@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.guards import Guard
-from ..ir.operations import Opcode, Operation, PathLiterals
+from ..ir.operations import NO_PATH, Opcode, Operation, PathLiterals
 from ..ir.program import Function
 from ..ir.tree import DecisionTree, ExitKind, TreeExit
 from ..ir.values import BOOL, Register
@@ -143,7 +143,7 @@ class _TreeEmitter:
             else:
                 emitted = Operation(self.tree.fresh_op_id(), op.opcode,
                                     dest=op.dest, srcs=op.srcs,
-                                    path_literals=frozenset(),
+                                    path_literals=NO_PATH,
                                     access=op.access)
             self._append(emitted)
         self._emit_terminator(block, guard, path)
@@ -209,7 +209,7 @@ def generate_trees(cfg: FunctionCFG) -> Function:
     entry_name = f"{cfg.name}.{cfg.entry}"
     for header in sorted(headers & reachable):
         emitter = _TreeEmitter(cfg, headers, header)
-        emitter.emit(header, None, frozenset())
+        emitter.emit(header, None, NO_PATH)
         function.add_tree(emitter.finish())
     function.entry = entry_name
     return function

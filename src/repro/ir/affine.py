@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
+from .frozen import slotted
+
 __all__ = ["AffineExpr", "VarBounds"]
 
 
@@ -28,6 +30,7 @@ __all__ = ["AffineExpr", "VarBounds"]
 VarBounds = Tuple[Optional[int], Optional[int]]
 
 
+@slotted
 @dataclass(frozen=True)
 class AffineExpr:
     """``const + sum(coeffs[s] * s for s in coeffs)`` over scalar symbols.
@@ -40,8 +43,12 @@ class AffineExpr:
     coeffs: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        cleaned = {s: c for s, c in dict(self.coeffs).items() if c != 0}
-        object.__setattr__(self, "coeffs", cleaned)
+        # one pass copies the caller's mapping and drops zero terms; an
+        # empty dict (most expressions are constants) is kept as it is
+        coeffs = self.coeffs
+        if coeffs or type(coeffs) is not dict:
+            object.__setattr__(self, "coeffs",
+                               {s: c for s, c in coeffs.items() if c != 0})
 
     # -- algebra ---------------------------------------------------------
 

@@ -10,7 +10,7 @@ from typing import Optional, Sequence, Union
 
 from .guards import Guard
 from .memory import MemAccess
-from .operations import Opcode, Operation, PathLiterals
+from .operations import NO_PATH, Opcode, Operation, PathLiterals
 from .tree import DecisionTree, ExitKind, TreeExit
 from .values import BOOL, FLOAT, INT, Constant, Operand, Register
 
@@ -42,7 +42,7 @@ class TreeBuilder:
     def __init__(self, name: str):
         self.tree = DecisionTree(name)
         self._guard: Optional[Guard] = None
-        self._path: PathLiterals = frozenset()
+        self._path: PathLiterals = NO_PATH
 
     # -- context -----------------------------------------------------------
 
@@ -57,7 +57,7 @@ class TreeBuilder:
         if path is not None:
             self._path = path
         elif guard is None:
-            self._path = frozenset()
+            self._path = NO_PATH
         else:
             self._path = frozenset({(guard.reg.name, not guard.negate)})
 
@@ -87,7 +87,7 @@ class TreeBuilder:
             dest=dest,
             srcs=tuple(_as_operand(s) for s in srcs),
             guard=effective_guard,
-            path_literals=frozenset() if speculated else self._path,
+            path_literals=NO_PATH if speculated else self._path,
             access=access,
         )
         self.tree.append(op)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .. import obs
+from .frozen import slotted
 from .guard_analysis import GuardAnalysis
 from .guards import Guard
 from .operations import Operation
@@ -74,6 +75,7 @@ def naive_oracle(op_a: Operation, op_b: Operation) -> AliasAnswer:
     return AliasAnswer.MAYBE
 
 
+@slotted
 @dataclass(frozen=True)
 class Arc:
     """A dependence arc between two graph nodes (forward in list order).
@@ -96,20 +98,35 @@ class Arc:
 
 
 class DependenceGraph:
-    """Arcs plus adjacency over one decision tree."""
+    """Arcs plus adjacency over one decision tree.
+
+    The per-node pred/succ lists are built on the first :meth:`preds`
+    or :meth:`succs` call and never pickled, so a graph loaded from the
+    artifact store that is only reported, never timed, does not build
+    them at all.
+    """
 
     def __init__(self, tree: DecisionTree, arcs: Sequence[Arc]):
         self.tree = tree
         self.num_ops = len(tree.ops)
         self.num_nodes = self.num_ops + len(tree.exits)
         self.arcs: List[Arc] = list(arcs)
-        self._preds: List[List[Arc]] = [[] for _ in range(self.num_nodes)]
-        self._succs: List[List[Arc]] = [[] for _ in range(self.num_nodes)]
         for arc in self.arcs:
             if not 0 <= arc.src < arc.dst < self.num_nodes:
                 raise ValueError(f"arc {arc} out of range or not forward")
-            self._preds[arc.dst].append(arc)
-            self._succs[arc.src].append(arc)
+        self._preds: Optional[List[List[Arc]]] = None
+        self._succs: Optional[List[List[Arc]]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        return {**self.__dict__, "_preds": None, "_succs": None}
+
+    def _build_adjacency(self) -> None:
+        preds: List[List[Arc]] = [[] for _ in range(self.num_nodes)]
+        succs: List[List[Arc]] = [[] for _ in range(self.num_nodes)]
+        for arc in self.arcs:
+            preds[arc.dst].append(arc)
+            succs[arc.src].append(arc)
+        self._preds, self._succs = preds, succs
 
     # -- node helpers -----------------------------------------------------
 
@@ -130,9 +147,13 @@ class DependenceGraph:
     # -- arc queries --------------------------------------------------------
 
     def preds(self, node: int) -> List[Arc]:
+        if self._preds is None:
+            self._build_adjacency()
         return self._preds[node]
 
     def succs(self, node: int) -> List[Arc]:
+        if self._succs is None:
+            self._build_adjacency()
         return self._succs[node]
 
     def ambiguous_arcs(self) -> List[Arc]:

@@ -18,11 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .frozen import slotted
 from .values import BOOL, Register
 
 __all__ = ["Guard", "guards_disjoint", "guard_implies"]
 
 
+@slotted
 @dataclass(frozen=True)
 class Guard:
     """A (register, polarity) guard literal.

@@ -15,6 +15,7 @@ from enum import Enum
 from typing import Mapping, Optional
 
 from .affine import AffineExpr, VarBounds
+from .frozen import slotted
 
 __all__ = ["RegionKind", "Region", "MemAccess"]
 
@@ -28,6 +29,7 @@ class RegionKind(Enum):
     UNKNOWN = "unknown"  #: no base information at all
 
 
+@slotted
 @dataclass(frozen=True)
 class Region:
     """The base object of a memory access.
@@ -64,6 +66,7 @@ class Region:
         return False
 
 
+@slotted
 @dataclass(frozen=True)
 class MemAccess:
     """Compiler knowledge attached to one LOAD or STORE.

@@ -23,14 +23,15 @@ branch (tree exits)    2
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
+from .frozen import slotted
 from .guards import Guard
 from .memory import MemAccess
 from .values import Operand, Register
 
-__all__ = ["Opcode", "OpCategory", "Operation", "PathLiterals"]
+__all__ = ["Opcode", "OpCategory", "Operation", "PathLiterals", "NO_PATH"]
 
 
 class OpCategory(enum.Enum):
@@ -139,7 +140,13 @@ _COMMUTATIVE = frozenset(
 #: versions occupy every path's schedule.
 PathLiterals = frozenset
 
+#: The empty path-literal set.  Root-block and speculated operations
+#: and exits all share this one object, so a pickled artifact stores
+#: (and a loaded one holds) a single empty set rather than one each.
+NO_PATH: PathLiterals = frozenset()
 
+
+@slotted
 @dataclass(frozen=True)
 class Operation:
     """One guarded IR operation.
@@ -165,7 +172,7 @@ class Operation:
     dest: Optional[Register] = None
     srcs: Tuple[Operand, ...] = ()
     guard: Optional[Guard] = None
-    path_literals: PathLiterals = field(default_factory=frozenset)
+    path_literals: PathLiterals = NO_PATH
     access: Optional[MemAccess] = None
 
     # -- classification ---------------------------------------------------

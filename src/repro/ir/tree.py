@@ -24,8 +24,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from .frozen import slotted
 from .guards import Guard
-from .operations import Operation, PathLiterals
+from .operations import NO_PATH, Operation, PathLiterals
 from .values import Operand, Register
 
 __all__ = ["ExitKind", "TreeExit", "DecisionTree"]
@@ -39,6 +40,7 @@ class ExitKind(enum.Enum):
     HALT = "halt"      #: end the program (only valid in main)
 
 
+@slotted
 @dataclass(frozen=True)
 class TreeExit:
     """One exit point of a decision tree.
@@ -57,7 +59,7 @@ class TreeExit:
     args: Tuple[Operand, ...] = ()
     result: Optional[Register] = None          # CALL: register receiving the return value
     value: Optional[Operand] = None            # RETURN: returned operand
-    path_literals: PathLiterals = field(default_factory=frozenset)
+    path_literals: PathLiterals = NO_PATH
 
     def __post_init__(self) -> None:
         if self.kind in (ExitKind.GOTO, ExitKind.CALL) and self.target is None:

@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .frozen import slotted
+
 __all__ = [
     "Register",
     "Constant",
@@ -39,6 +41,7 @@ BOOL = "bool"
 _VALID_TYPES = frozenset({INT, FLOAT, BOOL})
 
 
+@slotted
 @dataclass(frozen=True)
 class Register:
     """A virtual register.
@@ -72,6 +75,7 @@ class Register:
         return f"%{self.name}"
 
 
+@slotted
 @dataclass(frozen=True)
 class Constant:
     """An immediate operand (Python int or float)."""

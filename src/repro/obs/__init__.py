@@ -35,10 +35,17 @@ The API is intentionally tiny:
 ``annotate(**kw)`` attach attributes to the current span
 ``observe(n, v)``  record a sample into a histogram summary
 =================  =====================================================
+
+While a tracer is installed, a ``gc.callbacks`` hook also counts the
+interpreter's garbage collections (``runtime.gc.collections``) and
+their summed pause time (``runtime.gc.pause_ms``) in its registry; the
+hook is removed with the tracer, so untraced runs pay nothing for it.
 """
 
 from __future__ import annotations
 
+import gc
+import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
@@ -60,18 +67,47 @@ __all__ = [
 #: The installed tracer; ``None`` means tracing is disabled (default).
 _tracer: Optional[Tracer] = None
 
+#: ``perf_counter_ns`` at the start of the collection in progress.
+_gc_started = 0
+
+
+def _on_gc(phase: str, info: dict) -> None:
+    """``gc.callbacks`` hook: one collection and its pause, per stop."""
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter_ns()
+        return
+    tracer = _tracer
+    if tracer is not None and _gc_started:
+        metrics = tracer.metrics
+        metrics.incr("runtime.gc.collections")
+        metrics.incr("runtime.gc.pause_ms",
+                     (time.perf_counter_ns() - _gc_started) / 1e6)
+    _gc_started = 0
+
+
+def _install(tracer: Optional[Tracer]) -> None:
+    """Make *tracer* the active one; hook the collector while one is."""
+    global _tracer
+    _tracer = tracer
+    hooked = _on_gc in gc.callbacks
+    if tracer is not None and not hooked:
+        gc.callbacks.append(_on_gc)
+    elif tracer is None and hooked:
+        gc.callbacks.remove(_on_gc)
+
 
 def enable(tracer: Optional[Tracer] = None) -> Tracer:
     """Install *tracer* (or a fresh one) as the active tracer."""
-    global _tracer
-    _tracer = tracer if tracer is not None else Tracer()
-    return _tracer
+    active = tracer if tracer is not None else Tracer()
+    _install(active)
+    return active
 
 
 def disable() -> Optional[Span]:
     """Uninstall the active tracer; return its finished root span."""
-    global _tracer
-    tracer, _tracer = _tracer, None
+    tracer = _tracer
+    _install(None)
     return tracer.finish() if tracer is not None else None
 
 
@@ -89,15 +125,14 @@ def current_tracer() -> Optional[Tracer]:
 def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
     """Install a tracer for the duration of the block, then restore the
     previously installed one (so traced regions nest safely)."""
-    global _tracer
     previous = _tracer
     active = tracer if tracer is not None else Tracer()
-    _tracer = active
+    _install(active)
     try:
         yield active
     finally:
         active.finish()
-        _tracer = previous
+        _install(previous)
 
 
 # -- module-level instrumentation points (the fast path) ----------------------

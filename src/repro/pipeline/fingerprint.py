@@ -40,7 +40,10 @@ __all__ = ["PIPELINE_VERSION", "fingerprint", "spd_config_key",
 #: 3: execution-engine refactor — profile/view fingerprints gained the
 #: ``engine`` key, and pickled LatencyTable instances grew the cached
 #: category lookup table older payloads lack.
-PIPELINE_VERSION = 3
+#: 4: the frozen IR values gained ``__slots__`` and pickle positionally
+#: through their constructors, and dependence graphs stopped pickling
+#: their adjacency lists; version-3 payloads carry instance dicts.
+PIPELINE_VERSION = 4
 
 
 def fingerprint(payload: Dict[str, object]) -> str:

@@ -1,5 +1,7 @@
 """Tests for the hierarchical span tracer (repro.obs.trace)."""
 
+import gc
+
 import pytest
 
 from repro import obs
@@ -189,3 +191,34 @@ class TestModuleLevelApi:
         assert not obs.is_enabled()
         assert root.children[0].name == "work"
         assert tracer.metrics.counters["n"] == 1
+
+
+class TestGcCounters:
+    NAMES = ("runtime.gc.collections", "runtime.gc.pause_ms")
+
+    def test_collections_and_pauses_are_counted_under_a_tracer(self):
+        with obs.tracing() as tracer:
+            gc.collect()
+        counters = tracer.metrics.counters
+        assert counters["runtime.gc.collections"] >= 1
+        assert counters["runtime.gc.pause_ms"] >= 0
+        # registry only: a collection is not work of the span it lands in
+        assert not any(name in tracer.root.counters for name in self.NAMES)
+
+    def test_enable_hooks_the_collector_and_disable_unhooks_it(self):
+        tracer = obs.enable()
+        try:
+            gc.collect()
+        finally:
+            obs.disable()
+        counted = dict(tracer.metrics.counters)
+        gc.collect()
+        assert all(name in counted for name in self.NAMES)
+        assert tracer.metrics.counters == counted
+
+    def test_nothing_is_counted_without_a_tracer(self):
+        assert not obs.is_enabled()
+        assert obs._on_gc not in gc.callbacks
+        idle = Tracer()
+        gc.collect()
+        assert not any(name in idle.metrics.counters for name in self.NAMES)
