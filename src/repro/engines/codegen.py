@@ -28,29 +28,21 @@ identical to :meth:`repro.sim.interpreter.Interpreter._execute_tree`:
 * profile collection (committed-op counts, memory traces) and the
   observability squash tallies byte-match the interpreter's.
 
-Two per-tree modes serve the hardware simulator; the JIT's
-whole-function dispatch loop (:class:`_FunctionEmitter`) shares their
-operation bodies:
-
-``hw_resolve``
-    The hardware simulator's pass, run on a copy of the frame's
-    registers: loads/stores record canonical-address-class events and
-    loads read through a store overlay; stores and PRINT values are
-    buffered in program order.  Returns ``(exit_index, events, stores,
-    prints)``, or only the exit index for a tree without memory
-    operations, which prints directly.  The index is ``-1`` when no
-    exit fires *or* an exit guard is undefined: the caller re-evaluates
-    the exits, for the interpreter's exact error, once stores drained.
-``hw_commit``
-    The hardware simulator's LSQ-ordered pass, needed only when the
-    timing reorders a load: loads/stores go through injected LSQ
-    callbacks; the caller drains the store buffer and evaluates exits
-    (in-order retirement happens *between* the two, so exits cannot
-    move into the generated body).
+Two shapes are generated.  The JIT's whole-function dispatch loop
+(:class:`_FunctionEmitter`) shares its operation bodies with the
+hardware simulator's per-tree ``hw_resolve`` pass
+(:func:`generate_tree_source`), which runs on a copy of the frame's
+registers: loads/stores record canonical-address-class events and
+loads read through a store overlay; stores and PRINT values are
+buffered in program order.  The pass returns ``(exit_index, events,
+stores, prints)``, or only the exit index for a tree without memory
+operations, which prints directly.  The index is ``-1`` when no exit
+fires *or* an exit guard is undefined: the caller re-evaluates the
+exits, for the interpreter's exact error, once stores drained.
 
 Generated sources are deterministic functions of (tree structure,
-mode, flags) and therefore double as structural tree fingerprints for
-the bounded code cache in :mod:`repro.engines.jit`.
+flags) and therefore double as structural tree fingerprints for the
+bounded code cache in :mod:`repro.engines.jit`.
 """
 
 from __future__ import annotations
@@ -153,21 +145,22 @@ def touches_memory(tree: DecisionTree) -> bool:
 
 
 class _Emitter:
-    """Generates the specialized source of one tree in a hardware mode.
+    """Generates the ``hw_resolve`` source of one tree.
 
-    The operation bodies also serve :class:`_FunctionEmitter` (mode
-    ``jit``), the only mode that collects profiles or traces stores.
+    The operation bodies also serve :class:`_FunctionEmitter`, the only
+    emitter that collects profiles or traces stores.
     """
 
-    def __init__(self, tree: DecisionTree, mode: str, strict_memory: bool,
-                 collect_profile: bool = False, trace_stores: bool = False):
+    def __init__(self, tree: DecisionTree, strict_memory: bool,
+                 buffers: bool, collect_profile: bool = False,
+                 trace_stores: bool = False):
         self.tree = tree
-        self.mode = mode
         self.collect_profile = collect_profile
         self.trace_stores = trace_stores
         self.strict_memory = strict_memory
-        #: hw_resolve only: buffer stores and output for the caller
-        self.buffers = mode == "hw_resolve" and touches_memory(tree)
+        #: hw_resolve of a memory tree: record events, read loads
+        #: through the store overlay, buffer stores and output
+        self.buffers = buffers
         self.lines: List[str] = []
         self.reg_var: Dict[str, str] = {}
         #: register names written by at least one op in this tree
@@ -253,12 +246,10 @@ class _Emitter:
         junk = "0.0" if op.dest.type == FLOAT else "0"
         out.append(f"{indent}_a = {self.read(op.srcs[0])}")
         out.append(f"{indent}if isinstance(_a, int) and 0 <= _a < _ml:")
-        if self.mode == "hw_resolve":
+        if self.buffers:
             out.append(f"{indent}    _ev.append("
                        f"({op_index}, False, _co.setdefault(_a, len(_co))))")
             out.append(f"{indent}    {dest} = _ov.get(_a, memory[_a])")
-        elif self.mode == "hw_commit":
-            out.append(f"{indent}    {dest} = _load({op_index}, _a)")
         else:
             out.append(f"{indent}    {dest} = memory[_a]")
             if self.collect_profile:
@@ -279,13 +270,11 @@ class _Emitter:
         out.append(f"{indent}_a = {self.read(op.srcs[1])}")
         out.append(f"{indent}if not (isinstance(_a, int) and 0 <= _a < _ml): "
                    f"_ca(_a)")
-        if self.mode == "hw_resolve":
+        if self.buffers:
             out.append(f"{indent}_ev.append("
                        f"({op_index}, True, _co.setdefault(_a, len(_co))))")
             out.append(f"{indent}_ov[_a] = _v")
             out.append(f"{indent}_sl.append((_a, _v))")
-        elif self.mode == "hw_commit":
-            out.append(f"{indent}_store({op_index}, _a, _v)")
         else:
             out.append(f"{indent}memory[_a] = _v")
             if self.trace_stores:
@@ -322,14 +311,10 @@ class _Emitter:
                 if op.dest is not None:
                     self.written.add(op.dest.name)
 
-        if self.mode == "hw_resolve":
-            self._emit_exits(body)
-            self._emit_writeback(body)
-            body.append("    return _ei, _ev, _sl, _pr" if self.buffers
-                        else "    return _ei")
-        else:
-            self._emit_writeback(body)
-            body.append("    return None")
+        self._emit_exits(body)
+        self._emit_writeback(body)
+        body.append("    return _ei, _ev, _sl, _pr" if self.buffers
+                    else "    return _ei")
 
         return "\n".join(self._emit_header() + body) + "\n"
 
@@ -361,11 +346,7 @@ class _Emitter:
                             f"regs[{name!r}] = {var}")
 
     def _emit_header(self) -> List[str]:
-        if self.mode == "hw_commit":
-            # the LSQ load/store callbacks are injected per execution
-            header = ["def _tree_fn(regs, memory, interp, _load, _store):"]
-        else:
-            header = ["def _tree_fn(regs, memory, interp):"]
+        header = ["def _tree_fn(regs, memory, interp):"]
         if self.reg_var:
             header.append("    _get = regs.get")
         for name, var in self.reg_var.items():
@@ -385,19 +366,17 @@ class _Emitter:
         return header
 
 
-def generate_tree_source(tree: DecisionTree, mode: str,
+def generate_tree_source(tree: DecisionTree,
                          strict_memory: bool = False) -> str:
-    """Source text of the specialized function for *tree* in *mode*
-    (``hw_resolve`` or ``hw_commit``).
+    """Source text of the hardware simulator's ``hw_resolve`` pass for
+    *tree*.
 
-    The text is a pure function of the tree's structure and the flags,
+    The text is a pure function of the tree's structure and the flag,
     which makes it the cache key of the bounded code cache: trees with
     identical shape (across programs, even) share one compiled
     function.
     """
-    if mode not in ("hw_resolve", "hw_commit"):
-        raise ValueError(f"unknown codegen mode {mode!r}")
-    return _Emitter(tree, mode, strict_memory).generate()
+    return _Emitter(tree, strict_memory, touches_memory(tree)).generate()
 
 
 class _FunctionEmitter(_Emitter):
@@ -428,9 +407,8 @@ class _FunctionEmitter(_Emitter):
     def __init__(self, function, collect_profile: bool,
                  trace_stores: bool, strict_memory: bool,
                  count_squashes: bool):
-        trees = list(function.trees.values())
-        super().__init__(trees[0] if trees else None, "jit", strict_memory,
-                         collect_profile, trace_stores)
+        super().__init__(None, strict_memory, False, collect_profile,
+                         trace_stores)
         self.count_squashes = count_squashes
         self.function = function
         self.tree_names = list(function.trees)

@@ -49,9 +49,8 @@ from ..frontend.driver import compile_source
 from ..frontend.errors import CompileError
 from ..frontend.grafting import graft_program
 from ..hwsim.core import HwSimulator
-from ..hwsim.predictor import predictor_names
 from ..machine.description import machine
-from ..machine.hw import hw_machine
+from ..machine.hw import PREDICTOR_NAMES, hw_machine
 from ..passes import DEFAULT_CLEANUP, PassPipelineConfig
 from ..sim.evaluate import evaluate_program
 from ..sim.interpreter import Interpreter, InterpreterError
@@ -105,11 +104,11 @@ class OracleConfig:
     #: run the hardware simulator as a differential backend: the base
     #: program under each of these predictors, plus the SPEC view under
     #: the last one, all against the reference interpreter.  The default
-    #: is every registered predictor policy except the oracle (which the
-    #: sweep runs separately as the unbounded lower-bound machine).
+    #: is every predictor except the oracle (which the sweep runs
+    #: separately as the unbounded lower-bound machine).
     check_hardware: bool = True
     hw_predictors: Tuple[str, ...] = tuple(
-        name for name in predictor_names() if name != "oracle")
+        name for name in PREDICTOR_NAMES if name != "oracle")
     #: deliberately tight hardware shape — 2 units, 8-entry window —
     #: so the window/retirement logic is exercised, not just bypassing
     hw_num_fus: int = 2

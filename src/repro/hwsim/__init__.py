@@ -14,8 +14,8 @@ Layers:
   ``never``, ``store-set``, ``oracle``);
 * :mod:`~repro.hwsim.engine` — the per-tree-execution cycle engine;
 * :mod:`~repro.hwsim.core` — the program walker coupling functional
-  semantics to the engine's timing (and exposing timing bugs as
-  functional divergences for the fuzz oracle).
+  semantics to the engine's timing; a timing that forwards a load out
+  of program order raises, and the fuzz oracle reports the crash.
 
 Machine configurations live in :mod:`repro.machine.hw`; the
 ``repro hwcompare`` experiment (:mod:`repro.experiments.hw_compare`)

@@ -16,24 +16,21 @@ registers, drains the stores and appends the output.
 That retirement is exact only if the load/store queue forwards every
 load the value the pass gave it: the LSQ forwards the latest earlier
 same-address store that has completed by the load's final issue, else
-memory.  Each memo entry therefore carries an *in-order forwarding
-flag*, computed once per miss: every load's latest earlier same-class
-store, if any, completes by the load's final issue.  Exactly then the
-LSQ's pick is the overlay's pick, and an LSQ-ordered pass would
-recompute the same registers, stores and output.  Otherwise — only an
-engine that mis-orders memory gets here — the pass's results are
-dropped and the ``hw_commit`` pass, compiled on first need, re-executes
-the tree with every load drawn from the engine's timing.  A timing bug
-thus commits a stale value, and the fuzz oracle
-(:mod:`repro.fuzz.oracle`) sees an output/memory divergence rather
-than a bug hidden inside cycle counts.
+memory.  Each memo miss therefore checks *in-order forwarding*: every
+load's latest earlier same-class store, if any, completes by the load's
+final issue.  Exactly then the LSQ's pick is the overlay's pick, and an
+LSQ-ordered pass would recompute the same registers, stores and output.
+A timing that fails the check breaks the data dependence the engine
+must honour, so it raises ``AssertionError`` naming the tree, the load
+node and the store node, and no result of the tree is retired; the fuzz
+oracle (:mod:`repro.fuzz.oracle`) reports it as a ``crash`` divergence.
 
 The predictor's decision bits cost O(loads x stores) queries, so each
 tree caches them on the event tuple; the cache is bounded by
-``HwMachine.memo_capacity`` and dropped whenever the predictor trains.
-Trees without memory operations run the pass on the frame's own
-registers and reuse their one timing result.  Neither cache changes
-the memo's hit, miss or eviction counts.
+:data:`MEMO_CAPACITY`, like the memo, and dropped whenever the
+predictor trains.  Trees without memory operations run the pass on the
+frame's own registers and reuse their one timing result.  Neither cache
+changes the memo's hit, miss or eviction counts.
 """
 
 from __future__ import annotations
@@ -50,10 +47,15 @@ from ..ir.tree import DecisionTree
 from ..machine.hw import HwMachine
 from ..sim.interpreter import Interpreter, InterpreterError, Number, RunResult
 from .engine import EngineResult, TreeContext, simulate_tree
-from .predictor import DependencePredictor, make_predictor
+from .predictor import DependencePredictor, NeverSpeculate, make_predictor
 
-__all__ = ["HwStats", "HwTiming", "HwRunResult", "HwSimulator",
-           "simulate_program"]
+__all__ = ["MEMO_CAPACITY", "HwStats", "HwTiming", "HwRunResult",
+           "HwSimulator", "simulate_program"]
+
+#: Entries each tree keeps in its timing memo (LRU) and in its decision
+#: cache.  A bound on simulator memory, not an architectural parameter:
+#: it cannot change any simulated cycle count.
+MEMO_CAPACITY = 4096
 
 
 @dataclass
@@ -67,7 +69,7 @@ class HwStats:
     squashes: int = 0            #: distinct loads squashed & replayed
     memo_hits: int = 0
     memo_misses: int = 0
-    memo_evictions: int = 0      #: LRU entries dropped at memo_capacity
+    memo_evictions: int = 0      #: LRU entries dropped at MEMO_CAPACITY
 
     @property
     def replays(self) -> int:
@@ -118,7 +120,7 @@ class HwRunResult(RunResult):
 class _TreeState:
     """Everything the simulator keeps per static tree."""
 
-    __slots__ = ("tree", "ctx", "steps", "run", "commit", "has_mem",
+    __slots__ = ("tree", "ctx", "steps", "run", "has_mem",
                  "op_keys", "memo", "decisions", "result")
 
     def __init__(self, function: str, name: str, tree: DecisionTree,
@@ -129,37 +131,37 @@ class _TreeState:
         #: the compiled pass (shared bounded code cache with the
         #: ``jit`` engine — the source is the key, so identical tree
         #: shapes compile once per process)
-        self.run = compiled_fn(generate_tree_source(
-            tree, mode="hw_resolve", strict_memory=strict_memory))
-        #: the LSQ-ordered ``hw_commit`` pass, compiled on first need
-        self.commit = None
+        self.run = compiled_fn(generate_tree_source(tree, strict_memory))
         self.has_mem = touches_memory(tree)
         #: predictor identity of each op, by node index
         self.op_keys = [(function, name, op.op_id) for op in tree.ops]
-        #: (events, decisions) -> (EngineResult, forwards_in_order), LRU
-        self.memo: "OrderedDict[tuple, Tuple[EngineResult, bool]]" = \
-            OrderedDict()
+        #: (events, decisions) -> EngineResult, LRU
+        self.memo: "OrderedDict[tuple, EngineResult]" = OrderedDict()
         #: events -> (bypass map, memo key), valid until the next train
         self.decisions: Dict[tuple, tuple] = {}
         #: memory-free trees: their one timing result
         self.result: Optional[EngineResult] = None
 
 
-def _forwards_in_order(events, result: EngineResult) -> bool:
-    """Does the LSQ forward every load the value sequential execution
-    reads — the latest earlier same-address store's, or memory's when
-    there is none?  It does exactly when that store has completed by
-    the load's final issue."""
+def _check_in_order(label: str, events, result: EngineResult) -> None:
+    """Raise unless the LSQ forwards every load the value sequential
+    execution reads — the latest earlier same-address store's, or
+    memory's when there is none.  It does exactly when that store has
+    completed by the load's final issue."""
     latest_store: Dict[int, int] = {}
-    for index, (_node, is_store, addr_class) in enumerate(events):
+    for index, (node, is_store, addr_class) in enumerate(events):
         if is_store:
             latest_store[addr_class] = index
-        else:
-            store = latest_store.get(addr_class)
-            if (store is not None and result.mem_completion[store]
-                    > result.final_issue[index]):
-                return False
-    return True
+            continue
+        store = latest_store.get(addr_class)
+        if (store is not None and result.mem_completion[store]
+                > result.final_issue[index]):
+            raise AssertionError(
+                f"hwsim timing of tree {label} mis-orders memory: load "
+                f"node {node} issues at cycle {result.final_issue[index]}, "
+                f"before store node {events[store][0]} to the same "
+                f"address completes at cycle "
+                f"{result.mem_completion[store]}")
 
 
 class HwSimulator(Interpreter):
@@ -178,7 +180,11 @@ class HwSimulator(Interpreter):
                          trace_stores=trace_stores)
         self.machine = machine
         self.is_oracle = machine.predictor == "oracle"
-        self.predictor: DependencePredictor = make_predictor(machine.predictor)
+        # the oracle decides every pair from the actual addresses
+        # (see _decide) and never consults its predictor
+        self.predictor: DependencePredictor = (
+            NeverSpeculate() if self.is_oracle
+            else make_predictor(machine.predictor))
         self.cycles = 0
         self.stats = HwStats()
         self._trees: Dict[Tuple[str, str], _TreeState] = {}
@@ -250,10 +256,10 @@ class HwSimulator(Interpreter):
 
     def _execute_memory_tree(self, frame, state: _TreeState):
         """Run the compiled pass on a copy of the registers, time it,
-        and retire its results if the LSQ forwards in order (else run
-        the LSQ-ordered commit pass).  Returns ``(exit index, engine
-        result)``; the exit index is ``-1`` when the caller must
-        re-evaluate the exits."""
+        check on a memo miss that the LSQ forwards in order, and retire
+        the pass's results.  Returns ``(exit index, engine result)``;
+        the exit index is ``-1`` when the caller must re-evaluate the
+        exits."""
         regs = dict(frame.regs)
         memory = self.memory
         exit_index, events, stores, prints = state.run(regs, memory, self)
@@ -265,25 +271,20 @@ class HwSimulator(Interpreter):
 
         stats = self.stats
         memo = state.memo
-        entry = memo.get(memo_key)
-        if entry is None:
+        result = memo.get(memo_key)
+        if result is None:
             result = simulate_tree(state.ctx, self.machine, events, bypass)
-            entry = memo[memo_key] = (
-                result, _forwards_in_order(events, result))
+            _check_in_order(f"{frame.function}.{frame.tree}", events, result)
+            memo[memo_key] = result
             stats.memo_misses += 1
-            capacity = self.machine.memo_capacity
-            if capacity is not None and len(memo) > capacity:
+            if len(memo) > MEMO_CAPACITY:
                 memo.popitem(last=False)
                 stats.memo_evictions += 1
         else:
             memo.move_to_end(memo_key)
             stats.memo_hits += 1
-        result, in_order = entry
         self._account(state, result)
 
-        if not in_order:
-            self._commit(frame, state, events, result)
-            return -1, result
         frame.regs = regs
         for addr, value in stores:
             memory[addr] = value
@@ -343,59 +344,10 @@ class HwSimulator(Interpreter):
                 bypass[(si, li)] = decision
                 decisions.append(decision)
         cache = state.decisions
-        capacity = self.machine.memo_capacity
-        if capacity is not None and len(cache) >= capacity:
+        if len(cache) >= MEMO_CAPACITY:
             del cache[next(iter(cache))]
         decision = cache[events] = (bypass, (events, tuple(decisions)))
         return decision
-
-    # -- the LSQ-ordered commit pass -----------------------------------------
-
-    def _commit(self, frame, state: _TreeState, events,
-                result: EngineResult) -> None:
-        """Re-execute the tree sequentially, drawing every load's value
-        from the load/store queue ordering the engine produced.  Stores
-        drain to memory at tree exit in program order (in-order
-        retirement) — *before* the exit guards are evaluated, which is
-        why the compiled commit pass returns to the caller instead of
-        selecting the exit itself."""
-        if state.commit is None:
-            state.commit = compiled_fn(generate_tree_source(
-                state.tree, mode="hw_commit",
-                strict_memory=self.strict_memory))
-        memory = self.memory
-        event_of_node = {e[0]: i for i, e in enumerate(events)}
-        store_vals: Dict[int, Tuple[int, Number]] = {}
-        pending_stores: List[Tuple[int, Number]] = []
-
-        def load_by_index(op_index: int, addr: int) -> Number:
-            ei = event_of_node.get(op_index)
-            if ei is None:
-                # not timed by the engine (only possible after an engine
-                # bug diverged the commit pass): sequential fallback
-                for st_addr, st_val in reversed(pending_stores):
-                    if st_addr == addr:
-                        return st_val
-                return memory[addr]
-            horizon = result.final_issue[ei]
-            for si in range(ei - 1, -1, -1):
-                done = store_vals.get(si)
-                if (done is not None and done[0] == addr
-                        and result.mem_completion[si] <= horizon):
-                    return done[1]
-            return memory[addr]
-
-        def store_by_index(op_index: int, addr: int, value: Number) -> None:
-            ei = event_of_node.get(op_index)
-            if ei is not None:
-                store_vals[ei] = (addr, value)
-            pending_stores.append((addr, value))
-
-        state.commit(frame.regs, memory, self, load_by_index, store_by_index)
-        for addr, value in pending_stores:
-            memory[addr] = value
-            if self.trace_stores:
-                self.store_trace.append((addr, value))
 
 
 def simulate_program(program: Program, machine: HwMachine,

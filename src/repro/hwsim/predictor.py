@@ -18,18 +18,17 @@ Three policies bracket the design space, plus the idealised oracle:
                 thereafter waits for unresolved stores in its set and
                 bypasses the rest
 ``oracle``      perfect disambiguation, resolved by the simulator from
-                the actual addresses (the predictor object is never
-                consulted); defines the dataflow lower bound
+                the actual addresses (no policy object); defines the
+                dataflow lower bound
 ==============  =========================================================
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Tuple
+from typing import Dict, Tuple, Type
 
 __all__ = ["OpKey", "DependencePredictor", "AlwaysSpeculate",
-           "NeverSpeculate", "StoreSetPredictor", "register_predictor",
-           "predictor_names", "make_predictor"]
+           "NeverSpeculate", "StoreSetPredictor", "make_predictor"]
 
 #: Static identity of an operation: (function name, tree name, op_id).
 OpKey = Tuple[str, str, int]
@@ -38,7 +37,7 @@ OpKey = Tuple[str, str, int]
 class DependencePredictor:
     """Base policy: blind speculation with no learning."""
 
-    #: registry name (mirrors :data:`repro.machine.hw.PREDICTOR_NAMES`)
+    #: policy name (one of :data:`repro.machine.hw.PREDICTOR_NAMES`)
     name = "always"
 
     def may_bypass(self, load: OpKey, store: OpKey) -> bool:
@@ -47,12 +46,6 @@ class DependencePredictor:
 
     def train(self, load: OpKey, store: OpKey) -> None:
         """Record one misspeculation of *load* past *store*."""
-
-    def state_key(self, load: OpKey, store: OpKey) -> bool:
-        """The decision bit for one pair — part of the timing memo key,
-        so learning predictors invalidate memo entries exactly when a
-        decision flips."""
-        return self.may_bypass(load, store)
 
 
 class AlwaysSpeculate(DependencePredictor):
@@ -112,37 +105,18 @@ class StoreSetPredictor(DependencePredictor):
         self._set_of[self._find(store)] = self._find(load)
 
 
-#: Registered predictor factories, in registration order.  The fuzz
-#: oracle sweeps every non-oracle entry, so registering a new policy
-#: here automatically puts it under differential test.
-_PREDICTORS: Dict[str, Callable[[], DependencePredictor]] = {}
-
-
-def register_predictor(name: str,
-                       factory: Callable[[], DependencePredictor]) -> None:
-    """Register a predictor policy under *name* (last wins)."""
-    _PREDICTORS[name] = factory
-
-
-def predictor_names() -> Tuple[str, ...]:
-    """Registered policy names, in registration order."""
-    return tuple(_PREDICTORS)
+#: The policy behind each non-oracle predictor name.
+_POLICIES: Dict[str, Type[DependencePredictor]] = {
+    "always": AlwaysSpeculate,
+    "never": NeverSpeculate,
+    "store-set": StoreSetPredictor,
+}
 
 
 def make_predictor(name: str) -> DependencePredictor:
-    """Instantiate a predictor by registry name."""
-    factory = _PREDICTORS.get(name)
-    if factory is None:
+    """Instantiate the policy named *name*."""
+    policy = _POLICIES.get(name)
+    if policy is None:
         raise ValueError(f"unknown predictor {name!r}; "
-                         f"choose from {', '.join(_PREDICTORS)}")
-    return factory()
-
-
-register_predictor("always", AlwaysSpeculate)
-register_predictor("never", NeverSpeculate)
-register_predictor("store-set", StoreSetPredictor)
-# ``oracle`` maps to NeverSpeculate only as a placeholder — the
-# simulator special-cases the oracle machine and never consults the
-# predictor object (it orders loads behind exactly the stores they
-# truly alias with).
-register_predictor("oracle", NeverSpeculate)
+                         f"choose from {', '.join(_POLICIES)}")
+    return policy()

@@ -18,7 +18,7 @@ the point: ``repro hwcompare`` reproduces the paper's central
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional
 
 from .latencies import LatencyTable, TABLE_6_1_MEM2, TABLE_6_1_MEM6
@@ -26,7 +26,7 @@ from .latencies import LatencyTable, TABLE_6_1_MEM2, TABLE_6_1_MEM6
 __all__ = ["PREDICTOR_NAMES", "HwMachine", "HW_ORACLE_INFINITE",
            "hw_machine", "paper_hw_machines"]
 
-#: Registered memory-dependence predictor policies (see
+#: The memory-dependence predictors a machine may name (see
 #: :mod:`repro.hwsim.predictor`).  ``oracle`` is the idealised
 #: perfect-disambiguation predictor used as the dataflow lower bound.
 PREDICTOR_NAMES = ("always", "never", "store-set", "oracle")
@@ -48,11 +48,6 @@ class HwMachine:
     replay_penalty: int = 3
     latencies: LatencyTable = TABLE_6_1_MEM2
     name: str = ""
-    #: Per-tree timing-memo entries retained (LRU); ``None`` = unbounded.
-    #: A simulator implementation knob, not an architectural parameter —
-    #: excluded from cache fingerprints and :meth:`to_dict` because it
-    #: cannot change any simulated cycle count.
-    memo_capacity: Optional[int] = 4096
 
     def __post_init__(self) -> None:
         if self.num_fus is not None and self.num_fus < 1:
@@ -61,9 +56,6 @@ class HwMachine:
             raise ValueError("window must be >= 1 (or None for unbounded)")
         if self.replay_penalty < 0:
             raise ValueError("replay_penalty must be >= 0")
-        if self.memo_capacity is not None and self.memo_capacity < 1:
-            raise ValueError(
-                "memo_capacity must be >= 1 (or None for unbounded)")
         if self.predictor not in PREDICTOR_NAMES:
             raise ValueError(
                 f"unknown predictor {self.predictor!r}; "
@@ -75,10 +67,6 @@ class HwMachine:
                 self, "name",
                 f"hw-{width}fu-w{window}-mem{self.latencies.memory}"
                 f"-{self.predictor}")
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.num_fus is None
 
     @property
     def memory_latency(self) -> int:
@@ -95,12 +83,6 @@ class HwMachine:
             "replay_penalty": self.replay_penalty,
             "memory_latency": self.memory_latency,
         }
-
-    def with_fus(self, num_fus: Optional[int]) -> "HwMachine":
-        return replace(self, num_fus=num_fus, name="")
-
-    def with_predictor(self, predictor: str) -> "HwMachine":
-        return replace(self, predictor=predictor, name="")
 
 
 #: The idealised dynamic machine: unbounded width and window, perfect

@@ -1,11 +1,10 @@
-"""The one-pass tree execution, its commit fallback and the timing memo.
+"""The one-pass tree execution, its in-order check and the timing memo.
 
-hwsim runs each tree once (the compiled ``hw_resolve`` pass) and
-re-executes it through the LSQ-ordered ``hw_commit`` pass only when the
-engine's timing would forward some load a value other than the one
-sequential execution reads.  These tests hold the result to the
+hwsim runs each tree once (the compiled ``hw_resolve`` pass) and raises
+when the engine's timing would forward some load a value other than the
+one sequential execution reads.  These tests hold the result to the
 reference interpreter, pin the counters, and check that a timing bug
-still reaches the commit pass and shows up as a wrong output.
+raises and that the fuzz oracle reports it.
 """
 
 import dataclasses
@@ -16,8 +15,11 @@ from repro import obs
 from repro.engines import get_engine
 from repro.engines.codegen import generate_tree_source
 from repro.engines.jit import clear_code_cache
+from repro.fuzz.oracle import OracleConfig, check_source
 from repro.hwsim import HwSimulator, MemEvent, core
-from repro.machine.hw import HwMachine, hw_machine
+from repro.machine.hw import hw_machine
+
+from ..conftest import EXAMPLE_2_2
 
 PREDICTORS = ("always", "never", "store-set", "oracle")
 
@@ -40,9 +42,8 @@ PINNED = {
 }
 
 
-def _mach(predictor="store-set", fus=2, **kwargs):
-    return dataclasses.replace(
-        hw_machine(fus, predictor=predictor, window=8), **kwargs)
+def _mach(predictor="store-set", fus=2):
+    return hw_machine(fus, predictor=predictor, window=8)
 
 
 def _simulate(program, mach):
@@ -104,6 +105,14 @@ class TestFastPathEquivalence:
                 checked += len(events)
         assert checked
 
+    def test_compiles_one_pass_per_tree_shape(self, example22_program):
+        clear_code_cache()
+        with obs.tracing() as tracer:
+            sim, _ = _simulate(example22_program, _mach("store-set"))
+        sources = {generate_tree_source(state.tree)
+                   for state in sim._trees.values()}
+        assert tracer.metrics.counters["engines.jit.compiles"] == len(sources)
+
 
 def _stale_forwarding(simulate_tree):
     """Wrap the engine so every load that has an earlier same-address
@@ -123,67 +132,37 @@ def _stale_forwarding(simulate_tree):
     return faulty
 
 
-class TestCommitFallback:
-    def _commit_calls(self, monkeypatch):
-        calls = []
-        commit = HwSimulator._commit
-
-        def counting(sim, *args):
-            calls.append(args)
-            return commit(sim, *args)
-        monkeypatch.setattr(HwSimulator, "_commit", counting)
-        return calls
-
-    def test_misordered_timing_commits_stale_value(self, monkeypatch,
-                                                    example22_program):
-        calls = self._commit_calls(monkeypatch)
+class TestMisorderedTiming:
+    def test_misordered_timing_raises(self, monkeypatch, example22_program):
         monkeypatch.setattr(core, "simulate_tree",
                             _stale_forwarding(core.simulate_tree))
-        ref, _ = _interpret(example22_program)
-        sim, _ = _simulate(example22_program, _mach("never"))
-        assert calls, "the LSQ-ordered commit pass never ran"
-        # Example 2-2 stores a[8] and loads it back in iteration 4: the
-        # mis-ordered load reads the stale 0.0, so y[4] prints 1.0
-        assert sim.output != ref.output
-        assert sim.output[1] == 1.0 and ref.output[1] == 9.0
+        # Example 2-2 stores a[8] and loads it back in iteration 4
+        with pytest.raises(AssertionError) as info:
+            _simulate(example22_program, _mach("never"))
+        message = str(info.value)
+        assert "tree main.main.b1_for" in message
+        assert "load node 13" in message and "store node 10" in message
 
-    def test_in_order_timing_never_compiles_commit(self, monkeypatch,
-                                                   example22_program):
-        calls = self._commit_calls(monkeypatch)
-        clear_code_cache()
-        with obs.tracing() as tracer:
-            sim, _ = _simulate(example22_program, _mach("store-set"))
-        assert not calls
-        resolve_sources = {
-            generate_tree_source(state.tree, mode="hw_resolve")
-            for state in sim._trees.values()}
-        assert (tracer.metrics.counters["engines.jit.compiles"]
-                == len(resolve_sources))
-
-    def test_fault_compiles_commit_lazily(self, monkeypatch,
-                                          example22_program):
+    def test_fuzz_oracle_reports_misordered_timing(self, monkeypatch):
         monkeypatch.setattr(core, "simulate_tree",
                             _stale_forwarding(core.simulate_tree))
-        clear_code_cache()
-        with obs.tracing() as tracer:
-            sim, _ = _simulate(example22_program, _mach("never"))
-        committed = [state for state in sim._trees.values()
-                     if state.commit is not None]
-        assert committed
-        sources = {generate_tree_source(state.tree, mode="hw_resolve")
-                   for state in sim._trees.values()}
-        sources |= {generate_tree_source(state.tree, mode="hw_commit")
-                    for state in committed}
-        assert tracer.metrics.counters["engines.jit.compiles"] == len(sources)
+        report = check_source(EXAMPLE_2_2, OracleConfig(
+            check_grafted=False, sweep_sequences=((),),
+            cleanup_sequences=((),), finite_fus=(2,)))
+        assert report.error is None
+        crashes = [d for d in report.divergences if d.kind == "crash"]
+        assert crashes
+        assert all(d.stage.startswith(("hw[", "spec+hw[")) for d in crashes)
+        assert any(d.stage.startswith("hw[") and "mis-orders memory"
+                   in d.detail for d in crashes)
 
 
 class TestMemoBound:
     def test_capacity_one_evicts_without_changing_cycles(
-            self, example22_program):
-        unbounded = _mach("never", memo_capacity=None)
-        tiny = _mach("never", memo_capacity=1)
-        ref_sim, _ = _simulate(example22_program, unbounded)
-        tiny_sim, _ = _simulate(example22_program, tiny)
+            self, monkeypatch, example22_program):
+        ref_sim, _ = _simulate(example22_program, _mach("never"))
+        monkeypatch.setattr(core, "MEMO_CAPACITY", 1)
+        tiny_sim, _ = _simulate(example22_program, _mach("never"))
         assert ref_sim.stats.memo_evictions == 0
         assert tiny_sim.stats.memo_evictions > 0
         # eviction costs recomputation, never cycles
@@ -191,14 +170,14 @@ class TestMemoBound:
         assert tiny_sim.output == ref_sim.output
         assert tiny_sim.stats.squashes == ref_sim.stats.squashes
 
-    def test_capacity_one_keeps_learning_exact(self, example22_program):
+    def test_capacity_one_keeps_learning_exact(self, monkeypatch,
+                                               example22_program):
         """The decision cache shares the memo's bound and is dropped
         on every training step, so a learning predictor's counters do
         not depend on either."""
-        ref_sim, _ = _simulate(example22_program,
-                               _mach("store-set", memo_capacity=None))
-        tiny_sim, _ = _simulate(example22_program,
-                                _mach("store-set", memo_capacity=1))
+        ref_sim, _ = _simulate(example22_program, _mach("store-set"))
+        monkeypatch.setattr(core, "MEMO_CAPACITY", 1)
+        tiny_sim, _ = _simulate(example22_program, _mach("store-set"))
         assert tiny_sim.cycles == ref_sim.cycles
         for counter in ("slots_used", "spec_issues", "violations",
                         "squashes"):
@@ -212,24 +191,12 @@ class TestMemoBound:
         assert sim.stats.memo_evictions == 0
         assert sim.stats.memo_hits > 0
 
-    def test_capacity_excluded_from_identity(self):
-        a = _mach("store-set", memo_capacity=None)
-        b = _mach("store-set", memo_capacity=1)
-        assert a.name == b.name
-        assert a.to_dict() == b.to_dict()
-
-    def test_capacity_validation(self):
-        with pytest.raises(ValueError, match="memo_capacity"):
-            HwMachine(memo_capacity=0)
-        HwMachine(memo_capacity=None)  # unbounded is fine
-        HwMachine(memo_capacity=1)
-
 
 class TestMemoObservability:
-    def test_memo_counters_emitted(self, example22_program):
+    def test_memo_counters_emitted(self, monkeypatch, example22_program):
+        monkeypatch.setattr(core, "MEMO_CAPACITY", 1)
         with obs.tracing() as tracer:
-            sim, _ = _simulate(example22_program,
-                               _mach("never", memo_capacity=1))
+            sim, _ = _simulate(example22_program, _mach("never"))
         counters = tracer.metrics.counters
         assert counters["hwsim.memo.hits"] == sim.stats.memo_hits > 0
         assert counters["hwsim.memo.misses"] == sim.stats.memo_misses > 0

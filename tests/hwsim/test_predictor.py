@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.hwsim import (AlwaysSpeculate, NeverSpeculate, StoreSetPredictor,
-                         make_predictor)
+from repro.hwsim import (AlwaysSpeculate, HwSimulator, NeverSpeculate,
+                         StoreSetPredictor, make_predictor)
+from repro.machine.hw import HW_ORACLE_INFINITE
 
 LOAD = ("main", "t0", 4)
 STORE = ("main", "t0", 3)
@@ -21,10 +22,6 @@ class TestFixedPolicies:
     def test_never_bypasses(self):
         predictor = NeverSpeculate()
         assert not predictor.may_bypass(LOAD, STORE)
-
-    def test_state_key_mirrors_decision(self):
-        assert AlwaysSpeculate().state_key(LOAD, STORE) is True
-        assert NeverSpeculate().state_key(LOAD, STORE) is False
 
 
 class TestStoreSet:
@@ -68,39 +65,16 @@ class TestRegistry:
         assert isinstance(predictor, cls)
         assert predictor.name == name
 
-    def test_oracle_placeholder_never_bypasses(self):
-        # the simulator special-cases the oracle; the placeholder object
-        # must at least be safe (never bypass) if consulted anyway
-        assert not make_predictor("oracle").may_bypass(LOAD, STORE)
+    def test_oracle_placeholder_never_bypasses(self, example22_program):
+        # the oracle is no policy: the simulator decides its pairs from
+        # the actual addresses, and its placeholder object must at least
+        # be safe (never bypass) if consulted anyway
+        with pytest.raises(ValueError, match="unknown predictor"):
+            make_predictor("oracle")
+        sim = HwSimulator(example22_program, HW_ORACLE_INFINITE)
+        assert isinstance(sim.predictor, NeverSpeculate)
+        assert not sim.predictor.may_bypass(LOAD, STORE)
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown predictor"):
             make_predictor("magic8ball")
-
-
-class TestRegistrationApi:
-    def test_builtin_names_in_registration_order(self):
-        from repro.hwsim.predictor import predictor_names
-        assert predictor_names() == ("always", "never", "store-set",
-                                     "oracle")
-
-    def test_register_and_instantiate_custom(self):
-        from repro.hwsim.predictor import (_PREDICTORS, make_predictor,
-                                           register_predictor)
-
-        class Paranoid(NeverSpeculate):
-            name = "paranoid"
-
-        register_predictor("paranoid", Paranoid)
-        try:
-            assert isinstance(make_predictor("paranoid"), Paranoid)
-        finally:
-            _PREDICTORS.pop("paranoid")
-        with pytest.raises(ValueError, match="unknown predictor"):
-            make_predictor("paranoid")
-
-    def test_registration_last_wins(self):
-        from repro.hwsim.predictor import (make_predictor,
-                                           register_predictor)
-        register_predictor("always", AlwaysSpeculate)  # re-register
-        assert isinstance(make_predictor("always"), AlwaysSpeculate)
