@@ -17,7 +17,9 @@ same file compares two checkouts::
     PYTHONPATH=/path/to/other/checkout/src python benchmarks/view_objects.py
 
 Options: ``--seed`` picks the batch order (default 0), ``--batch`` the
-batch (default 0), ``--json OUT`` also writes the per-view figures.
+batch (default 0), ``--json OUT`` also writes the per-view figures, and
+``--max-mean N`` exits 1 when the mean object count over all views
+exceeds N.
 """
 
 from __future__ import annotations
@@ -91,6 +93,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--batch", type=int, default=0)
     parser.add_argument("--json", metavar="OUT")
+    parser.add_argument("--max-mean", type=float, metavar="N",
+                        help="fail if the mean objects per view exceed N")
     args = parser.parse_args(argv)
     result = measure(args.seed, args.batch)
     views = result["views"]
@@ -100,6 +104,11 @@ def main(argv=None) -> int:
     print(f"  all    {_summary(views)}")
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1) + "\n")
+    mean = statistics.mean(view["objects"] for view in views)
+    if args.max_mean is not None and mean > args.max_mean:
+        print(f"mean objects per view {mean:.0f} exceeds --max-mean "
+              f"{args.max_mean:g}", file=sys.stderr)
+        return 1
     return 0
 
 

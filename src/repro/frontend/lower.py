@@ -19,7 +19,7 @@ Conventions established here and relied upon downstream:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..ir.affine import AffineExpr
 from ..ir.memory import MemAccess, Region, RegionKind
@@ -86,6 +86,10 @@ class _FunctionLowerer:
         self._block_count = 0
         self._call_count = 0
         self._name_counts: Dict[str, int] = {}
+        # one Constant per distinct value and one _VarInfo per global
+        # array, per function: an artifact pickles each shared object once
+        self._constants: Dict[Tuple[type, str], Constant] = {}
+        self._globals: Dict[str, _VarInfo] = {}
         self.current: CFGBlock = self._new_block("entry")
         self.cfg.entry = self.current.label
         self._declare_params()
@@ -110,6 +114,15 @@ class _FunctionLowerer:
 
     def _start(self, block: CFGBlock) -> None:
         self.current = block
+
+    def _const(self, value: Union[int, float]) -> Constant:
+        """The lowerer's one :class:`Constant` for *value*; keyed on type
+        and repr so that ``0``, ``0.0`` and ``-0.0`` stay distinct."""
+        key = (type(value), repr(value))
+        constant = self._constants.get(key)
+        if constant is None:
+            constant = self._constants[key] = Constant(value)
+        return constant
 
     def _temp(self, type_: str) -> Register:
         reg = Register(f"t{self._temp_count}.{self.func.name}", type_)
@@ -172,11 +185,16 @@ class _FunctionLowerer:
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]
+        info = self._globals.get(name)
+        if info is not None:
+            return info
         decl = self.env.global_arrays.get(name)
         if decl is not None:
-            return _VarInfo("garray", decl.type, dims=decl.dims,
-                            region=Region(RegionKind.GLOBAL, decl.name),
-                            base=self.layout[decl.name])
+            info = self._globals[name] = _VarInfo(
+                "garray", decl.type, dims=decl.dims,
+                region=Region(RegionKind.GLOBAL, decl.name),
+                base=self.layout[decl.name])
+            return info
         raise self._error(f"undeclared identifier {name!r}", line)
 
     def _bounds_of(self, sym: str) -> Tuple[Optional[int], Optional[int]]:
@@ -193,14 +211,14 @@ class _FunctionLowerer:
         if value.type == FLOAT:
             return value
         if isinstance(value.operand, Constant):
-            return Value(Constant(float(value.operand.value)), FLOAT)
+            return Value(self._const(float(value.operand.value)), FLOAT)
         return Value(self._value_op(Opcode.I2F, [value.operand], FLOAT), FLOAT)
 
     def to_int(self, value: Value) -> Value:
         if value.type == INT:
             return value
         if isinstance(value.operand, Constant):
-            return Value(Constant(int(value.operand.value)), INT)
+            return Value(self._const(int(value.operand.value)), INT)
         return Value(self._value_op(Opcode.F2I, [value.operand], INT), INT)
 
     def convert(self, value: Value, type_: str) -> Value:
@@ -211,8 +229,9 @@ class _FunctionLowerer:
         if isinstance(operand, Register) and operand.type == BOOL:
             return operand
         if value.type == FLOAT:
-            return self._value_op(Opcode.FCMP_NE, [operand, Constant(0.0)], BOOL)
-        return self._value_op(Opcode.CMP_NE, [operand, Constant(0)], BOOL)
+            return self._value_op(Opcode.FCMP_NE,
+                                  [operand, self._const(0.0)], BOOL)
+        return self._value_op(Opcode.CMP_NE, [operand, self._const(0)], BOOL)
 
     # ------------------------------------------------------------------
     # call extraction
@@ -303,7 +322,7 @@ class _FunctionLowerer:
                 f"array element type mismatch passing {arg.name!r}", arg.line)
         if info.kind == "parray":
             return info.reg
-        return Constant(info.base)
+        return self._const(info.base)
 
     # ------------------------------------------------------------------
     # expressions (call-free after extraction)
@@ -314,9 +333,9 @@ class _FunctionLowerer:
 
     def lower_expr(self, expr: ast.Expr) -> Value:
         if isinstance(expr, ast.IntLit):
-            return Value(Constant(expr.value), INT, AffineExpr(expr.value))
+            return Value(self._const(expr.value), INT, AffineExpr(expr.value))
         if isinstance(expr, ast.FloatLit):
-            return Value(Constant(float(expr.value)), FLOAT)
+            return Value(self._const(float(expr.value)), FLOAT)
         if isinstance(expr, ast.VarRef):
             return self._lower_varref(expr)
         if isinstance(expr, ast.Index):
@@ -337,7 +356,7 @@ class _FunctionLowerer:
             return Value(info.reg, info.type, affine)
         if info.kind == "parray":
             return Value(info.reg, INT)
-        return Value(Constant(info.base), INT, AffineExpr(info.base))
+        return Value(self._const(info.base), INT, AffineExpr(info.base))
 
     def _lower_intrinsic(self, expr: ast.Call) -> Value:
         if len(expr.args) != 1:
@@ -351,7 +370,7 @@ class _FunctionLowerer:
         if expr.op == "-":
             if isinstance(value.operand, Constant):
                 folded = -value.operand.value
-                return Value(Constant(folded), value.type,
+                return Value(self._const(folded), value.type,
                              value.affine.scale(-1) if value.affine else None)
             opcode = Opcode.FNEG if value.type == FLOAT else Opcode.NEG
             dest = self._value_op(opcode, [value.operand], value.type)
@@ -386,7 +405,7 @@ class _FunctionLowerer:
                          "<=": _op.le, ">": _op.gt, ">=": _op.ge}
                 result = 1 if table[op](lhs.operand.value,
                                         rhs.operand.value) else 0
-                return Value(Constant(result), INT, AffineExpr(result))
+                return Value(self._const(result), INT, AffineExpr(result))
             return Value(self._value_op(opcode, [lhs.operand, rhs.operand],
                                         BOOL), INT)
         if op == "%" and is_float:
@@ -400,7 +419,7 @@ class _FunctionLowerer:
                     raise self._error("constant division by zero", expr.line)
                 folded = {"+": a + b, "-": a - b, "*": a * b,
                           "/": a / b if b else 0.0}[op]
-                return Value(Constant(folded), FLOAT)
+                return Value(self._const(folded), FLOAT)
             return Value(self._value_op(_FLT_BINOPS[op],
                                         [lhs.operand, rhs.operand], FLOAT),
                          FLOAT)
@@ -414,7 +433,7 @@ class _FunctionLowerer:
             folded = {"+": a + b, "-": a - b, "*": a * b,
                       "/": _c_div(a, b) if b else 0,
                       "%": a - _c_div(a, b) * b if b else 0}[op]
-            return Value(Constant(folded), INT, AffineExpr(folded))
+            return Value(self._const(folded), INT, AffineExpr(folded))
         dest = self._value_op(_INT_BINOPS[op],
                               [left.operand, right.operand], INT)
         return Value(dest, INT, affine)
@@ -453,7 +472,7 @@ class _FunctionLowerer:
         if len(index_values) == 2:
             stride = info.dims[-1]
             scaled = self._int_arith("*", index_values[0],
-                                     Value(Constant(stride), INT,
+                                     Value(self._const(stride), INT,
                                            AffineExpr(stride)))
             linear = self._int_arith("+", scaled, index_values[1])
         else:
@@ -461,7 +480,7 @@ class _FunctionLowerer:
         if info.kind == "parray":
             base_value = Value(info.reg, INT)
         else:
-            base_value = Value(Constant(info.base), INT,
+            base_value = Value(self._const(info.base), INT,
                                AffineExpr(info.base))
         addr = self._int_arith("+", base_value, linear)
         subscript = linear.affine
@@ -478,7 +497,7 @@ class _FunctionLowerer:
                 right.operand, Constant):
             a, b = left.operand.value, right.operand.value
             folded = a + b if op == "+" else a * b
-            return Value(Constant(folded), INT, AffineExpr(folded))
+            return Value(self._const(folded), INT, AffineExpr(folded))
         # x + 0 / x * 1 simplifications keep address code tight
         for this, other in ((left, right), (right, left)):
             if isinstance(other.operand, Constant):
@@ -698,7 +717,7 @@ class _FunctionLowerer:
     def _default_return(self) -> Optional[Operand]:
         if self.func.return_type is None:
             return None
-        return Constant(0.0 if self.func.return_type == FLOAT else 0)
+        return self._const(0.0 if self.func.return_type == FLOAT else 0)
 
     def _stmt_return(self, stmt: ast.Return) -> None:
         if stmt.value is None:

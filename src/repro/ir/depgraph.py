@@ -97,28 +97,80 @@ class Arc:
         return f"<{self.src}->{self.dst} {self.kind.value}{amb}>"
 
 
+#: ``ArcKind`` by its index in the packed form; reordering the enum
+#: changes that encoding, so it needs a ``PIPELINE_VERSION`` bump.
+_ARC_KINDS: Tuple[ArcKind, ...] = tuple(ArcKind)
+_KIND_INDEX: Dict[ArcKind, int] = {kind: index for index, kind
+                                   in enumerate(_ARC_KINDS)}
+
+
+def _pack_arcs(arcs: Sequence[Arc]) -> Tuple[int, ...]:
+    """Six ints per arc, in list order: ``src``, ``dst``, the index of
+    ``kind`` in ``tuple(ArcKind)``, ``ambiguous | via_guard << 1``,
+    ``key[0]`` and ``key[1]``."""
+    packed: List[int] = []
+    for arc in arcs:
+        packed += (arc.src, arc.dst, _KIND_INDEX[arc.kind],
+                   arc.ambiguous | arc.via_guard << 1, *arc.key)
+    return tuple(packed)
+
+
+def _unpack_arcs(packed: Tuple[int, ...]) -> List[Arc]:
+    """The arc list :func:`_pack_arcs` encoded, in the same order."""
+    return [Arc(src, dst, _ARC_KINDS[kind], bool(flags & 1),
+                bool(flags & 2), (key_src, key_dst))
+            for src, dst, kind, flags, key_src, key_dst
+            in zip(*[iter(packed)] * 6)]
+
+
 class DependenceGraph:
     """Arcs plus adjacency over one decision tree.
 
-    The per-node pred/succ lists are built on the first :meth:`preds`
-    or :meth:`succs` call and never pickled, so a graph loaded from the
-    artifact store that is only reported, never timed, does not build
-    them at all.
+    A pickled graph holds its arcs as one flat tuple of ints
+    (:func:`_pack_arcs`): no :class:`Arc` objects, no key tuples and no
+    adjacency.  A loaded graph keeps that tuple until :attr:`arcs` is
+    first read, which decodes it into the arc list once, in the
+    original order; a loaded graph that is only reported or re-stored
+    never builds an :class:`Arc`.  A graph built in the process is never
+    packed.  The per-node pred/succ lists are built on the first
+    :meth:`preds` or :meth:`succs` call.
     """
 
     def __init__(self, tree: DecisionTree, arcs: Sequence[Arc]):
         self.tree = tree
         self.num_ops = len(tree.ops)
         self.num_nodes = self.num_ops + len(tree.exits)
-        self.arcs: List[Arc] = list(arcs)
-        for arc in self.arcs:
+        self._arcs: Optional[List[Arc]] = list(arcs)
+        self._packed: Optional[Tuple[int, ...]] = None
+        for arc in self._arcs:
             if not 0 <= arc.src < arc.dst < self.num_nodes:
                 raise ValueError(f"arc {arc} out of range or not forward")
         self._preds: Optional[List[List[Arc]]] = None
         self._succs: Optional[List[List[Arc]]] = None
 
     def __getstate__(self) -> Dict[str, object]:
-        return {**self.__dict__, "_preds": None, "_succs": None}
+        return {"tree": self.tree, "num_ops": self.num_ops,
+                "num_nodes": self.num_nodes,
+                "packed": (self._packed if self._arcs is None
+                           else _pack_arcs(self._arcs))}
+
+    def __setstate__(self, state: Dict[str, object]) -> None:
+        self.tree = state["tree"]
+        self.num_ops = state["num_ops"]
+        self.num_nodes = state["num_nodes"]
+        self._arcs = None
+        self._packed = state["packed"]
+        self._preds = self._succs = None
+
+    @property
+    def arcs(self) -> List[Arc]:
+        """The arcs in list order, decoded from the pickled form on the
+        first read after a load."""
+        if self._arcs is None:
+            self._arcs = _unpack_arcs(self._packed)
+            self._packed = None
+            obs.incr("depgraph.arcs_decoded")
+        return self._arcs
 
     def _build_adjacency(self) -> None:
         preds: List[List[Arc]] = [[] for _ in range(self.num_nodes)]

@@ -43,7 +43,9 @@ __all__ = ["PIPELINE_VERSION", "fingerprint", "spd_config_key",
 #: 4: the frozen IR values gained ``__slots__`` and pickle positionally
 #: through their constructors, and dependence graphs stopped pickling
 #: their adjacency lists; version-3 payloads carry instance dicts.
-PIPELINE_VERSION = 4
+#: 5: dependence graphs pickle their arcs as one packed int tuple (and
+#: decode it on first use); version-4 payloads carry ``Arc`` lists.
+PIPELINE_VERSION = 5
 
 
 def fingerprint(payload: Dict[str, object]) -> str:

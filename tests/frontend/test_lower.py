@@ -160,3 +160,38 @@ class TestAddressCode:
             }
         """)
         assert not find_mem_ops(program)
+
+
+class TestSharedLeaves:
+    """Within one function, lowering makes one ``Constant`` per distinct
+    value and one ``Region`` per global array, so an artifact pickles
+    each of them once."""
+
+    SOURCE = """
+        float g[4];
+        int main() {
+            int x = 0; int y = 0;
+            float u = 0.0; float v = 0.0; float w = -0.0;
+            g[0] = u + v; g[1] = w; g[2] = g[0];
+            print(x + y);
+            return 0;
+        }
+    """
+
+    def test_equal_constants_are_one_object(self):
+        from repro.ir import Constant
+        program = compile_source(self.SOURCE)
+        constants = {}
+        for _, tree in program.all_trees():
+            for op in tree.ops:
+                for src in op.srcs:
+                    if isinstance(src, Constant):
+                        key = (type(src.value), repr(src.value))
+                        constants.setdefault(key, set()).add(id(src))
+        assert {(int, "0"), (float, "0.0"), (float, "-0.0")} <= set(constants)
+        assert all(len(ids) == 1 for ids in constants.values()), constants
+
+    def test_global_array_accesses_share_one_region(self):
+        program = compile_source(self.SOURCE)
+        regions = {id(op.access.region) for op in find_mem_ops(program)}
+        assert len(find_mem_ops(program)) == 4 and len(regions) == 1

@@ -1,8 +1,9 @@
 """Views replayed from the disk store time exactly like fresh ones.
 
-A pickled dependence graph carries its arcs but not its per-node
-adjacency, which is rebuilt on the first ``preds``/``succs`` call; these
-tests pin that the rebuilt adjacency and the cycles it yields match the
+A pickled dependence graph carries its arcs as one packed int tuple and
+no per-node adjacency.  The arcs are decoded on the first ``arcs`` read
+and the adjacency is rebuilt on the first ``preds``/``succs`` call;
+these tests pin that both, and the cycles they yield, match the
 in-process view of every kernel.
 """
 
@@ -10,8 +11,10 @@ import pickle
 
 import pytest
 
+from repro import obs
 from repro.bench.suite import SUITE
 from repro.disambig.pipeline import Disambiguator
+from repro.ir.depgraph import _unpack_arcs
 from repro.machine.description import machine
 from repro.pipeline.core import Pipeline
 from repro.pipeline.store import ArtifactStore
@@ -28,6 +31,17 @@ def pipelines(tmp_path_factory):
     root = tmp_path_factory.mktemp("views")
     return Pipeline(store=ArtifactStore(root)), Pipeline(
         store=ArtifactStore(root))
+
+
+def _replay(cold, name, latency):
+    """(the in-process SPEC view, the same view read back from disk by a
+    pipeline with an empty memory tier)."""
+    source = SUITE[name].source
+    fresh = cold.view(name, source, Disambiguator.SPEC, latency)
+    replayed = Pipeline(store=ArtifactStore(cold.store.root)).view(
+        name, source, Disambiguator.SPEC, latency)
+    assert replayed is not fresh
+    return fresh, replayed
 
 
 def _adjacency(graph):
@@ -63,8 +77,35 @@ def test_pickled_graph_state_holds_no_adjacency(pipelines):
     for graph in view.graphs.values():
         graph.preds(0)  # built in process
         state = graph.__getstate__()
-        assert state["_preds"] is None and state["_succs"] is None
-        assert state["arcs"] == graph.arcs
+        assert state.keys() == {"tree", "num_ops", "num_nodes", "packed"}
+        assert _unpack_arcs(state["packed"]) == graph.arcs
         loaded = pickle.loads(pickle.dumps(graph))
         assert loaded._preds is None and loaded._succs is None
         assert _adjacency(loaded) == _adjacency(graph)
+
+
+@pytest.mark.parametrize("name,latency", CASES,
+                         ids=[f"{n}-mem{m}" for n, m in CASES])
+def test_replayed_graphs_stay_packed_until_read(pipelines, name, latency):
+    fresh, replayed = _replay(pipelines[0], name, latency)
+    assert replayed.graphs.keys() == fresh.graphs.keys()
+    for graph in replayed.graphs.values():
+        assert graph._arcs is None and graph._packed is not None
+    with obs.tracing() as tracer:
+        for key, graph in replayed.graphs.items():
+            assert graph.arcs == fresh.graphs[key].arcs
+            assert graph._packed is None
+            assert graph.arcs is graph.arcs  # decoded once
+    assert (tracer.metrics.counters["depgraph.arcs_decoded"]
+            == len(replayed.graphs))
+
+
+def test_undecoded_graph_pickles_like_its_decoded_twin(pipelines):
+    _, replayed = _replay(pipelines[0], "perm", 2)
+    for graph in replayed.graphs.values():
+        data = pickle.dumps(graph)
+        packed, twin = pickle.loads(data), pickle.loads(data)
+        assert twin.arcs == graph.arcs
+        assert packed._arcs is None
+        assert pickle.dumps(packed) == pickle.dumps(twin)
+        assert packed._arcs is None  # re-pickling decoded nothing

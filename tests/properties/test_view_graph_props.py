@@ -8,19 +8,27 @@ the view's tree under the static oracle: the same op count, the same
 arcs field by field and in the same order, and built on the view
 program's own tree object.  Checked over the paper's kernels at both
 memory latencies, the corpus smoke slice, and a pipeline whose cleanup
-passes drop the carried graphs.
+passes drop the carried graphs.  A graph's pickle round trip (packed
+arcs, decoded on first read) is checked on random programs.
 """
 
+import pickle
+
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from repro.bench import SUITE, get_benchmark
 from repro.corpus import DEFAULT_MANIFEST_PATH, entry_source, load_manifest
-from repro.disambig import Disambiguator, make_static_oracle
+from repro.disambig import Disambiguator, disambiguate, make_static_oracle
+from repro.frontend import compile_source
 from repro.ir import build_dependence_graph
+from repro.machine import machine
 from repro.passes import DEFAULT_CLEANUP, PassPipelineConfig
 from repro.pipeline import ArtifactStore, Pipeline
+from repro.sim import run_program
 
 from ..conftest import graph_rows
+from .gen import tinyc_programs
 
 _MANIFEST = load_manifest(DEFAULT_MANIFEST_PATH)
 _SMOKE = [entry for entry in _MANIFEST["entries"] if entry["smoke"]]
@@ -67,3 +75,23 @@ def test_smoke_spec_graphs_are_fresh(smoke_pipeline, entry):
 def test_cleaned_spec_graphs_are_fresh(cleanup_pipeline, name):
     assert_graphs_are_fresh(cleanup_pipeline.view(
         name, get_benchmark(name).source, Disambiguator.SPEC, 6))
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(source=tinyc_programs())
+def test_spec_graphs_round_trip_through_pickle(source):
+    """A loaded graph stays packed until read, then equals the original
+    arc for arc; re-pickling it undecoded gives its decoded twin's
+    bytes."""
+    program = compile_source(source)
+    profile = run_program(program, max_steps=2_000_000).profile
+    view = disambiguate(program, Disambiguator.SPEC, profile=profile,
+                        machine=machine(None, 6))
+    for graph in view.graphs.values():
+        data = pickle.dumps(graph)
+        loaded, twin = pickle.loads(data), pickle.loads(data)
+        assert graph_rows(twin) == graph_rows(graph)
+        assert loaded._arcs is None
+        assert pickle.dumps(loaded) == pickle.dumps(twin)
+        assert loaded._arcs is None
