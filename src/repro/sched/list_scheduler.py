@@ -11,35 +11,47 @@ critical-path priority over the dependence graph:
 * all timing rules match :mod:`repro.sim.timing`, including the
   conditional-execution guard rule, so schedule times converge to the
   infinite-machine times as the functional-unit count grows.
+
+The scheduler is event driven.  Each arc is resolved once into a
+``(rule, dst)`` successor entry (:func:`repro.sim.timing.arc_rule`).
+A node enters the ``pending`` heap, keyed by its earliest issue cycle,
+when its last pred issues; each pass within a cycle moves the due
+nodes into the ``ready`` heap, ordered by ``(-priority, node)``, and
+issues from it up to the free slots.  Successors are released only
+after the whole pass, so a successor whose rule lets it issue in the
+same cycle (``REG_WAR``, ``EXIT_ORDER``, a guard read) does so in a
+later pass.
+Cycles in which nothing is due are skipped.  The cost is
+O((N + E) log N) per tree.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Set
+from heapq import heappop, heappush
+from typing import Dict, List, Tuple
 
 from .. import obs
 from ..ir.depgraph import DependenceGraph
 from ..machine.description import LifeMachine
-from ..sim.timing import (TreeTiming, guard_completion_floor,
-                          infinite_machine_timing, issue_constraint)
+from ..sim.timing import (AFTER_COMPLETION, AFTER_ISSUE, AFTER_ISSUE_PLUS1,
+                          GUARD_FLOOR, TreeTiming, arc_rule,
+                          infinite_machine_timing, node_latencies)
 from .schedule import Schedule
 
 __all__ = ["list_schedule", "schedule_tree"]
 
 
-def _priorities(graph: DependenceGraph, machine: LifeMachine) -> List[int]:
+def _priorities(succs: List[List[Tuple[int, int]]],
+                latency: List[int]) -> List[int]:
     """Longest-latency path from each node to any sink (critical-path
     priority).  Arcs only point forward, so one reverse sweep suffices."""
-    latencies = machine.latencies
-    num_nodes = graph.num_nodes
-    priority = [0] * num_nodes
-    for node in range(num_nodes - 1, -1, -1):
-        op = graph.node_op(node)
-        own = latencies.of(op) if op is not None else latencies.branch
+    priority = [0] * len(latency)
+    for node in range(len(latency) - 1, -1, -1):
         best_succ = 0
-        for arc in graph.succs(node):
-            best_succ = max(best_succ, priority[arc.dst])
-        priority[node] = own + best_succ
+        for _rule, dst in succs[node]:
+            if priority[dst] > best_succ:
+                best_succ = priority[dst]
+        priority[node] = latency[node] + best_succ
     return priority
 
 
@@ -48,60 +60,70 @@ def list_schedule(graph: DependenceGraph, machine: LifeMachine) -> Schedule:
     if machine.is_infinite:
         raise ValueError("use infinite_machine_timing for the infinite machine")
     num_fus = machine.num_fus
-    latencies = machine.latencies
     num_nodes = graph.num_nodes
-    priority = _priorities(graph, machine)
+    num_ops = graph.num_ops
+    latency = node_latencies(graph, machine.latencies)
+    succs: List[List[Tuple[int, int]]] = [[] for _ in range(num_nodes)]
+    waiting = [0] * num_nodes   # unscheduled preds per node
+    for arc in graph.arcs:
+        succs[arc.src].append((arc_rule(arc, num_ops), arc.dst))
+        waiting[arc.dst] += 1
+    priority = _priorities(succs, latency)
 
     issue = [-1] * num_nodes
     completion = [-1] * num_nodes
-    scheduled: Set[int] = set()
+    earliest = [0] * num_nodes  # issue floor from the preds issued so far
+    floor = [0] * num_nodes     # completion floor from guard defs
     slots: Dict[int, List[int]] = {}
-    remaining = list(range(num_nodes))
+    # (earliest cycle, node) of nodes whose preds have all issued; an
+    # ascending list is already a heap
+    pending = [(0, node) for node in range(num_nodes) if not waiting[node]]
+    ready: List[Tuple[int, int]] = []   # (-priority, node), due now
 
+    # Arcs point forward (DependenceGraph rejects any other), so while
+    # nodes remain one of them has all its preds issued and sits in
+    # `pending` or `ready`: the loop always terminates.
     cycle = 0
-    guard_cycles = 0
-    while remaining:
-        guard_cycles += 1
-        if guard_cycles > 1_000_000:
-            raise RuntimeError("list scheduler failed to converge")
-        used = 0
-        progressed = True
-        # several passes within one cycle: issuing a node can enable a
-        # same-cycle WAR/COMMIT successor
-        while progressed and used < num_fus:
-            progressed = False
-            candidates = []
-            for node in remaining:
-                earliest = 0
-                feasible = True
-                for arc in graph.preds(node):
-                    if arc.src not in scheduled:
-                        feasible = False
-                        break
-                    earliest = max(earliest,
-                                   issue_constraint(arc, issue, completion))
-                if feasible and earliest <= cycle:
-                    candidates.append(node)
-            if not candidates:
+    while pending or ready:
+        if not ready and pending[0][0] > cycle:
+            cycle = pending[0][0]
+        # every cycle visited issues at least one node
+        word = slots[cycle] = []
+        while len(word) < num_fus:
+            while pending and pending[0][0] <= cycle:
+                node = heappop(pending)[1]
+                heappush(ready, (-priority[node], node))
+            if not ready:
                 break
-            candidates.sort(key=lambda n: (-priority[n], n))
-            for node in candidates:
-                if used >= num_fus:
-                    break
+            first = len(word)
+            while ready and len(word) < num_fus:
+                node = heappop(ready)[1]
                 issue[node] = cycle
-                op = graph.node_op(node)
-                if op is not None:
-                    done = cycle + latencies.of(op)
-                    done = max(done, guard_completion_floor(
-                        node, graph.preds(node), completion))
-                else:
-                    done = cycle + latencies.branch
-                completion[node] = done
-                scheduled.add(node)
-                slots.setdefault(cycle, []).append(node)
-                used += 1
-                progressed = True
-            remaining = [n for n in remaining if n not in scheduled]
+                done = cycle + latency[node]
+                completion[node] = done if done > floor[node] else floor[node]
+                word.append(node)
+            # release successors only after the whole pass: a successor
+            # that may issue this cycle does so in a later pass
+            for node in word[first:]:
+                for rule, dst in succs[node]:
+                    if rule == AFTER_COMPLETION:
+                        t = completion[node]
+                    elif rule == AFTER_ISSUE:
+                        t = cycle
+                    elif rule == GUARD_FLOOR:
+                        t = completion[node] + 1
+                        if t > floor[dst]:
+                            floor[dst] = t
+                        t = 0
+                    elif rule == AFTER_ISSUE_PLUS1:
+                        t = cycle + 1
+                    else:   # UNTIMED
+                        t = 0
+                    if t > earliest[dst]:
+                        earliest[dst] = t
+                    waiting[dst] -= 1
+                    if not waiting[dst]:
+                        heappush(pending, (earliest[dst], dst))
         cycle += 1
 
     path_times = [completion[graph.exit_node(e)]

@@ -36,8 +36,8 @@ from ..ir.depgraph import Arc, ArcKind, DependenceGraph
 from ..machine.description import LifeMachine
 from ..machine.latencies import LatencyTable
 
-__all__ = ["TreeTiming", "issue_constraint", "infinite_machine_timing",
-           "release_timing", "average_time"]
+__all__ = ["TreeTiming", "issue_constraint", "arc_rule", "node_latencies",
+           "infinite_machine_timing", "release_timing", "average_time"]
 
 
 @dataclass
@@ -58,8 +58,11 @@ def issue_constraint(arc: Arc, issue: Sequence[int],
                      completion: Sequence[int]) -> int:
     """Earliest issue cycle of ``arc.dst`` permitted by this arc.
 
-    Guard-RAW arcs do not constrain issue at all (they constrain
-    completion; see :func:`guard_completion_floor`).
+    Guard-RAW arcs do not constrain issue at all: they constrain the
+    completion of an operation (no earlier than one cycle after the
+    guard's definition completes) and of an exit not at all.  This is
+    the readable statement of the rules; the evaluators run the same
+    rules through :func:`arc_rule`.
     """
     kind = arc.kind
     if kind is ArcKind.REG_RAW:
@@ -82,25 +85,44 @@ def issue_constraint(arc: Arc, issue: Sequence[int],
     raise ValueError(f"unknown arc kind {kind}")
 
 
-def guard_completion_floor(node: int, preds: Sequence[Arc],
-                           completion: Sequence[int]) -> int:
-    """Earliest completion allowed by conditional execution: one cycle
-    after the latest guard-producing definition completes."""
-    floor = 0
-    for arc in preds:
-        if arc.kind is ArcKind.REG_RAW and arc.via_guard:
-            floor = max(floor, completion[arc.src] + 1)
-    return floor
+#: Timing-rule codes, one per rule of :func:`issue_constraint`, shared
+#: by the dataflow evaluator and the list scheduler.
+AFTER_COMPLETION = 0   # data RAW, MEM_RAW/WAW, COMMIT
+AFTER_ISSUE = 1        # REG_WAR, EXIT_ORDER
+AFTER_ISSUE_PLUS1 = 2  # REG_WAW, MEM_WAR, ORDER
+GUARD_FLOOR = 3        # guard RAW into an op: completion floor only
+UNTIMED = 4            # guard RAW into an exit: precedence, no timing
+
+_RULE_OF_KIND: Dict[ArcKind, int] = {
+    ArcKind.REG_RAW: AFTER_COMPLETION,
+    ArcKind.MEM_RAW: AFTER_COMPLETION,
+    ArcKind.MEM_WAW: AFTER_COMPLETION,
+    ArcKind.COMMIT: AFTER_COMPLETION,
+    ArcKind.REG_WAR: AFTER_ISSUE,
+    ArcKind.EXIT_ORDER: AFTER_ISSUE,
+    ArcKind.REG_WAW: AFTER_ISSUE_PLUS1,
+    ArcKind.MEM_WAR: AFTER_ISSUE_PLUS1,
+    ArcKind.ORDER: AFTER_ISSUE_PLUS1,
+}
 
 
-#: Per-node constraint codes of the compiled evaluator (one per timing
-#: rule of :func:`issue_constraint` / :func:`guard_completion_floor`).
-_AFTER_COMPLETION = 0   # data RAW, MEM_RAW/WAW, COMMIT
-_AFTER_ISSUE = 1        # REG_WAR, EXIT_ORDER
-_AFTER_ISSUE_PLUS1 = 2  # REG_WAW, MEM_WAR, ORDER
-_GUARD_FLOOR = 3        # guard RAW: completion floor, no issue constraint
-_SKIPPED = 4            # arc temporarily removed by ignore_keys
+def arc_rule(arc: Arc, num_ops: int) -> int:
+    """The timing-rule code of *arc* in a graph whose first *num_ops*
+    nodes are operations (the rest are exits)."""
+    if arc.via_guard and arc.kind is ArcKind.REG_RAW:
+        return GUARD_FLOOR if arc.dst < num_ops else UNTIMED
+    return _RULE_OF_KIND[arc.kind]
 
+
+def node_latencies(graph: DependenceGraph,
+                   latencies: LatencyTable) -> List[int]:
+    """Each node's latency: its operation's, or the branch latency for
+    an exit."""
+    return ([latencies.of(op) for op in graph.tree.ops]
+            + [latencies.branch] * (graph.num_nodes - graph.num_ops))
+
+
+_SKIPPED = 5            # arc temporarily removed by ignore_keys
 _SKIP_ENTRY = (_SKIPPED, 0)
 
 
@@ -110,13 +132,13 @@ class _CompiledTiming:
     hundreds per graph — do no arc-kind dispatch, no ``latencies.of``
     lookups and no per-arc predicate filtering.
 
-    ``entries[node]`` is the node's list of ``(code, src)`` constraint
-    tuples; ``key_positions`` maps an arc key to every (node, position)
-    it occupies, which is how ``ignore_keys`` is applied: the affected
-    entries are spliced to :data:`_SKIP_ENTRY` for one evaluation and
-    restored afterwards.  Guard-RAW arcs into *exit* nodes constrain
-    nothing (exits take the branch latency with no completion floor)
-    and are dropped entirely, exactly as the open-coded loop behaved.
+    ``entries[node]`` is the node's list of ``(rule, src)`` constraint
+    tuples (:func:`arc_rule`); ``key_positions`` maps an arc key to
+    every (node, position) it occupies, which is how ``ignore_keys`` is
+    applied: the affected entries are spliced to :data:`_SKIP_ENTRY` for
+    one evaluation and restored afterwards.  :data:`UNTIMED` arcs (guard
+    RAW into an exit) constrain nothing and are dropped: arcs point
+    forward, so the node order already puts their source first.
     """
 
     __slots__ = ("entries", "latency", "exit_nodes", "key_positions",
@@ -124,38 +146,19 @@ class _CompiledTiming:
 
     def __init__(self, graph: DependenceGraph, latencies: LatencyTable):
         self._baseline: Optional[TreeTiming] = None
-        self.entries: List[List[Tuple[int, int]]] = []
-        self.latency: List[int] = []
+        self.latency = node_latencies(graph, latencies)
+        self.entries: List[List[Tuple[int, int]]] = [
+            [] for _ in range(graph.num_nodes)]
         self.key_positions: Dict[tuple, List[Tuple[int, int]]] = {}
-        for node in range(graph.num_nodes):
-            op = graph.node_op(node)
-            is_op = op is not None
-            self.latency.append(latencies.of(op) if is_op
-                                else latencies.branch)
-            entries: List[Tuple[int, int]] = []
-            for arc in graph.preds(node):
-                kind = arc.kind
-                if kind is ArcKind.REG_RAW:
-                    if arc.via_guard:
-                        if not is_op:
-                            continue
-                        code = _GUARD_FLOOR
-                    else:
-                        code = _AFTER_COMPLETION
-                elif (kind is ArcKind.MEM_RAW or kind is ArcKind.MEM_WAW
-                        or kind is ArcKind.COMMIT):
-                    code = _AFTER_COMPLETION
-                elif kind is ArcKind.REG_WAR or kind is ArcKind.EXIT_ORDER:
-                    code = _AFTER_ISSUE
-                elif (kind is ArcKind.REG_WAW or kind is ArcKind.MEM_WAR
-                        or kind is ArcKind.ORDER):
-                    code = _AFTER_ISSUE_PLUS1
-                else:
-                    raise ValueError(f"unknown arc kind {kind}")
-                self.key_positions.setdefault(arc.key, []).append(
-                    (node, len(entries)))
-                entries.append((code, arc.src))
-            self.entries.append(entries)
+        num_ops = graph.num_ops
+        for arc in graph.arcs:
+            rule = arc_rule(arc, num_ops)
+            if rule == UNTIMED:
+                continue
+            entries = self.entries[arc.dst]
+            self.key_positions.setdefault(arc.key, []).append(
+                (arc.dst, len(entries)))
+            entries.append((rule, arc.src))
         self.exit_nodes = [graph.exit_node(e)
                            for e in range(len(graph.tree.exits))]
 
@@ -199,16 +202,16 @@ class _CompiledTiming:
             earliest = 0
             floor = 0
             for code, src in entries:
-                if code == 0:          # _AFTER_COMPLETION
+                if code == 0:          # AFTER_COMPLETION
                     t = completion[src]
-                elif code == 3:        # _GUARD_FLOOR
+                elif code == 3:        # GUARD_FLOOR
                     t = completion[src] + 1
                     if t > floor:
                         floor = t
                     continue
-                elif code == 1:        # _AFTER_ISSUE
+                elif code == 1:        # AFTER_ISSUE
                     t = issue[src]
-                elif code == 2:        # _AFTER_ISSUE_PLUS1
+                elif code == 2:        # AFTER_ISSUE_PLUS1
                     t = issue[src] + 1
                 else:                  # _SKIPPED
                     continue

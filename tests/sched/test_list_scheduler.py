@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro import obs
+from repro.bench import SUITE, get_benchmark
+from repro.disambig import Disambiguator
 from repro.ir import Opcode, TreeBuilder, build_dependence_graph
 from repro.machine import machine
 from repro.sched import list_schedule, schedule_tree
 from repro.sim import infinite_machine_timing
+from repro.sim.evaluate import evaluate_program
 
 
 def wide_tree(num_independent=8):
@@ -110,3 +114,59 @@ class TestScheduleTreeDispatch:
         graph = build_dependence_graph(wide_tree(3))
         timing = schedule_tree(graph, machine(1, 2))
         assert max(timing.issue) >= 3  # serialised
+
+
+#: (sched.trees_scheduled, sched.ops_scheduled, sched.cycles_filled) for
+#: each kernel's four views timed on life-5fu-mem6, as the original
+#: cycle-scan scheduler counted them; trees_scheduled is also
+#: BENCH_spd.json's counter.
+PINNED_COUNTERS = {
+    "adi": (84, 958, 1134),
+    "bcuint": (72, 690, 920),
+    "fft": (48, 801, 841),
+    "moment": (28, 540, 969),
+    "smooft": (72, 1277, 1417),
+    "solvde": (64, 859, 1272),
+    "perm": (56, 225, 298),
+    "queen": (48, 379, 412),
+    "quick": (76, 427, 546),
+    "tree": (104, 496, 762),
+    "towers": (60, 248, 391),
+    "intmm": (56, 340, 420),
+    "bubble": (48, 340, 388),
+    "espresso": (172, 1482, 1570),
+}
+
+
+class TestWorkCounters:
+    def test_pinned_kernel_counters(self, pipeline):
+        assert sorted(PINNED_COUNTERS) == sorted(SUITE)
+        mach = machine(5, 6)
+        assert mach.name == "life-5fu-mem6"
+        for name, pinned in PINNED_COUNTERS.items():
+            source = get_benchmark(name).source
+            profile = pipeline.profile(name, source).profile
+            views = [pipeline.view(name, source, kind, 6)
+                     for kind in Disambiguator]
+            with obs.tracing() as tracer:
+                for view in views:
+                    evaluate_program(view.program, view.graphs, mach,
+                                     profile)
+            counters = tracer.metrics.counters
+            assert (counters["sched.trees_scheduled"],
+                    counters["sched.ops_scheduled"],
+                    counters["sched.cycles_filled"]) == pinned, name
+
+    def test_idle_cycles_still_count_as_filled(self):
+        # a load then its consumer: the consumer waits out the memory
+        # latency, and the skipped idle cycles still count as filled
+        b = TreeBuilder("t")
+        loaded = b.load(3, "int")
+        b.value(Opcode.ADD, [loaded, 1], type_="int")
+        b.halt()
+        graph = build_dependence_graph(b.tree)
+        with obs.tracing() as tracer:
+            schedule = list_schedule(graph, machine(2, 6))
+        assert len(schedule.slots) < max(schedule.issue) + 1
+        assert (tracer.metrics.counters["sched.cycles_filled"]
+                == max(schedule.issue) + 1)

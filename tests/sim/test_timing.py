@@ -4,8 +4,12 @@ import pytest
 
 from repro.ir import (Guard, Opcode, Register, TreeBuilder,
                       build_dependence_graph)
+from repro.ir.depgraph import Arc, ArcKind
 from repro.machine import machine
 from repro.sim import average_time, infinite_machine_timing
+from repro.sim.timing import (AFTER_COMPLETION, AFTER_ISSUE,
+                              AFTER_ISSUE_PLUS1, GUARD_FLOOR, UNTIMED,
+                              arc_rule, issue_constraint)
 
 
 def timing_of(build, memory_latency=6):
@@ -104,3 +108,31 @@ class TestAverageTime:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             average_time([10], [0.5, 0.5])
+
+
+class TestArcRules:
+    """:func:`arc_rule` codes the rules :func:`issue_constraint` states."""
+
+    ISSUE = [5, 0, 0]
+    COMPLETION = [9, 0, 0]
+
+    def apply(self, rule):
+        # the rule's issue floor and completion floor for node 0 -> 1
+        return {AFTER_COMPLETION: (self.COMPLETION[0], 0),
+                AFTER_ISSUE: (self.ISSUE[0], 0),
+                AFTER_ISSUE_PLUS1: (self.ISSUE[0] + 1, 0),
+                GUARD_FLOOR: (0, self.COMPLETION[0] + 1),
+                UNTIMED: (0, 0)}[rule]
+
+    @pytest.mark.parametrize("kind", list(ArcKind))
+    @pytest.mark.parametrize("via_guard", (False, True))
+    @pytest.mark.parametrize("into_op", (False, True))
+    def test_rule_matches_issue_constraint(self, kind, via_guard, into_op):
+        arc = Arc(0, 1, kind, via_guard=via_guard)
+        rule = arc_rule(arc, num_ops=2 if into_op else 1)
+        issue_floor, completion_floor = self.apply(rule)
+        assert issue_floor == issue_constraint(arc, self.ISSUE,
+                                               self.COMPLETION)
+        guard = kind is ArcKind.REG_RAW and via_guard
+        assert completion_floor == (self.COMPLETION[0] + 1
+                                    if guard and into_op else 0)
