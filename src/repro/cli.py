@@ -61,7 +61,7 @@ from .ir.printer import format_program
 from .machine.description import machine
 from .machine.hw import PREDICTOR_NAMES
 from .passes import (DEFAULT_CLEANUP, PassPipelineConfig, UnknownPassError,
-                     registered_passes)
+                     parse_cleanup_spec, registered_passes)
 from .pipeline.artifacts import report_table
 from .pipeline.core import Pipeline
 from .pipeline.executor import HwTimingJob, TimingJob
@@ -104,14 +104,8 @@ def _pass_config_from(args) -> PassPipelineConfig:
     ``default`` (= ``constfold,copyprop,dce``) or ``none`` (= empty, the
     default: the paper's unaltered toolchain).
     """
-    spec = getattr(args, "passes", None)
+    cleanup = parse_cleanup_spec(getattr(args, "passes", None) or "none")
     dump = tuple(getattr(args, "dump_after", None) or ())
-    if spec is None or spec == "none":
-        cleanup = ()
-    elif spec == "default":
-        cleanup = DEFAULT_CLEANUP
-    else:
-        cleanup = tuple(name for name in spec.split(",") if name)
     try:
         return PassPipelineConfig(cleanup=cleanup, dump_after=dump).validated()
     except UnknownPassError as error:

@@ -21,8 +21,9 @@ identical to :meth:`repro.sim.interpreter.Interpreter._execute_tree`:
   interpreter's exact message, and only when actually evaluated
   (exit guards after the taken exit are never read);
 * speculated loads never fault: an invalid address yields the typed
-  junk value unless ``strict_memory``, where the interpreter's
-  ``_check_addr`` raises its exact message; stores always check;
+  junk value unless the JIT runs with ``strict_memory``, where the
+  interpreter's ``_check_addr`` raises its exact message; stores
+  always check;
 * ``FSQRT`` of a negative value commits ``0.0`` instead of trapping;
   DIV/MOD/FDIV raise through the interpreter's shared helpers;
 * profile collection (committed-op counts, memory traces) and the
@@ -151,8 +152,8 @@ class _Emitter:
     emitter that collects profiles or traces stores.
     """
 
-    def __init__(self, tree: DecisionTree, strict_memory: bool,
-                 buffers: bool, collect_profile: bool = False,
+    def __init__(self, tree: DecisionTree, buffers: bool,
+                 strict_memory: bool = False, collect_profile: bool = False,
                  trace_stores: bool = False):
         self.tree = tree
         self.collect_profile = collect_profile
@@ -366,17 +367,15 @@ class _Emitter:
         return header
 
 
-def generate_tree_source(tree: DecisionTree,
-                         strict_memory: bool = False) -> str:
+def generate_tree_source(tree: DecisionTree) -> str:
     """Source text of the hardware simulator's ``hw_resolve`` pass for
     *tree*.
 
-    The text is a pure function of the tree's structure and the flag,
-    which makes it the cache key of the bounded code cache: trees with
-    identical shape (across programs, even) share one compiled
-    function.
+    The text is a pure function of the tree's structure, which makes
+    it the cache key of the bounded code cache: trees with identical
+    shape (across programs, even) share one compiled function.
     """
-    return _Emitter(tree, strict_memory, touches_memory(tree)).generate()
+    return _Emitter(tree, touches_memory(tree)).generate()
 
 
 class _FunctionEmitter(_Emitter):
@@ -407,7 +406,7 @@ class _FunctionEmitter(_Emitter):
     def __init__(self, function, collect_profile: bool,
                  trace_stores: bool, strict_memory: bool,
                  count_squashes: bool):
-        super().__init__(None, strict_memory, False, collect_profile,
+        super().__init__(None, False, strict_memory, collect_profile,
                          trace_stores)
         self.count_squashes = count_squashes
         self.function = function

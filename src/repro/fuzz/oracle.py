@@ -422,12 +422,13 @@ def _check_views(report: ConformanceReport, config: OracleConfig,
                             f"{timing.cycles} < {inf_timing.cycles}"))
 
 
-def _run_hw(report: ConformanceReport, label: str, program, mach,
+def _run_hw(report: ConformanceReport, label: str, program, graphs, mach,
             reference, ref_interp: Interpreter, max_steps: int):
-    """Execute one program on one hardware machine and diff it against
-    the reference interpreter; ``None`` on a crash divergence."""
+    """Execute one program, timed from its dependence *graphs*, on one
+    hardware machine and diff it against the reference interpreter;
+    ``None`` on a crash divergence."""
     try:
-        sim = HwSimulator(program.copy(), mach, max_steps=max_steps,
+        sim = HwSimulator(program.copy(), mach, graphs, max_steps=max_steps,
                           trace_stores=True)
         result = sim.run()
     except Exception as exc:  # engine crash / non-convergence = finding
@@ -443,7 +444,12 @@ def _run_hw(report: ConformanceReport, label: str, program, mach,
 def _check_hardware(report: ConformanceReport, config: OracleConfig,
                     program, reference, ref_interp: Interpreter) -> None:
     """The hardware simulator as an independent differential backend."""
-    lower_bound = _run_hw(report, "hw[oracle-infinite]", program,
+    # the raw program's graphs: every predictor times the same trees
+    try:
+        graphs = disambiguate(program, Disambiguator.NAIVE).graphs
+    except Exception:
+        return  # already reported by the view sweep
+    lower_bound = _run_hw(report, "hw[oracle-infinite]", program, graphs,
                           hw_machine(None, config.memory_latency,
                                      "oracle", window=None),
                           reference, ref_interp, config.max_steps)
@@ -451,7 +457,7 @@ def _check_hardware(report: ConformanceReport, config: OracleConfig,
         mach = hw_machine(config.hw_num_fus, config.memory_latency,
                           predictor, window=config.hw_window)
         label = f"hw[{predictor}]"
-        result = _run_hw(report, label, program, mach, reference,
+        result = _run_hw(report, label, program, graphs, mach, reference,
                          ref_interp, config.max_steps)
         if result is None:
             continue
@@ -478,7 +484,7 @@ def _check_hardware(report: ConformanceReport, config: OracleConfig,
     except Exception:
         return  # already reported by the view sweep
     predictor = config.hw_predictors[-1]
-    _run_hw(report, f"spec+hw[{predictor}]", view.program,
+    _run_hw(report, f"spec+hw[{predictor}]", view.program, view.graphs,
             hw_machine(config.hw_num_fus, config.memory_latency, predictor,
                        window=config.hw_window),
             reference, ref_interp, config.max_steps)

@@ -11,7 +11,9 @@ PRINT values; loads read through a store overlay, i.e. see what
 sequential execution would.  The per-tree memo, keyed on the events
 plus the predictor's decision bits, supplies the timing (its violations
 train the predictor, on hits too).  The simulator then adopts the
-registers, drains the stores and appends the output.
+registers, drains the stores and appends the output.  The engine reads
+each tree's dependences from the graph the compiler built for it: the
+simulator takes the view's graphs, keyed by ``(function, tree)``.
 
 That retirement is exact only if the load/store queue forwards every
 load the value the pass gave it: the LSQ forwards the latest earlier
@@ -37,11 +39,12 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from .. import obs
 from ..engines.codegen import generate_tree_source, touches_memory
 from ..engines.jit import compiled_fn
+from ..ir.depgraph import DependenceGraph
 from ..ir.program import Program
 from ..ir.tree import DecisionTree
 from ..machine.hw import HwMachine
@@ -71,11 +74,6 @@ class HwStats:
     memo_misses: int = 0
     memo_evictions: int = 0      #: LRU entries dropped at MEMO_CAPACITY
 
-    @property
-    def replays(self) -> int:
-        """Each squashed load re-issues exactly once."""
-        return self.squashes
-
     def to_dict(self) -> Dict[str, int]:
         return {
             "tree_executions": self.tree_executions,
@@ -83,7 +81,8 @@ class HwStats:
             "spec_issues": self.spec_issues,
             "violations": self.violations,
             "squashes": self.squashes,
-            "replays": self.replays,
+            # each squashed load re-issues exactly once
+            "replays": self.squashes,
             "memo_hits": self.memo_hits,
             "memo_misses": self.memo_misses,
             "memo_evictions": self.memo_evictions,
@@ -124,14 +123,19 @@ class _TreeState:
                  "op_keys", "memo", "decisions", "result")
 
     def __init__(self, function: str, name: str, tree: DecisionTree,
-                 machine: HwMachine, strict_memory: bool):
+                 graph: Optional[DependenceGraph], machine: HwMachine):
+        if graph is None or (graph.num_ops, graph.num_nodes) != (
+                len(tree.ops), len(tree.ops) + len(tree.exits)):
+            raise ValueError(f"the dependence graph of tree "
+                             f"{function}.{name} does not match its "
+                             f"operations and exits")
         self.tree = tree
-        self.ctx = TreeContext(tree, machine)
+        self.ctx = TreeContext(graph, machine)
         self.steps = len(tree.ops) + 1
         #: the compiled pass (shared bounded code cache with the
         #: ``jit`` engine — the source is the key, so identical tree
         #: shapes compile once per process)
-        self.run = compiled_fn(generate_tree_source(tree, strict_memory))
+        self.run = compiled_fn(generate_tree_source(tree))
         self.has_mem = touches_memory(tree)
         #: predictor identity of each op, by node index
         self.op_keys = [(function, name, op.op_id) for op in tree.ops]
@@ -173,12 +177,13 @@ class HwSimulator(Interpreter):
     """
 
     def __init__(self, program: Program, machine: HwMachine,
-                 max_steps: int = 200_000_000, strict_memory: bool = False,
-                 trace_stores: bool = False):
+                 graphs: Mapping[Tuple[str, str], DependenceGraph],
+                 max_steps: int = 200_000_000, trace_stores: bool = False):
         super().__init__(program, max_steps=max_steps, collect_profile=False,
-                         strict_memory=strict_memory,
                          trace_stores=trace_stores)
         self.machine = machine
+        #: each tree's dependence graph, by (function, tree)
+        self.graphs = graphs
         self.is_oracle = machine.predictor == "oracle"
         # the oracle decides every pair from the actual addresses
         # (see _decide) and never consults its predictor
@@ -202,7 +207,6 @@ class HwSimulator(Interpreter):
                 obs.incr("hwsim.issued_slots", stats.slots_used)
                 obs.incr("hwsim.spec_issues", stats.spec_issues)
                 obs.incr("hwsim.squashes", stats.squashes)
-                obs.incr("hwsim.replays", stats.replays)
                 obs.incr("hwsim.memo.hits", stats.memo_hits)
                 obs.incr("hwsim.memo.misses", stats.memo_misses)
                 obs.incr("hwsim.memo.evictions", stats.memo_evictions)
@@ -225,7 +229,7 @@ class HwSimulator(Interpreter):
             state = self._trees[key] = _TreeState(
                 frame.function, frame.tree,
                 self.program.functions[frame.function].trees[frame.tree],
-                self.machine, self.strict_memory)
+                self.graphs.get(key), self.machine)
         stats = self.stats
         stats.tree_executions += 1
         self.steps += state.steps
@@ -351,9 +355,10 @@ class HwSimulator(Interpreter):
 
 
 def simulate_program(program: Program, machine: HwMachine,
+                     graphs: Mapping[Tuple[str, str], DependenceGraph],
                      args: Tuple[Number, ...] = (),
-                     max_steps: int = 200_000_000,
-                     strict_memory: bool = False) -> HwRunResult:
-    """Execute *program* on the dynamically scheduled *machine*."""
-    return HwSimulator(program, machine, max_steps=max_steps,
-                       strict_memory=strict_memory).run(args)
+                     max_steps: int = 200_000_000) -> HwRunResult:
+    """Execute *program* on the dynamically scheduled *machine*, timing
+    each tree from its dependence graph in *graphs*."""
+    return HwSimulator(program, machine, graphs,
+                       max_steps=max_steps).run(args)

@@ -10,9 +10,10 @@ the store issues).  The model:
 * **register renaming** — WAR and WAW register arcs vanish; only true
   data dependences (``REG_RAW``), the conditional-execution guard rule,
   serialised side effects (``ORDER``), exit ordering and commit arcs
-  constrain issue.  The static dependence graph is built once per tree
-  with an all-``NO`` alias oracle, so it carries *no* memory arcs at
-  all — memory ordering is resolved dynamically below;
+  constrain issue, under the rules of :mod:`repro.sim.timing`.  They
+  come from the dependence graph the compiler built for the tree (the
+  view's own), whose memory arcs the engine skips: memory ordering is
+  resolved dynamically below;
 * **bounded issue** — at most ``num_fus`` operations issue per cycle
   (universal units, oldest-first), out of a window of ``window``
   consecutive operations in program order; operations retire in order,
@@ -46,25 +47,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..ir.depgraph import (AliasAnswer, ArcKind, DependenceGraph,
-                           build_dependence_graph)
-from ..ir.tree import DecisionTree
+from ..ir.depgraph import MEMORY_ARC_KINDS, ArcKind, DependenceGraph
 from ..machine.hw import HwMachine
+from ..sim.timing import (AFTER_COMPLETION, AFTER_ISSUE, GUARD_FLOOR,
+                          UNTIMED, arc_rule, node_latencies)
 
 __all__ = ["MemEvent", "TreeContext", "EngineResult", "simulate_tree"]
 
-#: Issue-constraint rules (pre-resolved from arc kinds).
-_AFTER_COMPLETION = 0   # REG_RAW data, COMMIT: wait for producer completion
-_AFTER_ISSUE = 1        # EXIT_ORDER: wait for the earlier node to issue
-_AFTER_ISSUE_PLUS1 = 2  # ORDER: serialised side effects, one cycle apart
+#: Arc kinds the hardware resolves itself: register renaming removes
+#: WAR and WAW, the load/store queue orders memory.
+HARDWARE_ARC_KINDS = frozenset(
+    {ArcKind.REG_WAR, ArcKind.REG_WAW} | MEMORY_ARC_KINDS)
 
 #: Engine runaway guard: no tree execution may simulate more cycles.
 _MAX_CYCLES = 10_000_000
-
-
-def _no_alias_oracle(op_a, op_b) -> AliasAnswer:
-    """Build the *structural* graph only: memory ordering is dynamic."""
-    return AliasAnswer.NO
 
 
 class MemEvent(NamedTuple):
@@ -88,43 +84,28 @@ class MemEvent(NamedTuple):
 
 
 class TreeContext:
-    """Static, per-tree data shared by every execution of the tree."""
+    """Static, per-tree data shared by every execution of the tree,
+    read from the tree's dependence graph in one pass over its arcs."""
 
-    def __init__(self, tree: DecisionTree, machine: HwMachine):
-        graph: DependenceGraph = build_dependence_graph(
-            tree, oracle=_no_alias_oracle)
-        self.tree = tree
-        self.num_ops = graph.num_ops
+    def __init__(self, graph: DependenceGraph, machine: HwMachine):
+        self.tree = graph.tree
+        self.num_ops = num_ops = graph.num_ops
         self.num_nodes = graph.num_nodes
-        latencies = machine.latencies
-        self.latency: List[int] = [
-            latencies.of(tree.ops[n]) if n < self.num_ops
-            else latencies.branch
-            for n in range(self.num_nodes)
-        ]
-        # renaming: REG_WAR / REG_WAW arcs are dropped; memory arcs do
-        # not exist in this graph (all-NO oracle)
-        self.issue_preds: List[List[Tuple[int, int]]] = []
-        self.guard_preds: List[List[int]] = []
-        for node in range(self.num_nodes):
-            ipreds: List[Tuple[int, int]] = []
-            gpreds: List[int] = []
-            for arc in graph.preds(node):
-                kind = arc.kind
-                if kind is ArcKind.REG_RAW:
-                    if arc.via_guard:
-                        gpreds.append(arc.src)
-                    else:
-                        ipreds.append((arc.src, _AFTER_COMPLETION))
-                elif kind is ArcKind.COMMIT:
-                    ipreds.append((arc.src, _AFTER_COMPLETION))
-                elif kind is ArcKind.EXIT_ORDER:
-                    ipreds.append((arc.src, _AFTER_ISSUE))
-                elif kind is ArcKind.ORDER:
-                    ipreds.append((arc.src, _AFTER_ISSUE_PLUS1))
-                # REG_WAR / REG_WAW: renamed away
-            self.issue_preds.append(ipreds)
-            self.guard_preds.append(gpreds)
+        self.latency: List[int] = node_latencies(graph, machine.latencies)
+        #: per node: (src, AFTER_* rule) issue constraints, and the
+        #: guard definitions that floor its completion
+        self.issue_preds: List[List[Tuple[int, int]]] = [
+            [] for _ in range(self.num_nodes)]
+        self.guard_preds: List[List[int]] = [
+            [] for _ in range(self.num_nodes)]
+        for arc in graph.arcs:
+            if arc.kind in HARDWARE_ARC_KINDS:
+                continue
+            rule = arc_rule(arc, num_ops)
+            if rule == GUARD_FLOOR:
+                self.guard_preds[arc.dst].append(arc.src)
+            elif rule != UNTIMED:
+                self.issue_preds[arc.dst].append((arc.src, rule))
 
     def exit_node(self, exit_index: int) -> int:
         return self.num_ops + exit_index
@@ -207,14 +188,14 @@ def simulate_tree(ctx: TreeContext, machine: HwMachine,
 
     def data_ready(node: int, cycle: int) -> bool:
         for src, rule in ctx.issue_preds[node]:
-            if rule == _AFTER_COMPLETION:
+            if rule == AFTER_COMPLETION:
                 done = completion[src]
                 if done < 0 or done > cycle:
                     return False
-            elif rule == _AFTER_ISSUE:
+            elif rule == AFTER_ISSUE:
                 if issue[src] < 0:
                     return False
-            else:  # _AFTER_ISSUE_PLUS1
+            else:  # AFTER_ISSUE_PLUS1
                 started = issue[src]
                 if started < 0 or started + 1 > cycle:
                     return False

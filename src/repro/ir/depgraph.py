@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
 from .frozen import slotted
@@ -124,7 +124,7 @@ def _unpack_arcs(packed: Tuple[int, ...]) -> List[Arc]:
 
 
 class DependenceGraph:
-    """Arcs plus adjacency over one decision tree.
+    """The arcs over one decision tree.
 
     A pickled graph holds its arcs as one flat tuple of ints
     (:func:`_pack_arcs`): no :class:`Arc` objects, no key tuples and no
@@ -132,8 +132,7 @@ class DependenceGraph:
     first read, which decodes it into the arc list once, in the
     original order; a loaded graph that is only reported or re-stored
     never builds an :class:`Arc`.  A graph built in the process is never
-    packed.  The per-node pred/succ lists are built on the first
-    :meth:`preds` or :meth:`succs` call.
+    packed.
     """
 
     def __init__(self, tree: DecisionTree, arcs: Sequence[Arc]):
@@ -145,8 +144,6 @@ class DependenceGraph:
         for arc in self._arcs:
             if not 0 <= arc.src < arc.dst < self.num_nodes:
                 raise ValueError(f"arc {arc} out of range or not forward")
-        self._preds: Optional[List[List[Arc]]] = None
-        self._succs: Optional[List[List[Arc]]] = None
 
     def __getstate__(self) -> Dict[str, object]:
         return {"tree": self.tree, "num_ops": self.num_ops,
@@ -160,7 +157,6 @@ class DependenceGraph:
         self.num_nodes = state["num_nodes"]
         self._arcs = None
         self._packed = state["packed"]
-        self._preds = self._succs = None
 
     @property
     def arcs(self) -> List[Arc]:
@@ -172,18 +168,7 @@ class DependenceGraph:
             obs.incr("depgraph.arcs_decoded")
         return self._arcs
 
-    def _build_adjacency(self) -> None:
-        preds: List[List[Arc]] = [[] for _ in range(self.num_nodes)]
-        succs: List[List[Arc]] = [[] for _ in range(self.num_nodes)]
-        for arc in self.arcs:
-            preds[arc.dst].append(arc)
-            succs[arc.src].append(arc)
-        self._preds, self._succs = preds, succs
-
     # -- node helpers -----------------------------------------------------
-
-    def is_exit_node(self, node: int) -> bool:
-        return node >= self.num_ops
 
     def node_op(self, node: int) -> Optional[Operation]:
         return self.tree.ops[node] if node < self.num_ops else None
@@ -197,16 +182,6 @@ class DependenceGraph:
         return self.num_ops + exit_index
 
     # -- arc queries --------------------------------------------------------
-
-    def preds(self, node: int) -> List[Arc]:
-        if self._preds is None:
-            self._build_adjacency()
-        return self._preds[node]
-
-    def succs(self, node: int) -> List[Arc]:
-        if self._succs is None:
-            self._build_adjacency()
-        return self._succs[node]
 
     def ambiguous_arcs(self) -> List[Arc]:
         """All ambiguous memory arcs, the candidate set for SpD."""
@@ -265,12 +240,15 @@ def build_dependence_graph(
                             via_guard=via_guard, key=key_of(def_idx, node)))
 
     for j, op in enumerate(ops):
-        for reg in op.data_source_registers():
+        # one read entry per distinct register, in operand order
+        read_regs = dict.fromkeys(op.data_source_registers())
+        for reg in read_regs:
             add_read_arcs(j, reg, op.guard, via_guard=False)
-            reads.setdefault(reg, []).append((j, op.guard))
         if op.guard is not None:
             add_read_arcs(j, op.guard.reg, op.guard, via_guard=True)
-            reads.setdefault(op.guard.reg, []).append((j, op.guard))
+            read_regs[op.guard.reg] = None
+        for reg in read_regs:
+            reads.setdefault(reg, []).append((j, op.guard))
         if op.dest is not None:
             reg = op.dest
             for read_idx, read_guard in reads.get(reg, []):
@@ -324,18 +302,16 @@ def build_dependence_graph(
         if e_idx > 0:
             arcs.append(Arc(node - 1, node, ArcKind.EXIT_ORDER,
                             key=key_of(node - 1, node)))
-        # data operands of the exit (call args, return value)
-        for reg in {a for a in exit_.args if isinstance(a, Register)} | (
-            {exit_.value} if isinstance(exit_.value, Register) else set()
-        ):
-            add_read_arcs(node, reg, None, via_guard=False)
-        # the branch condition of this exit and of every earlier exit must
-        # be ready before this exit can resolve
-        seen_conds: Set[Register] = set()
+        # the data operands of the exit (call args, return value), then
+        # the branch condition of this exit and of every earlier exit:
+        # all must be ready before this exit can resolve
+        read_regs = dict.fromkeys(
+            a for a in (*exit_.args, exit_.value) if isinstance(a, Register))
         for earlier in tree.exits[: e_idx + 1]:
-            if earlier.guard is not None and earlier.guard.reg not in seen_conds:
-                seen_conds.add(earlier.guard.reg)
-                add_read_arcs(node, earlier.guard.reg, None, via_guard=False)
+            if earlier.guard is not None:
+                read_regs[earlier.guard.reg] = None
+        for reg in read_regs:
+            add_read_arcs(node, reg, None, via_guard=False)
         # commit ordering: anything that commits on this path must issue
         # no later than the exit
         path = exit_.path_literals
@@ -345,12 +321,7 @@ def build_dependence_graph(
             if op.has_side_effect or (op.dest is not None and op.dest.is_variable):
                 arcs.append(Arc(i, node, ArcKind.COMMIT, key=key_of(i, node)))
 
-    # deduplicate (same src, dst, kind can be generated twice for exits)
-    unique: Dict[Tuple[int, int, ArcKind, bool], Arc] = {}
-    for arc in arcs:
-        ident = (arc.src, arc.dst, arc.kind, arc.via_guard)
-        unique.setdefault(ident, arc)
-    graph = DependenceGraph(tree, list(unique.values()))
+    graph = DependenceGraph(tree, arcs)
     if obs.is_enabled():
         obs.incr("depgraph.builds")
         obs.incr("depgraph.arcs", len(graph.arcs))

@@ -31,7 +31,8 @@ from .guards import Guard
 from .memory import MemAccess
 from .values import Operand, Register
 
-__all__ = ["Opcode", "OpCategory", "Operation", "PathLiterals", "NO_PATH"]
+__all__ = ["Opcode", "OpCategory", "Operation", "PathLiterals", "NO_PATH",
+           "opcode_category"]
 
 
 class OpCategory(enum.Enum):
@@ -126,6 +127,12 @@ _CATEGORY = {
     Opcode.STORE: OpCategory.MEMORY,
 }
 
+
+def opcode_category(opcode: Opcode) -> OpCategory:
+    """The Table 6-1 latency class of *opcode*."""
+    return _CATEGORY.get(opcode, OpCategory.ALU)
+
+
 _COMMUTATIVE = frozenset(
     {Opcode.ADD, Opcode.MUL, Opcode.AND, Opcode.OR, Opcode.XOR,
      Opcode.FADD, Opcode.FMUL, Opcode.CMP_EQ, Opcode.CMP_NE,
@@ -179,7 +186,7 @@ class Operation:
 
     @property
     def category(self) -> OpCategory:
-        return _CATEGORY.get(self.opcode, OpCategory.ALU)
+        return opcode_category(self.opcode)
 
     @property
     def is_memory(self) -> bool:

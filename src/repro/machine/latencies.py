@@ -15,9 +15,10 @@ branches                2
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import astuple, dataclass
 
-from ..ir.operations import OpCategory, Operation
+from ..ir.operations import Opcode, Operation, opcode_category
 
 __all__ = ["LatencyTable", "TABLE_6_1_MEM2", "TABLE_6_1_MEM6"]
 
@@ -39,25 +40,30 @@ class LatencyTable:
                            "fpu", "memory", "branch"):
             if getattr(self, field_name) < 1:
                 raise ValueError(f"{field_name} latency must be >= 1")
-        # category lookup table, built once: of()/of_category() sit on
-        # the timing models' hot paths.  Stored via object.__setattr__
-        # (frozen dataclass); not a field, so asdict()/fingerprints,
-        # equality and hashing are unaffected.
-        object.__setattr__(self, "_by_category", {
-            OpCategory.INT_MUL: self.int_mul,
-            OpCategory.DIVIDE: self.divide,
-            OpCategory.FP_COMPARE: self.fp_compare,
-            OpCategory.ALU: self.alu,
-            OpCategory.FPU: self.fpu,
-            OpCategory.MEMORY: self.memory,
-        })
+        # each opcode's latency, built once: of() sits on the timing
+        # models' hot paths.  Stored via object.__setattr__ (frozen
+        # dataclass); not a field, so asdict()/fingerprints, equality
+        # and hashing are unaffected.  (A category's value names its
+        # field.)
+        object.__setattr__(self, "_by_opcode", {
+            opcode: getattr(self, opcode_category(opcode).value)
+            for opcode in Opcode})
 
-    def of_category(self, category: OpCategory) -> int:
-        return self._by_category[category]
+    def __reduce__(self):
+        # pickle the fields only; a load shares the table built for the
+        # same fields rather than rebuilding the opcode map (stored
+        # timing artifacts each carry a table)
+        return (_shared_table, astuple(self))
 
     def of(self, op: Operation) -> int:
         """Latency of one IR operation."""
-        return self.of_category(op.category)
+        return self._by_opcode[op.opcode]
+
+
+@functools.lru_cache(maxsize=64)
+def _shared_table(*latencies: int) -> LatencyTable:
+    """The table with these field values, built once per process."""
+    return LatencyTable(*latencies)
 
 
 #: The paper's two memory configurations (Section 6.2).

@@ -17,6 +17,7 @@ from .base import (
     UnknownPassError,
     build_cleanup_passes,
     ensure_builtin_passes,
+    parse_cleanup_spec,
     pass_class,
     register,
     registered_passes,
@@ -33,6 +34,7 @@ __all__ = [
     "UnknownPassError",
     "build_cleanup_passes",
     "ensure_builtin_passes",
+    "parse_cleanup_spec",
     "pass_class",
     "register",
     "registered_passes",

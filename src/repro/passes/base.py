@@ -168,6 +168,18 @@ def pass_class(name: str) -> Type[Pass]:
     return cls
 
 
+def parse_cleanup_spec(spec: str) -> Tuple[str, ...]:
+    """The cleanup pass names of a ``--passes`` / ``knobs.passes`` spec:
+    ``none`` (no cleanup), ``default`` (:data:`DEFAULT_CLEANUP`) or a
+    comma-separated pass list.  Names are checked by
+    :meth:`PassPipelineConfig.validated`, not here."""
+    if spec == "none":
+        return ()
+    if spec == "default":
+        return DEFAULT_CLEANUP
+    return tuple(name for name in spec.split(",") if name)
+
+
 def build_cleanup_passes(names) -> List[Pass]:
     """Instantiate the named cleanup passes, in order.
 
@@ -214,13 +226,7 @@ class PassPipelineConfig:
 
     def validated(self) -> "PassPipelineConfig":
         """Self, after checking every referenced pass name resolves."""
-        for name in self.cleanup:
-            cls = pass_class(name)
-            if cls.stage != "cleanup":
-                raise UnknownPassError(
-                    f"pass {name!r} is a {cls.stage}-stage pass and "
-                    f"cannot run as a cleanup"
-                )
+        build_cleanup_passes(self.cleanup)
         known = {cls.name for cls in registered_passes().values()}
         for name in self.dump_after:
             if name not in known:

@@ -205,7 +205,8 @@ class Pipeline:
                           kind=kind.value, machine=mach.name):
                 # simulate a copy: the simulator may lay out memory on a
                 # program the store also serves to other callers
-                run = simulate_program(view.program.copy(), mach)
+                run = simulate_program(view.program.copy(), mach,
+                                       view.graphs)
                 if not profiled.reference.output_equal(run):
                     raise AssertionError(
                         f"hardware simulation diverged from the reference "

@@ -45,7 +45,10 @@ __all__ = ["PIPELINE_VERSION", "fingerprint", "spd_config_key",
 #: their adjacency lists; version-3 payloads carry instance dicts.
 #: 5: dependence graphs pickle their arcs as one packed int tuple (and
 #: decode it on first use); version-4 payloads carry ``Arc`` lists.
-PIPELINE_VERSION = 5
+#: 6: each arc is generated once, exit reads in operand order, so the
+#: packed arc order changed (it followed ``PYTHONHASHSEED`` before);
+#: pickled LatencyTable instances carry their fields only.
+PIPELINE_VERSION = 6
 
 
 def fingerprint(payload: Dict[str, object]) -> str:

@@ -28,7 +28,8 @@ from ..engines import DEFAULT_ENGINE, engine_names
 from ..frontend.grafting import GraftConfig
 from ..machine.description import LifeMachine, machine
 from ..machine.hw import PREDICTOR_NAMES, HwMachine, hw_machine
-from ..passes import DEFAULT_CLEANUP, PassPipelineConfig, UnknownPassError
+from ..passes import (PassPipelineConfig, UnknownPassError,
+                      parse_cleanup_spec)
 
 __all__ = ["SCHEMA", "ENDPOINTS", "MAX_SOURCE_BYTES", "RequestError",
            "ServeRequest", "parse_request", "error_body", "result_body",
@@ -106,14 +107,9 @@ def _parse_knobs(payload: object) -> Tuple[SpDConfig, Optional[GraftConfig],
     _require(isinstance(spec, str),
              "'knobs.passes' must be a string ('none', 'default' or a "
              "comma-separated pass list)")
-    if spec == "none":
-        cleanup: Tuple[str, ...] = ()
-    elif spec == "default":
-        cleanup = DEFAULT_CLEANUP
-    else:
-        cleanup = tuple(name for name in spec.split(",") if name)
     try:
-        passes = PassPipelineConfig(cleanup=cleanup).validated()
+        passes = PassPipelineConfig(
+            cleanup=parse_cleanup_spec(spec)).validated()
     except UnknownPassError as error:
         raise RequestError("bad_request", str(error))
     guard_words = payload.get("guard_words", 0)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import get_benchmark
-from repro.disambig import Disambiguator
+from repro.disambig import Disambiguator, disambiguate
 from repro.frontend import compile_source
 from repro.ir import (ArrayDecl, Function, Opcode, Program,
                       TreeBuilder, validate_program)
@@ -194,3 +194,9 @@ def graph_rows(graph):
     arc's fields, in arc order."""
     return graph.num_ops, [(arc.src, arc.dst, arc.kind, arc.ambiguous,
                             arc.via_guard, arc.key) for arc in graph.arcs]
+
+
+def naive_graphs(program):
+    """Each tree's NAIVE dependence graph, by ``(function, tree)``: what
+    the hardware simulator times a raw program from."""
+    return disambiguate(program, Disambiguator.NAIVE).graphs

@@ -13,6 +13,8 @@ from repro.hwsim import HwSimulator, simulate_program
 from repro.machine import HW_ORACLE_INFINITE, hw_machine
 from repro.sim import run_program
 
+from ..conftest import naive_graphs
+
 PREDICTORS = ("always", "never", "store-set", "oracle")
 
 
@@ -20,11 +22,20 @@ def _mach(predictor="store-set", fus=2):
     return hw_machine(fus, predictor=predictor, window=8)
 
 
+def _simulator(program, mach, **kwargs):
+    """A simulator on a copy of *program*, timed from its NAIVE graphs."""
+    return HwSimulator(program.copy(), mach, naive_graphs(program), **kwargs)
+
+
+def _simulate(program, mach):
+    return simulate_program(program.copy(), mach, naive_graphs(program))
+
+
 class TestFunctionalEquivalence:
     @pytest.mark.parametrize("predictor", PREDICTORS)
     def test_example22_matches_interpreter(self, example22_program,
                                            example22_result, predictor):
-        result = simulate_program(example22_program.copy(),
+        result = _simulate(example22_program,
                                   _mach(predictor))
         assert example22_result.output_equal(result)
         assert example22_result.return_value == result.return_value
@@ -33,14 +44,14 @@ class TestFunctionalEquivalence:
     def test_pointer_kernel_matches_interpreter(self, pointer_program,
                                                 predictor):
         reference = run_program(pointer_program.copy())
-        result = simulate_program(pointer_program.copy(), _mach(predictor))
+        result = _simulate(pointer_program, _mach(predictor))
         assert reference.output_equal(result)
 
     def test_final_memory_matches_interpreter(self, example22_program):
         from repro.sim.interpreter import Interpreter
         reference = Interpreter(example22_program.copy())
         reference.run()
-        sim = HwSimulator(example22_program.copy(), _mach("always"))
+        sim = _simulator(example22_program, _mach("always"))
         sim.run()
         assert sim.memory == reference.memory
 
@@ -52,7 +63,7 @@ class TestCounters:
         store-set predictor converges after training."""
         runs = {}
         for predictor in PREDICTORS:
-            sim = HwSimulator(example22_program.copy(), _mach(predictor))
+            sim = _simulator(example22_program, _mach(predictor))
             sim.run()
             runs[predictor] = sim
         assert runs["always"].stats.squashes > 0
@@ -69,15 +80,15 @@ class TestCounters:
     def test_cycle_ordering(self, example22_program):
         cycles = {}
         for predictor in PREDICTORS:
-            cycles[predictor] = simulate_program(
-                example22_program.copy(), _mach(predictor)).cycles
+            cycles[predictor] = _simulate(
+                example22_program, _mach(predictor)).cycles
         # an oracle never waits needlessly and never squashes
         assert cycles["oracle"] <= min(cycles["never"], cycles["always"])
         # trained store-set lands between blind policies on this input
         assert cycles["oracle"] <= cycles["store-set"] <= cycles["never"]
 
     def test_memoisation_kicks_in_on_loops(self, example22_program):
-        sim = HwSimulator(example22_program.copy(), _mach("never"))
+        sim = _simulator(example22_program, _mach("never"))
         sim.run()
         # 100 loop iterations over a handful of distinct trees
         assert sim.stats.memo_hits > sim.stats.memo_misses
@@ -86,7 +97,7 @@ class TestCounters:
 
     def test_timing_payload_is_self_describing(self, example22_program):
         mach = _mach("store-set")
-        result = simulate_program(example22_program.copy(), mach)
+        result = _simulate(example22_program, mach)
         timing = result.timing
         assert timing.machine_name == mach.name
         assert timing.predictor == "store-set"
@@ -100,7 +111,7 @@ class TestCounters:
 class TestObservability:
     def test_run_emits_metrics(self, example22_program):
         with obs.tracing() as tracer:
-            simulate_program(example22_program.copy(), _mach("always"))
+            _simulate(example22_program, _mach("always"))
         counters = tracer.metrics.counters
         assert counters["hwsim.cycles"] > 0
         assert counters["hwsim.tree_executions"] > 0
@@ -110,16 +121,16 @@ class TestObservability:
 
 class TestLimits:
     def test_max_steps_enforced(self, example22_program):
-        sim = HwSimulator(example22_program.copy(), _mach("never"),
+        sim = _simulator(example22_program, _mach("never"),
                           max_steps=10)
         with pytest.raises(Exception):
             sim.run()
 
     def test_infinite_machine_is_program_lower_bound(self,
                                                      example22_program):
-        bound = simulate_program(example22_program.copy(),
+        bound = _simulate(example22_program,
                                  HW_ORACLE_INFINITE).cycles
         for predictor in PREDICTORS:
-            cycles = simulate_program(example22_program.copy(),
+            cycles = _simulate(example22_program,
                                       _mach(predictor)).cycles
             assert cycles >= bound, predictor

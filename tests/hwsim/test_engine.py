@@ -20,6 +20,7 @@ import pytest
 
 from ..conftest import build_raw_tree_program
 from repro.hwsim import MemEvent, TreeContext, simulate_tree
+from repro.ir.depgraph import build_dependence_graph
 from repro.machine import HW_ORACLE_INFINITE, HwMachine, hw_machine
 
 STORE_NODE, LOAD_NODE, EXIT_NODE = 3, 4, 7
@@ -31,7 +32,7 @@ def tree():
 
 
 def ctx_for(tree, mach):
-    return TreeContext(tree, mach)
+    return TreeContext(build_dependence_graph(tree), mach)
 
 
 def alias_events():
@@ -55,7 +56,7 @@ class TestContext:
         ctx = ctx_for(tree, hw_machine(4))
         # the FMUL truly depends on the LOAD's completion
         assert any(src == LOAD_NODE for src, _rule in ctx.issue_preds[5])
-        # no memory arcs exist statically: the LSQ handles them
+        # the graph's memory arcs are skipped: the LSQ handles them
         for node in range(ctx.num_nodes):
             assert all(src != STORE_NODE or node == EXIT_NODE
                        for src, _rule in ctx.issue_preds[node]) or \

@@ -19,7 +19,7 @@ from repro.fuzz.oracle import OracleConfig, check_source
 from repro.hwsim import HwSimulator, MemEvent, core
 from repro.machine.hw import hw_machine
 
-from ..conftest import EXAMPLE_2_2
+from ..conftest import EXAMPLE_2_2, naive_graphs
 
 PREDICTORS = ("always", "never", "store-set", "oracle")
 
@@ -47,7 +47,8 @@ def _mach(predictor="store-set", fus=2):
 
 
 def _simulate(program, mach):
-    sim = HwSimulator(program.copy(), mach, trace_stores=True)
+    sim = HwSimulator(program.copy(), mach, naive_graphs(program),
+                      trace_stores=True)
     result = sim.run()
     return sim, result
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro import obs
 from repro.disambig.pipeline import Disambiguator
-from repro.machine import HwMachine, hw_machine
+from repro.machine import hw_machine
 from repro.pipeline.core import Pipeline
 from repro.pipeline.executor import HwTimingJob, run_jobs
 from repro.pipeline.store import ArtifactStore
@@ -127,7 +127,7 @@ class TestDivergenceGuard:
             output = ("not", "the", "real", "output")
 
         monkeypatch.setattr(core, "simulate_program",
-                            lambda program, mach: _Liar())
+                            lambda program, mach, graphs: _Liar())
         pipe = Pipeline(store=ArtifactStore(tmp_path))
         with pytest.raises(AssertionError, match="diverged"):
             pipe.hw_timing("ex", SOURCE, Disambiguator.NAIVE, MACH)

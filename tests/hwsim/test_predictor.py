@@ -6,6 +6,8 @@ from repro.hwsim import (AlwaysSpeculate, HwSimulator, NeverSpeculate,
                          StoreSetPredictor, make_predictor)
 from repro.machine.hw import HW_ORACLE_INFINITE
 
+from ..conftest import naive_graphs
+
 LOAD = ("main", "t0", 4)
 STORE = ("main", "t0", 3)
 OTHER_STORE = ("main", "t1", 9)
@@ -71,7 +73,8 @@ class TestRegistry:
         # be safe (never bypass) if consulted anyway
         with pytest.raises(ValueError, match="unknown predictor"):
             make_predictor("oracle")
-        sim = HwSimulator(example22_program, HW_ORACLE_INFINITE)
+        sim = HwSimulator(example22_program, HW_ORACLE_INFINITE,
+                          naive_graphs(example22_program))
         assert isinstance(sim.predictor, NeverSpeculate)
         assert not sim.predictor.may_bypass(LOAD, STORE)
 

@@ -1,7 +1,13 @@
 """Unit tests for dependence-graph construction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.ir import (AliasAnswer, ArcKind, Guard, Opcode,
                       Register, TreeBuilder, build_dependence_graph,
                       naive_oracle)
@@ -191,12 +197,17 @@ class TestGraphStructure:
             for arc in graph.arcs:
                 assert arc.src < arc.dst
 
-    def test_adjacency_consistent(self):
-        tree = simple_mem_tree()
-        graph = build_dependence_graph(tree)
-        for arc in graph.arcs:
-            assert arc in graph.succs(arc.src)
-            assert arc in graph.preds(arc.dst)
+    def test_each_arc_generated_once(self, example22_program):
+        trees = [tree for _f, tree in example22_program.all_trees()]
+        for tree in [simple_mem_tree(), *trees]:
+            idents = [(arc.src, arc.dst, arc.kind, arc.via_guard)
+                      for arc in build_dependence_graph(tree).arcs]
+            assert len(idents) == len(set(idents))
+
+    def test_packed_arcs_do_not_depend_on_the_hash_seed(self):
+        """Arc order is stored in packed graphs, so it must not follow
+        ``PYTHONHASHSEED`` (set iteration order)."""
+        assert _packed_digest(0) == _packed_digest(2)
 
     def test_ambiguous_arcs_join_store_involved_pairs(self, example22_program):
         for _f, tree in example22_program.all_trees():
@@ -206,3 +217,26 @@ class TestGraphStructure:
                 op_b = tree.ops[arc.dst]
                 assert op_a.is_memory and op_b.is_memory
                 assert op_a.is_store or op_b.is_store
+
+
+#: Digest of the packed arcs of every kernel tree's NAIVE graph.
+_PACKED_DIGEST = """
+import hashlib
+from repro.bench import SUITE
+from repro.frontend import compile_source
+from repro.ir.depgraph import _pack_arcs, build_dependence_graph
+digest = hashlib.sha256()
+for name in sorted(SUITE):
+    for _f, tree in compile_source(SUITE[name].source).all_trees():
+        packed = _pack_arcs(build_dependence_graph(tree).arcs)
+        digest.update(repr(packed).encode())
+print(digest.hexdigest())
+"""
+
+
+def _packed_digest(hash_seed: int) -> str:
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
+               PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", _PACKED_DIGEST], env=env,
+                          capture_output=True, text=True,
+                          check=True).stdout

@@ -1,10 +1,9 @@
 """Views replayed from the disk store time exactly like fresh ones.
 
-A pickled dependence graph carries its arcs as one packed int tuple and
-no per-node adjacency.  The arcs are decoded on the first ``arcs`` read
-and the adjacency is rebuilt on the first ``preds``/``succs`` call;
-these tests pin that both, and the cycles they yield, match the
-in-process view of every kernel.
+A pickled dependence graph carries its arcs as one packed int tuple,
+decoded on the first ``arcs`` read; these tests pin that the decoded
+arcs, in order, and the cycles they yield match the in-process view of
+every kernel.
 """
 
 import pickle
@@ -44,11 +43,6 @@ def _replay(cold, name, latency):
     return fresh, replayed
 
 
-def _adjacency(graph):
-    return ([graph.preds(node) for node in range(graph.num_nodes)],
-            [graph.succs(node) for node in range(graph.num_nodes)])
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("name,latency", CASES,
                          ids=[f"{n}-mem{m}" for n, m in CASES])
@@ -61,8 +55,7 @@ def test_replayed_view_matches_the_in_process_view(pipelines, name,
     assert replayed is not fresh
     assert replayed.graphs.keys() == fresh.graphs.keys()
     for key, graph in replayed.graphs.items():
-        assert graph._preds is None and graph._succs is None
-        assert _adjacency(graph) == _adjacency(fresh.graphs[key])
+        assert graph.arcs == fresh.graphs[key].arcs
     mach = machine(5, latency)
     profile = cold.profile(name, source).profile
     assert (evaluate_program(replayed.program, replayed.graphs, mach,
@@ -75,13 +68,10 @@ def test_pickled_graph_state_holds_no_adjacency(pipelines):
     cold, _ = pipelines
     view = cold.view("perm", SUITE["perm"].source, Disambiguator.SPEC, 2)
     for graph in view.graphs.values():
-        graph.preds(0)  # built in process
         state = graph.__getstate__()
         assert state.keys() == {"tree", "num_ops", "num_nodes", "packed"}
         assert _unpack_arcs(state["packed"]) == graph.arcs
-        loaded = pickle.loads(pickle.dumps(graph))
-        assert loaded._preds is None and loaded._succs is None
-        assert _adjacency(loaded) == _adjacency(graph)
+        assert pickle.loads(pickle.dumps(graph)).arcs == graph.arcs
 
 
 @pytest.mark.parametrize("name,latency", CASES,

@@ -22,6 +22,7 @@ from repro.hwsim import simulate_program
 from repro.machine import HW_ORACLE_INFINITE, hw_machine
 from repro.sim import run_program
 
+from ..conftest import naive_graphs
 from .gen import tinyc_programs
 
 _SETTINGS = settings(max_examples=25, deadline=None,
@@ -37,9 +38,10 @@ _TIGHT = dict(memory_latency=2, window=8)
 def test_hw_matches_interpreter_all_predictors(source):
     program = compile_source(source)
     reference = run_program(program, max_steps=2_000_000)
+    graphs = naive_graphs(program)
     for predictor in ("always", "never", "store-set", "oracle"):
         mach = hw_machine(2, predictor=predictor, **_TIGHT)
-        result = simulate_program(program.copy(), mach,
+        result = simulate_program(program.copy(), mach, graphs,
                                   max_steps=2_000_000)
         assert reference.output_equal(result), (source, predictor)
         assert reference.return_value == result.return_value, (
@@ -50,12 +52,13 @@ def test_hw_matches_interpreter_all_predictors(source):
 @given(source=tinyc_programs())
 def test_hw_finite_never_beats_oracle_infinite(source):
     program = compile_source(source)
-    bound = simulate_program(program.copy(), HW_ORACLE_INFINITE,
+    graphs = naive_graphs(program)
+    bound = simulate_program(program.copy(), HW_ORACLE_INFINITE, graphs,
                              max_steps=2_000_000).cycles
     for predictor in ("always", "never", "store-set"):
         for fus in (1, 2):
             mach = hw_machine(fus, predictor=predictor, **_TIGHT)
-            cycles = simulate_program(program.copy(), mach,
+            cycles = simulate_program(program.copy(), mach, graphs,
                                       max_steps=2_000_000).cycles
             assert cycles >= bound, (source, predictor, fus, cycles, bound)
 
@@ -66,7 +69,7 @@ def test_never_speculate_never_squashes(source):
     program = compile_source(source)
     result = simulate_program(
         program.copy(), hw_machine(2, predictor="never", **_TIGHT),
-        max_steps=2_000_000)
+        naive_graphs(program), max_steps=2_000_000)
     assert result.timing.stats["squashes"] == 0
     assert result.timing.stats["violations"] == 0
     assert result.timing.stats["spec_issues"] == 0
@@ -77,8 +80,11 @@ def test_never_speculate_never_squashes(source):
 def test_hw_simulation_is_deterministic(source):
     program = compile_source(source)
     mach = hw_machine(2, predictor="store-set", **_TIGHT)
-    first = simulate_program(program.copy(), mach, max_steps=2_000_000)
-    second = simulate_program(program.copy(), mach, max_steps=2_000_000)
+    graphs = naive_graphs(program)
+    first = simulate_program(program.copy(), mach, graphs,
+                             max_steps=2_000_000)
+    second = simulate_program(program.copy(), mach, graphs,
+                              max_steps=2_000_000)
     assert first.cycles == second.cycles
     assert first.output == second.output
     assert first.timing == second.timing

@@ -80,6 +80,14 @@ _SETTINGS = settings(max_examples=60, deadline=None,
 
 
 @_SETTINGS
+@given(tree=st.one_of(random_trees(), guarded_trees()))
+def test_each_arc_is_generated_once(tree):
+    idents = [(arc.src, arc.dst, arc.kind, arc.via_guard)
+              for arc in build_dependence_graph(tree).arcs]
+    assert len(idents) == len(set(idents))
+
+
+@_SETTINGS
 @given(tree=random_trees(), width=st.integers(1, 6),
        mem=st.sampled_from([2, 6]))
 def test_schedule_respects_capacity_and_constraints(tree, width, mem):
@@ -87,10 +95,9 @@ def test_schedule_respects_capacity_and_constraints(tree, width, mem):
     schedule = list_schedule(graph, machine(width, mem))
     for _cycle, nodes in schedule.slots.items():
         assert len(nodes) <= width
-    for node in range(graph.num_nodes):
-        for arc in graph.preds(node):
-            assert schedule.issue[node] >= issue_constraint(
-                arc, schedule.issue, schedule.completion), arc
+    for arc in graph.arcs:
+        assert schedule.issue[arc.dst] >= issue_constraint(
+            arc, schedule.issue, schedule.completion), arc
 
 
 @_SETTINGS

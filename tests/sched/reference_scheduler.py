@@ -4,7 +4,9 @@ test-only reference.
 This is the original quadratic scheduler: every cycle, every pass
 rescans every unscheduled node and every pred arc of each one.  It is
 copied unchanged, together with ``guard_completion_floor``, which only
-it used, so the parity tests can require the event-driven
+it used, except that it reads each node's pred and succ arcs from lists
+it derives from ``graph.arcs`` (:func:`_adjacency`; the graph keeps no
+adjacency of its own), so the parity tests can require the event-driven
 :func:`repro.sched.list_schedule` to return the very same
 :class:`~repro.sched.Schedule`: equal ``issue``, ``completion``,
 ``path_times`` and ``slots``, with the order of nodes inside each
@@ -14,7 +16,7 @@ the whole corpus.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro import obs
 from repro.ir.depgraph import Arc, ArcKind, DependenceGraph
@@ -23,6 +25,17 @@ from repro.sched.schedule import Schedule
 from repro.sim.timing import issue_constraint
 
 __all__ = ["list_schedule", "schedule_diff"]
+
+
+def _adjacency(graph: DependenceGraph
+              ) -> Tuple[List[List[Arc]], List[List[Arc]]]:
+    """Each node's pred arcs and succ arcs, in arc-list order."""
+    preds: List[List[Arc]] = [[] for _ in range(graph.num_nodes)]
+    succs: List[List[Arc]] = [[] for _ in range(graph.num_nodes)]
+    for arc in graph.arcs:
+        preds[arc.dst].append(arc)
+        succs[arc.src].append(arc)
+    return preds, succs
 
 
 def guard_completion_floor(node: int, preds: Sequence[Arc],
@@ -42,11 +55,12 @@ def _priorities(graph: DependenceGraph, machine: LifeMachine) -> List[int]:
     latencies = machine.latencies
     num_nodes = graph.num_nodes
     priority = [0] * num_nodes
+    succs = _adjacency(graph)[1]
     for node in range(num_nodes - 1, -1, -1):
         op = graph.node_op(node)
         own = latencies.of(op) if op is not None else latencies.branch
         best_succ = 0
-        for arc in graph.succs(node):
+        for arc in succs[node]:
             best_succ = max(best_succ, priority[arc.dst])
         priority[node] = own + best_succ
     return priority
@@ -60,6 +74,7 @@ def list_schedule(graph: DependenceGraph, machine: LifeMachine) -> Schedule:
     latencies = machine.latencies
     num_nodes = graph.num_nodes
     priority = _priorities(graph, machine)
+    preds = _adjacency(graph)[0]
 
     issue = [-1] * num_nodes
     completion = [-1] * num_nodes
@@ -83,7 +98,7 @@ def list_schedule(graph: DependenceGraph, machine: LifeMachine) -> Schedule:
             for node in remaining:
                 earliest = 0
                 feasible = True
-                for arc in graph.preds(node):
+                for arc in preds[node]:
                     if arc.src not in scheduled:
                         feasible = False
                         break
@@ -102,7 +117,7 @@ def list_schedule(graph: DependenceGraph, machine: LifeMachine) -> Schedule:
                 if op is not None:
                     done = cycle + latencies.of(op)
                     done = max(done, guard_completion_floor(
-                        node, graph.preds(node), completion))
+                        node, preds[node], completion))
                 else:
                     done = cycle + latencies.branch
                 completion[node] = done

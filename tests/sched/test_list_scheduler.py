@@ -54,11 +54,10 @@ class TestResourceLimits:
 class TestConstraintSatisfaction:
     def check_constraints(self, graph, schedule):
         from repro.sim.timing import issue_constraint
-        for node in range(graph.num_nodes):
-            for arc in graph.preds(node):
-                earliest = issue_constraint(arc, schedule.issue,
-                                            schedule.completion)
-                assert schedule.issue[node] >= earliest, arc
+        for arc in graph.arcs:
+            earliest = issue_constraint(arc, schedule.issue,
+                                        schedule.completion)
+            assert schedule.issue[arc.dst] >= earliest, arc
 
     def test_constraints_hold_on_compiled_trees(self, example22_program):
         for _f, tree in example22_program.all_trees():
