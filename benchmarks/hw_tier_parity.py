@@ -1,0 +1,77 @@
+"""hwsim's interpreted tier against its compiled tier, corpus-wide.
+
+hwsim runs a tree's resolve pass interpreted while the tree is cold and
+compiled once it is hot (:class:`repro.engines.jit.Tier`).  For every
+program in the committed corpus manifest, this simulates the SPEC view
+(memory latency 6) on ``hw_machine(4, 6)`` twice: at
+``TIER_THRESHOLD = 0``, where every tree compiles on entry, and at the
+default threshold from an empty code cache, where most trees never
+leave the interpreted tier.  The two runs must give identical
+``HwTiming.to_dict()`` payloads, cycles and output.  Prints a summary
+and exits 1 on any difference, naming the first few.
+
+Views come from the default artifact store (``REPRO_CACHE_DIR``), so a
+store that a full ``repro bench --corpus`` run has filled serves them
+warm.  Run from the repository root::
+
+    PYTHONPATH=src python benchmarks/hw_tier_parity.py
+"""
+
+from __future__ import annotations
+
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from repro.corpus import (DEFAULT_MANIFEST_PATH, entry_source,  # noqa: E402
+                          load_manifest)
+from repro.disambig import Disambiguator  # noqa: E402
+from repro.engines import jit  # noqa: E402
+from repro.hwsim import simulate_program  # noqa: E402
+from repro.machine import hw_machine  # noqa: E402
+from repro.pipeline import Pipeline  # noqa: E402
+
+MEMORY_LATENCY = 6
+SHOWN_MISMATCHES = 10
+
+
+def _simulate(view, mach, threshold: int):
+    jit.TIER_THRESHOLD = threshold
+    run = simulate_program(view.program.copy(), mach, view.graphs)
+    return run.timing.to_dict(), run.cycles, list(run.output)
+
+
+def main() -> int:
+    started = time.perf_counter()
+    manifest = load_manifest(ROOT / DEFAULT_MANIFEST_PATH)
+    mach = hw_machine(4, MEMORY_LATENCY)
+    pipeline = Pipeline()
+    default = jit.TIER_THRESHOLD
+    mismatches = []
+    try:
+        for entry in manifest["entries"]:
+            view = pipeline.view(entry["id"], entry_source(manifest, entry),
+                                 Disambiguator.SPEC, MEMORY_LATENCY)
+            # an empty cache: no tree enters compiled from a past run
+            jit.clear_code_cache()
+            tiered = _simulate(view, mach, default)
+            compiled = _simulate(view, mach, 0)
+            for axis, left, right in zip(("timing", "cycles", "output"),
+                                         compiled, tiered):
+                if left != right:
+                    mismatches.append(f"{entry['id']} {axis}: compiled "
+                                      f"{left!r}, tiered {right!r}")
+    finally:
+        jit.TIER_THRESHOLD = default
+    for line in mismatches[:SHOWN_MISMATCHES]:
+        print(f"MISMATCH {line}")
+    print(f"{len(manifest['entries'])} programs, {len(mismatches)} "
+          f"mismatches ({time.perf_counter() - started:.1f} s)")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

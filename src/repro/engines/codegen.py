@@ -39,7 +39,9 @@ buffered in program order.  The pass returns ``(exit_index, events,
 stores, prints)``, or only the exit index for a tree without memory
 operations, which prints directly.  The index is ``-1`` when no exit
 fires *or* an exit guard is undefined: the caller re-evaluates the
-exits, for the interpreter's exact error, once stores drained.
+exits, for the interpreter's exact error, once stores drained.  Its
+interpreted twin, which hwsim runs while a tree is too cold to
+compile, is :meth:`repro.sim.interpreter.Interpreter._resolve_tree`.
 
 Generated sources are deterministic functions of (tree structure,
 flags) and therefore double as structural tree fingerprints for the

@@ -43,6 +43,10 @@ Execution state is kept at three levels:
   identical functions across programs (fuzz campaigns generate
   thousands of near-identical ones) share one ``compile()``/``exec()``.
 
+The rule — the budget, the shape memory and the code-cache probe on
+entry — lives in :class:`Tier`, which the hardware simulator
+(:mod:`repro.hwsim.core`) applies to single trees as well.
+
 Cache behaviour is observable as ``engines.jit.cache_hits`` /
 ``cache_misses`` / ``cache_evictions`` / ``compiles`` counters, and
 promotions by hotness as ``engines.jit.tier_ups`` (see
@@ -52,15 +56,16 @@ docs/observability.md).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..ir.program import Program
 from ..sim.interpreter import Interpreter, InterpreterError, _Frame
 from .codegen import EXEC_GLOBALS, generate_function_source
 
-__all__ = ["CODE_CACHE_CAPACITY", "TIER_THRESHOLD", "compiled_fn",
-           "code_cache_size", "clear_code_cache", "JitInterpreter"]
+__all__ = ["CODE_CACHE_CAPACITY", "TIER_THRESHOLD", "Tier", "remember",
+           "compiled_fn", "code_cache_size", "clear_code_cache",
+           "JitInterpreter"]
 
 #: Process-wide bound on distinct compiled tree functions kept alive.
 #: Sized for whole fuzz campaigns (a few hundred distinct tree shapes);
@@ -68,15 +73,15 @@ __all__ = ["CODE_CACHE_CAPACITY", "TIER_THRESHOLD", "compiled_fn",
 CODE_CACHE_CAPACITY = 512
 
 #: Interpreted steps (``Interpreter.steps`` units) per operation or
-#: exit of a function after which the function is compiled.  On a
-#: 2-core x86-64 host under CPython 3.11, ``compile()`` costs ~70 us
-#: per operation and a compiled step saves ~1-1.3 us, so 24 spends a
-#: third to a half of a compile on the interpreted prefix.  0 compiles
-#: every function on entry; 1 tiers up after about one pass over its
-#: trees.
+#: exit of a function (of a tree, in the hardware simulator) after
+#: which it is compiled.  On a 2-core x86-64 host under CPython 3.11,
+#: ``compile()`` costs ~70 us per operation and a compiled step saves
+#: ~1-1.3 us, so 24 spends a third to a half of a compile on the
+#: interpreted prefix.  0 compiles every function on entry; 1 tiers up
+#: after about one pass over its trees.
 TIER_THRESHOLD = 24
 
-#: Bound on the function shapes whose history outlives their run.
+#: Bound on the shapes whose history outlives their run.
 SEEN_CAPACITY = 4096
 
 #: ``_seen`` value of a shape that was compiled: probe the code cache.
@@ -84,8 +89,9 @@ _COMPILED = -1
 
 _code_cache: "OrderedDict[str, Callable]" = OrderedDict()
 
-#: function shape (name, trees, operations and exits, generation
-#: flags) -> steps interpreted in earlier runs, or ``_COMPILED``
+#: shape (a function's name, trees, operations and exits and
+#: generation flags; a tree's) -> steps interpreted in earlier runs,
+#: or ``_COMPILED``
 _seen: Dict[tuple, int] = {}
 
 
@@ -123,19 +129,64 @@ def clear_code_cache() -> None:
     _seen.clear()
 
 
-class _Tier:
-    """One function's state within a run: interpreted while ``fn`` is
-    None and ``steps`` is below ``budget``, compiled after."""
+class Tier:
+    """One unit's tier state within a run — a function of the ``jit``
+    engine, a tree of the hardware simulator.
 
-    __slots__ = ("shape", "steps", "budget", "source", "fn", "tree_index",
-                 "exits")
+    The unit runs interpreted while ``fn`` is None and ``steps`` is
+    below ``budget`` (:data:`TIER_THRESHOLD` steps per operation or
+    exit of its *size*); then :meth:`tier_up` compiles it.  On entry
+    its *shape*'s history decides where it starts: a shape that stayed
+    cold resumes its step count; one that was compiled before has its
+    source generated, and enters compiled (``fn`` set) when the code
+    cache holds that source.  *source* generates the text on demand.
+    :func:`remember` records the cold units' counts when the run ends.
+    """
 
-    def __init__(self, shape: tuple, size: int):
+    __slots__ = ("shape", "steps", "budget", "source", "fn", "_generate")
+
+    def __init__(self, shape: tuple, size: int, source: Callable[[], str]):
         self.shape = shape
-        self.steps = 0
         self.budget = TIER_THRESHOLD * size
         self.source: Optional[str] = None
         self.fn: Optional[Callable] = None
+        self._generate = source
+        seen = _seen.get(shape, 0)
+        if seen != _COMPILED:
+            self.steps = seen
+            return
+        self.steps = 0
+        text = source()
+        if text in _code_cache:
+            self.fn = compiled_fn(text)
+        else:
+            self.source = text
+
+    def tier_up(self, counter: str) -> Callable:
+        """Compile the unit, which has spent its budget, counting the
+        promotion under *counter*."""
+        obs.incr(counter)
+        self.fn = compiled_fn(self.source or self._generate())
+        self.source = None
+        _seen[self.shape] = _COMPILED
+        return self.fn
+
+
+def remember(tiers: Iterable[Tier]) -> None:
+    """At the end of a run, keep each cold unit's step count for the
+    next run of its shape."""
+    for tier in tiers:
+        if tier.fn is None and _seen.get(tier.shape) != _COMPILED:
+            _seen[tier.shape] = tier.steps
+    while len(_seen) > SEEN_CAPACITY:
+        del _seen[next(iter(_seen))]
+
+
+class _FunctionTier(Tier):
+    """A function's tier state, plus what its compiled dispatch loop
+    needs once linked."""
+
+    __slots__ = ("tree_index", "exits")
 
 
 class JitInterpreter(Interpreter):
@@ -149,7 +200,7 @@ class JitInterpreter(Interpreter):
                          collect_profile=collect_profile,
                          strict_memory=strict_memory,
                          trace_stores=trace_stores)
-        self._tiers: Dict[str, _Tier] = {}
+        self._tiers: Dict[str, _FunctionTier] = {}
         #: function name -> per-exit count lists, indexed by tree index;
         #: the compiled code increments these in place
         self._fcounts: Dict[str, List[List[int]]] = {}
@@ -165,11 +216,7 @@ class JitInterpreter(Interpreter):
         try:
             return super()._run(args)
         finally:
-            for tier in self._tiers.values():
-                if tier.fn is None and _seen.get(tier.shape) != _COMPILED:
-                    _seen[tier.shape] = tier.steps
-            while len(_seen) > SEEN_CAPACITY:
-                del _seen[next(iter(_seen))]
+            remember(self._tiers.values())
             if self.collect_profile:
                 # tree_counts is exit_counts summed, and a tree whose
                 # counts are all zero never completed an execution —
@@ -192,9 +239,8 @@ class JitInterpreter(Interpreter):
                 exit_ = super()._execute_tree(frame)
                 tier.steps += self.steps - steps
                 return exit_
-            obs.incr("engines.jit.tier_ups")
-            fn = self._link(frame.function, tier, compiled_fn(
-                tier.source or self._source(frame.function)))
+            tier.tier_up("engines.jit.tier_ups")
+            fn = self._link(frame.function, tier)
         tree_idx, exit_idx = fn(frame.regs, self.memory, self,
                                 tier.tree_index[frame.tree])
         if exit_idx < 0:
@@ -203,23 +249,18 @@ class JitInterpreter(Interpreter):
                 f"tree {frame.function}.{tree}: no exit taken")
         return tier.exits[tree_idx][exit_idx]
 
-    def _enter(self, name: str) -> _Tier:
-        """The first call of *name* in this run.  Resume the step count
-        earlier runs of its shape left; if one was compiled, generate
-        the source and link it at once when the code cache holds it."""
+    def _enter(self, name: str) -> _FunctionTier:
+        """The first call of *name* in this run: its tier state, linked
+        at once when its shape enters compiled."""
         func = self.program.functions[name]
         size = sum(len(tree.ops) + len(tree.exits)
                    for tree in func.trees.values())
         shape = (name, len(func.trees), size, self.collect_profile,
                  self.trace_stores, self.strict_memory, self._obs_on)
-        tier = self._tiers[name] = _Tier(shape, size)
-        seen = _seen.get(shape, 0)
-        if seen != _COMPILED:
-            tier.steps = seen
-            return tier
-        tier.source = self._source(name)
-        if tier.source in _code_cache:
-            self._link(name, tier, compiled_fn(tier.source))
+        tier = self._tiers[name] = _FunctionTier(
+            shape, size, lambda: self._source(name))
+        if tier.fn is not None:
+            self._link(name, tier)
         return tier
 
     def _source(self, name: str) -> str:
@@ -230,8 +271,9 @@ class JitInterpreter(Interpreter):
             # squash tallies only exist under a tracer
             count_squashes=self._obs_on)
 
-    def _link(self, name: str, tier: _Tier, fn: Callable) -> Callable:
-        """Run *name* through its compiled function *fn* from now on.
+    def _link(self, name: str, tier: _FunctionTier) -> Callable:
+        """Run *name* through its compiled function ``tier.fn`` from now
+        on.
 
         A tree the interpreted prefix already ran keeps counting in its
         ``exit_counts`` row, so the compiled code adds to what
@@ -247,7 +289,4 @@ class JitInterpreter(Interpreter):
                 rows.append(row)
         tier.tree_index = {t: i for i, t in enumerate(func.trees)}
         tier.exits = [tree.exits for tree in func.trees.values()]
-        tier.source = None
-        tier.fn = fn
-        _seen[tier.shape] = _COMPILED
-        return fn
+        return tier.fn

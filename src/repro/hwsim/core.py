@@ -3,12 +3,23 @@
 :class:`HwSimulator` executes a decision-tree program the way the
 interpreter does — same frames, same call stack, same opcode semantics —
 but times every *tree execution* on the engine of
-:mod:`repro.hwsim.engine`.  One execution is one compiled pass
-(``hw_resolve``) over a copy of the frame's registers, which yields the
-new registers, the taken exit, the guard-true memory accesses as
-canonical address-class events, the stores in program order and the
-PRINT values; loads read through a store overlay, i.e. see what
-sequential execution would.  The per-tree memo, keyed on the events
+:mod:`repro.hwsim.engine`.  One execution is one resolve pass over a
+copy of the frame's registers, which yields the new registers, the
+taken exit, the guard-true memory accesses as canonical address-class
+events, the stores in program order and the PRINT values; loads read
+through a store overlay, i.e. see what sequential execution would.
+
+The pass has two tiers, under the ``jit`` engine's rule
+(:class:`repro.engines.jit.Tier`) applied per tree.  A tree starts
+cold and runs the pass interpreted
+(:meth:`~repro.sim.interpreter.Interpreter._resolve_tree`); once it has
+spent ``TIER_THRESHOLD`` steps per operation or exit it compiles the
+generated ``hw_resolve`` source once, and a tree whose source an
+earlier run compiled enters compiled while the code cache holds it.
+Most trees run a handful of times, so most never pay for a
+``compile()``.  Both tiers return the same results, so the tier never
+changes a memo key, a cycle or a counter; compilations by hotness are
+counted as ``hwsim.tier_ups``.  The per-tree memo, keyed on the events
 plus the predictor's decision bits, supplies the timing (its violations
 train the predictor, on hits too).  The simulator then adopts the
 registers, drains the stores and appends the output.  The engine reads
@@ -43,7 +54,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 from .. import obs
 from ..engines.codegen import generate_tree_source, touches_memory
-from ..engines.jit import compiled_fn
+from ..engines.jit import Tier, remember
 from ..ir.depgraph import DependenceGraph
 from ..ir.program import Program
 from ..ir.tree import DecisionTree
@@ -119,7 +130,7 @@ class HwRunResult(RunResult):
 class _TreeState:
     """Everything the simulator keeps per static tree."""
 
-    __slots__ = ("tree", "ctx", "steps", "run", "has_mem",
+    __slots__ = ("tree", "ctx", "steps", "tier", "run", "has_mem",
                  "op_keys", "memo", "decisions", "result")
 
     def __init__(self, function: str, name: str, tree: DecisionTree,
@@ -132,10 +143,16 @@ class _TreeState:
         self.tree = tree
         self.ctx = TreeContext(graph, machine)
         self.steps = len(tree.ops) + 1
-        #: the compiled pass (shared bounded code cache with the
-        #: ``jit`` engine — the source is the key, so identical tree
-        #: shapes compile once per process)
-        self.run = compiled_fn(generate_tree_source(tree))
+        #: when the resolve pass compiles (the code cache is the
+        #: ``jit`` engine's — the source is the key, so identical trees
+        #: compile once per process)
+        self.tier = Tier(("hw_resolve", function, name, len(tree.ops),
+                          len(tree.exits)),
+                         len(tree.ops) + len(tree.exits),
+                         lambda: generate_tree_source(tree))
+        #: the resolve pass, ``run(regs, memory, simulator)``: compiled,
+        #: or the interpreted tier while the tree is cold
+        self.run = self.tier.fn or self._run_cold
         self.has_mem = touches_memory(tree)
         #: predictor identity of each op, by node index
         self.op_keys = [(function, name, op.op_id) for op in tree.ops]
@@ -145,6 +162,16 @@ class _TreeState:
         self.decisions: Dict[tuple, tuple] = {}
         #: memory-free trees: their one timing result
         self.result: Optional[EngineResult] = None
+
+    def _run_cold(self, regs, memory, simulator):
+        """The resolve pass interpreted, until the tree has spent its
+        step budget; then compiled, from then on."""
+        tier = self.tier
+        if tier.steps < tier.budget:
+            tier.steps += self.steps
+            return simulator._resolve_tree(self.tree, regs, self.has_mem)
+        self.run = tier.tier_up("hwsim.tier_ups")
+        return self.run(regs, memory, simulator)
 
 
 def _check_in_order(label: str, events, result: EngineResult) -> None:
@@ -220,6 +247,12 @@ class HwSimulator(Interpreter):
         return HwTiming(self.machine.name, self.machine.predictor,
                         self.cycles, self.stats.to_dict())
 
+    def _run(self, args):
+        try:
+            return super()._run(args)
+        finally:
+            remember(state.tier for state in self._trees.values())
+
     # -- per-tree execution --------------------------------------------------
 
     def _execute_tree(self, frame):
@@ -259,7 +292,7 @@ class HwSimulator(Interpreter):
         return state.tree.exits[exit_index]
 
     def _execute_memory_tree(self, frame, state: _TreeState):
-        """Run the compiled pass on a copy of the registers, time it,
+        """Run the resolve pass on a copy of the registers, time it,
         check on a memo miss that the LSQ forwards in order, and retire
         the pass's results.  Returns ``(exit index, engine result)``;
         the exit index is ``-1`` when the caller must re-evaluate the

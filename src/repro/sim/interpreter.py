@@ -122,16 +122,18 @@ _UNARY = {
     Opcode.FMOV: lambda a: a,
     Opcode.I2F: float,
     Opcode.F2I: lambda a: int(a),  # C truncation toward zero
-    Opcode.FSQRT: math.sqrt,
+    # speculated sqrt of a negative junk value must not trap
+    Opcode.FSQRT: lambda a: math.sqrt(a) if a >= 0 else 0.0,
     Opcode.FSIN: math.sin,
     Opcode.FCOS: math.cos,
     Opcode.FABS: abs,
 }
 
-#: The opcodes ``_execute_tree`` tests each operation against, bound
-#: once: an enum attribute lookup per operation is measurable there.
-_LOAD, _STORE, _PRINT, _SELECT, _FSQRT = (
-    Opcode.LOAD, Opcode.STORE, Opcode.PRINT, Opcode.SELECT, Opcode.FSQRT)
+#: The opcodes ``_execute_tree`` and ``_resolve_tree`` test each
+#: operation against, bound once: an enum attribute lookup per
+#: operation is measurable there.
+_LOAD, _STORE, _PRINT, _SELECT = (
+    Opcode.LOAD, Opcode.STORE, Opcode.PRINT, Opcode.SELECT)
 
 #: Public aliases of the opcode semantic tables, so alternative
 #: execution engines (notably :mod:`repro.hwsim`) evaluate operations
@@ -329,10 +331,6 @@ class Interpreter:
                 if handler is not None:
                     regs[op.dest.name] = handler(
                         read(regs, op.srcs[0]), read(regs, op.srcs[1]))
-                elif opcode is _FSQRT:
-                    value = read(regs, op.srcs[0])
-                    # speculated sqrt of a negative junk value must not trap
-                    regs[op.dest.name] = math.sqrt(value) if value >= 0 else 0.0
                 else:
                     regs[op.dest.name] = _UNARY[opcode](read(regs, op.srcs[0]))
 
@@ -351,6 +349,86 @@ class Interpreter:
                                              len(tree.exits), exit_index)
                 return exit_
         raise InterpreterError(f"tree {frame.function}.{frame.tree}: no exit taken")
+
+    def _resolve_tree(self, tree, regs: Dict[str, Number], buffers: bool):
+        """The hardware simulator's resolve pass over *tree*, interpreted:
+        the result of its compiled ``hw_resolve`` pass
+        (:func:`repro.engines.codegen.generate_tree_source`), for a
+        tree that runs too rarely to repay a ``compile()``.
+
+        The operations run on *regs*.  With *buffers* (a tree with a
+        LOAD or STORE, run on a copy of the frame's registers) loads
+        read through an overlay of the tree's own stores, each in-range
+        load and every store records a ``(node, is_store, addr_class)``
+        event — addresses renamed by first occurrence — and stores and
+        PRINT values are buffered in program order: the result is
+        ``(exit index, events, stores, prints)``.  Without, PRINT
+        appends to the output and the result is the exit index.  The
+        index is ``-1`` when no exit fires or an exit guard is
+        undefined: the caller raises once the stores are drained."""
+        memory = self.memory
+        size = len(memory)
+        read = self._read
+        events: List[Tuple[int, bool, int]] = []
+        classes: Dict[int, int] = {}
+        overlay: Dict[int, Number] = {}
+        stores: List[Tuple[int, Number]] = []
+        prints = [] if buffers else self.output
+        for node, op in enumerate(tree.ops):
+            guard = op.guard
+            if guard is not None:
+                value = regs.get(guard.reg.name)
+                if value is None:
+                    raise InterpreterError(
+                        f"guard register %{guard.reg.name} read before "
+                        f"definition")
+                if bool(value) == guard.negate:
+                    continue
+            opcode = op.opcode
+            if opcode is _LOAD:
+                addr = read(regs, op.srcs[0])
+                if isinstance(addr, int) and 0 <= addr < size:
+                    events.append(
+                        (node, False, classes.setdefault(addr, len(classes))))
+                    regs[op.dest.name] = overlay.get(addr, memory[addr])
+                else:
+                    regs[op.dest.name] = (0.0 if op.dest.type == FLOAT else 0)
+            elif opcode is _STORE:
+                value = read(regs, op.srcs[0])
+                addr = read(regs, op.srcs[1])
+                self._check_addr(addr)
+                events.append(
+                    (node, True, classes.setdefault(addr, len(classes))))
+                overlay[addr] = value
+                stores.append((addr, value))
+            elif opcode is _PRINT:
+                prints.append(read(regs, op.srcs[0]))
+            elif opcode is _SELECT:
+                cond = read(regs, op.srcs[0])
+                picked = op.srcs[1] if cond else op.srcs[2]
+                regs[op.dest.name] = read(regs, picked)
+            else:
+                handler = _BINARY.get(opcode)
+                if handler is not None:
+                    regs[op.dest.name] = handler(
+                        read(regs, op.srcs[0]), read(regs, op.srcs[1]))
+                else:
+                    regs[op.dest.name] = _UNARY[opcode](read(regs, op.srcs[0]))
+
+        exit_index = -1
+        for index, exit_ in enumerate(tree.exits):
+            guard = exit_.guard
+            if guard is not None:
+                value = regs.get(guard.reg.name)
+                if value is None:
+                    break
+                if bool(value) == guard.negate:
+                    continue
+            exit_index = index
+            break
+        if buffers:
+            return exit_index, events, stores, prints
+        return exit_index
 
     def _record_alias_pairs(self, func: str, tree: str,
                             trace: List[Tuple[int, int, bool]]) -> None:

@@ -1,9 +1,9 @@
 """Integration tests for :class:`repro.hwsim.HwSimulator`.
 
-These exercise the tree execution (one compiled pass, timing,
+These exercise the tree execution (one resolve pass, timing,
 retirement) on the canonical conftest programs and check that the
 coupled functional model agrees with the plain interpreter under every
-predictor.
+predictor, with the resolve pass in either tier.
 """
 
 import pytest
@@ -14,6 +14,7 @@ from repro.machine import HW_ORACLE_INFINITE, hw_machine
 from repro.sim import run_program
 
 from ..conftest import naive_graphs
+from .tiers import ForcedThreshold
 
 PREDICTORS = ("always", "never", "store-set", "oracle")
 
@@ -54,6 +55,11 @@ class TestFunctionalEquivalence:
         sim = _simulator(example22_program, _mach("always"))
         sim.run()
         assert sim.memory == reference.memory
+
+
+class TestFunctionalEquivalenceForced(ForcedThreshold,
+                                      TestFunctionalEquivalence):
+    pass
 
 
 class TestCounters:

@@ -1,10 +1,12 @@
 """The one-pass tree execution, its in-order check and the timing memo.
 
-hwsim runs each tree once (the compiled ``hw_resolve`` pass) and raises
-when the engine's timing would forward some load a value other than the
-one sequential execution reads.  These tests hold the result to the
-reference interpreter, pin the counters, and check that a timing bug
-raises and that the fuzz oracle reports it.
+hwsim runs each tree once (its resolve pass, interpreted while the tree
+is cold and compiled once it is hot) and raises when the engine's
+timing would forward some load a value other than the one sequential
+execution reads.  These tests hold the result to the reference
+interpreter, pin the counters at the default tier threshold and at
+forced ones, check that a timing bug raises and that the fuzz oracle
+reports it, and pin when a tree compiles.
 """
 
 import dataclasses
@@ -14,18 +16,21 @@ import pytest
 from repro import obs
 from repro.engines import get_engine
 from repro.engines.codegen import generate_tree_source
+from repro.engines import jit
 from repro.engines.jit import clear_code_cache
 from repro.fuzz.oracle import OracleConfig, check_source
 from repro.hwsim import HwSimulator, MemEvent, core
 from repro.machine.hw import hw_machine
 
 from ..conftest import EXAMPLE_2_2, naive_graphs
+from .tiers import ForcedThreshold
 
 PREDICTORS = ("always", "never", "store-set", "oracle")
 
 #: ``HwStats.to_dict()`` plus cycles on ``_mach(predictor)``, as the
 #: three-pass simulator (resolve, time, commit on every execution)
-#: counted them: the one-pass path must reproduce every counter.
+#: counted them: the one-pass path must reproduce every counter, in
+#: either tier.
 PINNED = {
     "example22": {
         "always": (1428, 102, 2126, 300, 3, 3, 96, 6),
@@ -106,13 +111,76 @@ class TestFastPathEquivalence:
                 checked += len(events)
         assert checked
 
-    def test_compiles_one_pass_per_tree_shape(self, example22_program):
+    def test_compiles_one_pass_per_tree_shape(self, monkeypatch,
+                                              example22_program):
+        # every tree compiled on entry
+        monkeypatch.setattr(jit, "TIER_THRESHOLD", 0)
         clear_code_cache()
         with obs.tracing() as tracer:
             sim, _ = _simulate(example22_program, _mach("store-set"))
         sources = {generate_tree_source(state.tree)
                    for state in sim._trees.values()}
         assert tracer.metrics.counters["engines.jit.compiles"] == len(sources)
+
+
+class TestFastPathEquivalenceForced(ForcedThreshold,
+                                    TestFastPathEquivalence):
+    pass
+
+
+COLD_LOOP = """
+int main() {
+    int i;
+    int s;
+    s = 0;
+    for (i = 0; i < 3; i = i + 1) {
+        s = s + i;
+    }
+    print(s);
+    return 0;
+}
+"""
+
+
+class TestTiers:
+    """A tree runs its resolve pass interpreted until it has spent its
+    step budget, and compiles once; a tree whose source a past run
+    compiled enters compiled."""
+
+    def _counters(self, program):
+        with obs.tracing() as tracer:
+            sim, _ = _simulate(program, _mach("store-set"))
+        return sim, tracer.metrics.counters
+
+    def test_cold_program_compiles_nothing(self):
+        from repro.frontend import compile_source
+        clear_code_cache()
+        sim, counters = self._counters(compile_source(COLD_LOOP))
+        assert sim.output == [3]
+        assert counters.get("engines.jit.compiles", 0) == 0
+        assert counters.get("hwsim.tier_ups", 0) == 0
+        assert all(state.tier.fn is None for state in sim._trees.values())
+
+    def test_hot_tree_compiles_once(self, example22_program):
+        clear_code_cache()
+        sim, counters = self._counters(example22_program)
+        hot = [key for key, state in sim._trees.items()
+               if state.tier.fn is not None]
+        # the loop body runs 100 times; every other tree once or twice
+        assert hot == [("main", "main.b1_for")]
+        assert counters["engines.jit.compiles"] == 1
+        assert counters["hwsim.tier_ups"] == 1
+        # a second run enters the loop compiled from the code cache
+        sim, counters = self._counters(example22_program)
+        assert counters.get("engines.jit.compiles", 0) == 0
+        assert counters.get("hwsim.tier_ups", 0) == 0
+        assert counters["engines.jit.cache_hits"] == 1
+        assert sim._trees[("main", "main.b1_for")].tier.fn is not None
+
+    def test_tier_ups_stay_out_of_the_payload(self, example22_program):
+        clear_code_cache()
+        sim, _ = self._counters(example22_program)
+        assert "tier_ups" not in sim.timing().to_dict()
 
 
 def _stale_forwarding(simulate_tree):

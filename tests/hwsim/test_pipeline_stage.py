@@ -1,7 +1,8 @@
 """The ``hwtime`` pipeline stage: caching, fingerprints, parallel jobs.
 
 Mirrors ``tests/pipeline/test_pipeline.py`` for the hardware-simulation
-stage added alongside the static-schedule ``timing`` stage.
+stage added alongside the static-schedule ``timing`` stage.  Each class
+also runs with hwsim's tier threshold forced to 0 and to 1.
 """
 
 import pytest
@@ -12,6 +13,8 @@ from repro.machine import hw_machine
 from repro.pipeline.core import Pipeline
 from repro.pipeline.executor import HwTimingJob, run_jobs
 from repro.pipeline.store import ArtifactStore
+
+from .tiers import ForcedThreshold
 
 SOURCE = """
 float a[300];
@@ -131,3 +134,19 @@ class TestDivergenceGuard:
         pipe = Pipeline(store=ArtifactStore(tmp_path))
         with pytest.raises(AssertionError, match="diverged"):
             pipe.hw_timing("ex", SOURCE, Disambiguator.NAIVE, MACH)
+
+
+class TestCachedStageForced(ForcedThreshold, TestCachedStage):
+    pass
+
+
+class TestFingerprintsForced(ForcedThreshold, TestFingerprints):
+    pass
+
+
+class TestParallelJobsForced(ForcedThreshold, TestParallelJobs):
+    pass
+
+
+class TestDivergenceGuardForced(ForcedThreshold, TestDivergenceGuard):
+    pass
