@@ -15,7 +15,7 @@ Usage (also via ``python -m repro``)::
     repro serve [options]                # compilation-as-a-service HTTP API
     repro loadgen [options]              # drive a running server, bench it
     repro list                           # list built-in benchmarks
-    repro passes                         # list registered program passes
+    repro passes                         # list the passes a view can run
 
 Options shared by ``analyze``/``bench``/``trace``/``schedule``:
 ``--fus N`` (default 5, 0 = infinite), ``--memory {2,6}`` (default 6),
@@ -52,7 +52,7 @@ from typing import Dict, List, Optional
 
 from . import obs
 from .bench.suite import SUITE
-from .disambig.pipeline import Disambiguator
+from .disambig.pipeline import Disambiguator, SpDPass
 from .disambig.spd_heuristic import SpDConfig
 from .engines import DEFAULT_ENGINE, engine_names
 from .frontend.driver import compile_source
@@ -60,8 +60,8 @@ from .frontend.grafting import GraftConfig, graft_program
 from .ir.printer import format_program
 from .machine.description import machine
 from .machine.hw import PREDICTOR_NAMES
-from .passes import (DEFAULT_CLEANUP, PassPipelineConfig, UnknownPassError,
-                     parse_cleanup_spec, registered_passes)
+from .passes import (CLEANUP_PASSES, DEFAULT_CLEANUP, PassPipelineConfig,
+                     UnknownPassError, parse_cleanup_spec)
 from .pipeline.artifacts import report_table
 from .pipeline.core import Pipeline
 from .pipeline.executor import HwTimingJob, TimingJob
@@ -496,8 +496,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_passes(_args) -> int:
-    for name, cls in registered_passes().items():
-        print(f"{name:10s} {cls.stage:8s} {cls.description}")
+    for cls in (SpDPass, *CLEANUP_PASSES.values()):
+        print(f"{cls.name:10s} {cls.description}")
     print()
     print(f"default cleanup pipeline (--passes default): "
           f"{','.join(DEFAULT_CLEANUP)}")
@@ -969,7 +969,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="list built-in benchmarks")
     p_list.set_defaults(func=_cmd_list)
 
-    p_passes = sub.add_parser("passes", help="list registered program passes")
+    p_passes = sub.add_parser("passes",
+                              help="list the passes a view can run")
     p_passes.set_defaults(func=_cmd_passes)
 
     p_fuzz = sub.add_parser(

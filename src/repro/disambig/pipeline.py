@@ -26,8 +26,8 @@ from .. import obs
 from ..ir.depgraph import ArcKind, DependenceGraph, build_dependence_graph, naive_oracle
 from ..ir.program import Program
 from ..machine.description import INFINITE, LifeMachine
-from ..passes import (Pass, PassContext, PassManager, PassPipelineConfig,
-                      PassResult, build_cleanup_passes, register)
+from ..passes import (SPD_PASS, Pass, PassContext, PassManager,
+                      PassPipelineConfig, PassResult, build_cleanup_passes)
 from ..passes.manager import DumpSink
 from ..sim.profile import ProfileData, TreeKey
 from .oracles import make_perfect_oracle, make_static_oracle
@@ -84,7 +84,6 @@ def _oracle_for(kind: Disambiguator, function_name: str, tree,
     raise ValueError(f"unknown disambiguator {kind}")
 
 
-@register
 class SpDPass(Pass):
     """The paper's speculative-disambiguation transform as a pass.
 
@@ -95,10 +94,8 @@ class SpDPass(Pass):
     heuristic knobs from the pass context.
     """
 
-    name = "spd"
+    name = SPD_PASS
     description = "apply speculative disambiguation to profitable trees"
-    stage = "disambig"
-    invalidates = frozenset({"depgraph", "schedule"})
 
     def run(self, program: Program, ctx: PassContext) -> PassResult:
         profile = ctx.profile

@@ -1,73 +1,28 @@
 """Front-end driver: tinyc source text -> validated decision-tree program.
 
-The driver's lowering tail (per-function CFG lowering + decision-tree
-generation) is the registered ``lower`` pass; :func:`compile_source`
-parses, type-checks and lays out memory, then hands the program
-skeleton to a :class:`~repro.passes.manager.PassManager` whose pass
-list defaults to ``[LowerPass()]``.  Callers that want grafting or a
-custom compile pipeline pass their own manager.
+:func:`compile_source` parses, type-checks and lays out memory, lowers
+every function into guarded decision trees, and validates the result.
+Grafting (Section 7) is a separate step on the compiled program, see
+:func:`repro.frontend.grafting.graft_program`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from .. import obs
 from ..ir.program import ArrayDecl, Program
-from ..passes import Pass, PassContext, PassManager, PassResult, register
+from ..ir.validate import validate_program
 from .errors import CompileError
 from .lower import lower_function
 from .parser import parse
 from .semantic import analyze
 from .treegen import generate_trees
 
-__all__ = ["compile_source", "LowerPass"]
+__all__ = ["compile_source"]
 
 
-@register
-class LowerPass(Pass):
-    """Lower every parsed function into decision trees.
-
-    Consumes the frontend-private ``ctx.scratch`` inputs ("unit",
-    "env", "layout") that :func:`compile_source` prepares; the program
-    it receives is the laid-out skeleton (globals + memory layout, no
-    functions yet).
-    """
-
-    name = "lower"
-    description = "lower parsed tinyc functions into decision trees"
-    stage = "compile"
-    invalidates = frozenset({"profile", "depgraph", "schedule"})
-
-    def run(self, program: Program, ctx: PassContext) -> PassResult:
-        unit = ctx.scratch["unit"]
-        env = ctx.scratch["env"]
-        layout = ctx.scratch["layout"]
-        trees = 0
-        for func in unit.functions:
-            with obs.span("frontend.lower", function=func.name):
-                cfg = lower_function(func, env, layout)
-            with obs.span("frontend.treegen", function=func.name) as sp:
-                lowered = generate_trees(cfg)
-                sp.incr("trees", len(lowered.trees))
-                trees += len(lowered.trees)
-            program.add_function(lowered)
-        entry = program.functions.get("main")
-        if entry is None or entry.params:
-            raise CompileError("main must exist and take no parameters")
-        program.entry_function = "main"
-        return PassResult(
-            program,
-            changed=True,
-            stats={"functions": len(program.functions), "trees": trees},
-        )
-
-
-def compile_source(
-    source: str,
-    guard_words: int = 0,
-    pass_manager: Optional[PassManager] = None,
-) -> Program:
+def compile_source(source: str, guard_words: int = 0) -> Program:
     """Compile tinyc source into a :class:`~repro.ir.program.Program`.
 
     ``guard_words`` inserts unused padding between arrays so that
@@ -75,10 +30,6 @@ def compile_source(
     silently clobbering a neighbour (useful while porting benchmarks).
     It is cache-relevant configuration: the artifact pipeline folds it
     into the compile fingerprint.
-
-    ``pass_manager`` overrides the compile-stage pass pipeline (default
-    ``[LowerPass()]``); the manager validates the program after every
-    changing pass.
     """
     with obs.span("frontend.compile") as compile_span:
         with obs.span("frontend.parse"):
@@ -103,12 +54,20 @@ def compile_source(
             program.layout = layout
             program.memory_words = address
 
-        manager = pass_manager if pass_manager is not None else PassManager(
-            [LowerPass()]
-        )
-        ctx = PassContext()
-        ctx.scratch.update(unit=unit, env=env, layout=layout)
-        program = manager.run(program, ctx)
+        for func in unit.functions:
+            with obs.span("frontend.lower", function=func.name):
+                cfg = lower_function(func, env, layout)
+            with obs.span("frontend.treegen", function=func.name) as sp:
+                lowered = generate_trees(cfg)
+                sp.incr("trees", len(lowered.trees))
+            program.add_function(lowered)
+        entry = program.functions.get("main")
+        if entry is None or entry.params:
+            raise CompileError("main must exist and take no parameters")
+        program.entry_function = "main"
+
+        with obs.span("frontend.validate"):
+            validate_program(program)
         compile_span.incr("functions", len(program.functions))
         compile_span.incr("ops", program.size())
     return program

@@ -20,9 +20,11 @@ Restrictions keeping the transform simple and obviously sound:
 * growth is bounded per tree (``max_growth``) and graft targets are
   size-capped (``max_target_size``).
 
-Profiles are tree-structure-specific, so a program must be re-profiled
-after grafting (see :class:`repro.pipeline.core.Pipeline`'s ``graft``
-option and the grafting ablation).
+Grafting is a plain function on a compiled program, not a pass:
+:class:`repro.pipeline.core.Pipeline` calls :func:`graft_program`
+between compilation and profiling when its ``graft`` option is set.
+Profiles are tree-structure-specific, so the grafted program is the
+one that gets profiled (see also the grafting ablation).
 """
 
 from __future__ import annotations
@@ -37,9 +39,8 @@ from ..ir.program import Function, Program
 from ..ir.tree import DecisionTree, ExitKind, TreeExit
 from ..ir.validate import validate_program
 from ..ir.values import BOOL, Operand, Register
-from ..passes import Pass, PassContext, PassResult, register
 
-__all__ = ["GraftConfig", "GraftStats", "GraftPass", "graft_program"]
+__all__ = ["GraftConfig", "GraftStats", "graft_program"]
 
 
 @dataclass(frozen=True)
@@ -304,31 +305,3 @@ def graft_program(program: Program,
         span.annotate(ops_before=stats.ops_before, ops_after=stats.ops_after)
     return grafted, stats
 
-
-@register
-class GraftPass(Pass):
-    """Tail duplication as a compile-stage pass.
-
-    Grafting rewrites the tree structure a profile is keyed by, so a
-    changing graft invalidates any previously collected profile (the
-    manager drops it from the context automatically).
-    """
-
-    name = "graft"
-    description = "enlarge decision trees by tail duplication"
-    stage = "compile"
-    invalidates = frozenset({"profile", "depgraph", "schedule"})
-
-    def __init__(self, config: GraftConfig = GraftConfig()):
-        self.config = config
-
-    def run(self, program: Program, ctx: PassContext) -> PassResult:
-        grafted, stats = graft_program(program, self.config)
-        return PassResult(
-            grafted,
-            changed=stats.grafts > 0 or stats.trees_removed > 0,
-            stats={
-                "grafts": stats.grafts,
-                "trees_removed": stats.trees_removed,
-            },
-        )

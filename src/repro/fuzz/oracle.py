@@ -76,6 +76,26 @@ _CLEANUP_GRID: Tuple[Tuple[str, ...], ...] = (
     DEFAULT_CLEANUP,
 )
 
+#: Cleanup grid for the grafted variant (kept small: the plain variant
+#: already sweeps every sequence).
+_GRAFTED_CLEANUP_GRID: Tuple[Tuple[str, ...], ...] = ((), DEFAULT_CLEANUP)
+
+#: The hardware simulator as a differential backend: the base program
+#: runs under each of these predictors, plus the SPEC view under the
+#: last one, all against the reference interpreter.  Every predictor
+#: except the oracle (which runs separately as the unbounded
+#: lower-bound machine).
+_HW_PREDICTORS: Tuple[str, ...] = tuple(
+    name for name in PREDICTOR_NAMES if name != "oracle")
+
+#: Deliberately tight hardware shape — 2 units, 8-entry window — so the
+#: window/retirement logic is exercised, not just bypassing.
+_HW_NUM_FUS = 2
+_HW_WINDOW = 8
+
+#: Step limit of every run the oracle makes.
+_MAX_STEPS = 5_000_000
+
 
 @dataclass(frozen=True)
 class OracleConfig:
@@ -83,7 +103,6 @@ class OracleConfig:
 
     memory_latency: int = 2
     finite_fus: Tuple[int, ...] = (1, 2, 4, 8)
-    spd_configs: Tuple[SpDConfig, ...] = _SPD_GRID
     cleanup_sequences: Tuple[Tuple[str, ...], ...] = _CLEANUP_GRID
     #: the finite-machine schedule sweep runs only for these cleanup
     #: sequences (cost control; the infinite-machine invariant and the
@@ -92,28 +111,11 @@ class OracleConfig:
     #: also check the grafted (tail-duplicated) compilation — grafting
     #: is what puts guarded stores and ambiguous loads into one tree
     check_grafted: bool = True
-    #: cleanup grid for the grafted variant (kept small: the plain
-    #: variant already sweeps every sequence)
-    grafted_cleanup_sequences: Tuple[Tuple[str, ...], ...] = \
-        ((), DEFAULT_CLEANUP)
     #: execution engines every semantic comparison runs under
     #: (``None`` = every registered engine, see
     #: :func:`repro.engines.register_engine`).  The first listed
     #: engine is the primary; others are labelled ``stage@engine``.
     engines: Optional[Tuple[str, ...]] = None
-    #: run the hardware simulator as a differential backend: the base
-    #: program under each of these predictors, plus the SPEC view under
-    #: the last one, all against the reference interpreter.  The default
-    #: is every predictor except the oracle (which the sweep runs
-    #: separately as the unbounded lower-bound machine).
-    check_hardware: bool = True
-    hw_predictors: Tuple[str, ...] = tuple(
-        name for name in PREDICTOR_NAMES if name != "oracle")
-    #: deliberately tight hardware shape — 2 units, 8-entry window —
-    #: so the window/retirement logic is exercised, not just bypassing
-    hw_num_fus: int = 2
-    hw_window: int = 8
-    max_steps: int = 5_000_000
 
 
 @dataclass
@@ -277,7 +279,7 @@ def check_source(source: str,
     with obs.span("fuzz.check"):
         try:
             program = compile_source(source)
-            ref_interp = Interpreter(program, max_steps=config.max_steps,
+            ref_interp = Interpreter(program, max_steps=_MAX_STEPS,
                                      collect_profile=True,
                                      trace_stores=True)
             reference = ref_interp.run()
@@ -300,7 +302,7 @@ def check_source(source: str,
         other_engines = tuple(e for e in engines if e != "interp")
         if other_engines:
             _compare_execution(report, "base", reference, ref_interp,
-                               program, config.max_steps,
+                               program, _MAX_STEPS,
                                engines=other_engines)
 
         variants = [("", program, reference, ref_interp,
@@ -318,21 +320,20 @@ def check_source(source: str,
                 # views against its own profile (tree names differ)
                 executed = _compare_execution(
                     report, "graft", reference, ref_interp, grafted,
-                    config.max_steps, collect_profile=True,
+                    _MAX_STEPS, collect_profile=True,
                     engines=engines)
                 if executed is not None:
                     graft_ref, graft_interp = executed
                     variants.append(("graft:", grafted, graft_ref,
                                      graft_interp,
-                                     config.grafted_cleanup_sequences))
+                                     _GRAFTED_CLEANUP_GRID))
 
         for (prefix, variant_program, variant_ref, variant_interp,
              cleanup_grid) in variants:
             _check_views(report, config, prefix, variant_program,
                          variant_ref, variant_interp, cleanup_grid,
                          engines)
-        if config.check_hardware:
-            _check_hardware(report, config, program, reference, ref_interp)
+        _check_hardware(report, config, program, reference, ref_interp)
         if report.divergences:
             obs.incr("fuzz.divergences", len(report.divergences))
     return report
@@ -349,7 +350,7 @@ def _check_views(report: ConformanceReport, config: OracleConfig,
     naive_infinite_cycles: Optional[int] = None
 
     for kind in Disambiguator:
-        spd_grid = (config.spd_configs
+        spd_grid = (_SPD_GRID
                     if kind is Disambiguator.SPEC else (SpDConfig(),))
         for spd_cfg in spd_grid:
             for cleanup in cleanup_grid:
@@ -373,7 +374,7 @@ def _check_views(report: ConformanceReport, config: OracleConfig,
                 if view.program is not program:
                     _compare_execution(report, label, reference,
                                        ref_interp, view.program,
-                                       config.max_steps, engines=engines)
+                                       _MAX_STEPS, engines=engines)
 
                 # metamorphic timing invariants
                 try:
@@ -452,13 +453,13 @@ def _check_hardware(report: ConformanceReport, config: OracleConfig,
     lower_bound = _run_hw(report, "hw[oracle-infinite]", program, graphs,
                           hw_machine(None, config.memory_latency,
                                      "oracle", window=None),
-                          reference, ref_interp, config.max_steps)
-    for predictor in config.hw_predictors:
-        mach = hw_machine(config.hw_num_fus, config.memory_latency,
-                          predictor, window=config.hw_window)
+                          reference, ref_interp, _MAX_STEPS)
+    for predictor in _HW_PREDICTORS:
+        mach = hw_machine(_HW_NUM_FUS, config.memory_latency,
+                          predictor, window=_HW_WINDOW)
         label = f"hw[{predictor}]"
         result = _run_hw(report, label, program, graphs, mach, reference,
-                         ref_interp, config.max_steps)
+                         ref_interp, _MAX_STEPS)
         if result is None:
             continue
         report.timings_checked += 1
@@ -483,11 +484,11 @@ def _check_hardware(report: ConformanceReport, config: OracleConfig,
                             passes=PassPipelineConfig())
     except Exception:
         return  # already reported by the view sweep
-    predictor = config.hw_predictors[-1]
+    predictor = _HW_PREDICTORS[-1]
     _run_hw(report, f"spec+hw[{predictor}]", view.program, view.graphs,
-            hw_machine(config.hw_num_fus, config.memory_latency, predictor,
-                       window=config.hw_window),
-            reference, ref_interp, config.max_steps)
+            hw_machine(_HW_NUM_FUS, config.memory_latency, predictor,
+                       window=_HW_WINDOW),
+            reference, ref_interp, _MAX_STEPS)
 
 
 def make_divergence_predicate(

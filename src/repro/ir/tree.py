@@ -134,10 +134,6 @@ class DecisionTree:
     def op_by_id(self, op_id: int) -> Operation:
         return self.ops[self.op_index(op_id)]
 
-    def defs_of(self, reg: Register) -> List[int]:
-        """Indices of operations writing *reg*, in list order."""
-        return [i for i, op in enumerate(self.ops) if op.dest == reg]
-
     def size(self) -> int:
         """Tree size in operations, the paper's code-size metric
         (operations rather than VLIW instructions; exits count as the
@@ -177,9 +173,6 @@ class DecisionTree:
             next_op_id=self.next_op_id,
             next_temp_id=self.next_temp_id,
         )
-
-    def replace_exit(self, index: int, new_exit: TreeExit) -> None:
-        self.exits[index] = new_exit
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<tree {self.name}: {len(self.ops)} ops, {len(self.exits)} exits>"

@@ -4,8 +4,8 @@ The paper's platform is itself an instrumented toolchain — its
 functional simulator profiles path probabilities and alias counts to
 drive the Gain() heuristic.  This package gives our reproduction the
 same property one level up: every stage of the pipeline (frontend
-passes, grafting, dependence-graph construction, each disambiguator,
-the list scheduler, the simulator) reports *where wall-time and work
+phases, grafting, dependence-graph construction, each disambiguator
+and its passes, the list scheduler, the simulator) reports *where wall-time and work
 go* through one shared module-level API:
 
     from repro import obs

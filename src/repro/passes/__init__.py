@@ -1,31 +1,29 @@
-"""Unified pass-manager architecture for program transforms.
+"""The passes a disambiguated view runs, and the manager that runs them.
 
-Every whole-program transform in the toolchain — lowering, grafting,
-speculative disambiguation, and the guard-aware cleanups — is a
-registered :class:`~repro.passes.base.Pass` run by a
-:class:`~repro.passes.manager.PassManager`.  See
-``docs/architecture.md`` ("Pass pipeline") for ordering and
-cache-invalidation rules, and ``repro passes`` for the live registry.
+A view's pass list is SPEC's ``spd`` transform (SPEC views only)
+followed by the configured cleanups (``constfold`` / ``copyprop`` /
+``dce``, :data:`~repro.passes.cleanup.CLEANUP_PASSES`), all driven by
+one :class:`~repro.passes.manager.PassManager`.  Compilation and
+grafting are plain functions, not passes.  See ``docs/architecture.md``
+("Pass pipeline") for the ordering rules, and ``repro passes`` for the
+names.
 """
 
-from .base import (
-    DEFAULT_CLEANUP,
-    Pass,
-    PassContext,
+from .base import Pass, PassContext, PassResult
+from .cleanup import CLEANUP_PASSES, DEFAULT_CLEANUP
+from .config import (
+    SPD_PASS,
     PassPipelineConfig,
-    PassResult,
     UnknownPassError,
     build_cleanup_passes,
-    ensure_builtin_passes,
     parse_cleanup_spec,
-    pass_class,
-    register,
-    registered_passes,
 )
 from .manager import PassManager
 
 __all__ = [
+    "CLEANUP_PASSES",
     "DEFAULT_CLEANUP",
+    "SPD_PASS",
     "Pass",
     "PassContext",
     "PassManager",
@@ -33,9 +31,5 @@ __all__ = [
     "PassResult",
     "UnknownPassError",
     "build_cleanup_passes",
-    "ensure_builtin_passes",
     "parse_cleanup_spec",
-    "pass_class",
-    "register",
-    "registered_passes",
 ]

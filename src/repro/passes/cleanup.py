@@ -36,7 +36,7 @@ shifts, negative sqrt) is simply left unfolded.
 from __future__ import annotations
 
 from dataclasses import replace as dc_replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Type
 
 from ..ir.guard_analysis import GuardAnalysis
 from ..ir.guards import Guard
@@ -45,9 +45,11 @@ from ..ir.program import Program
 from ..ir.tree import DecisionTree
 from ..ir.values import BOOL, Constant, FLOAT, Register
 from ..sim.interpreter import _BINARY, _UNARY, InterpreterError
-from .base import Pass, PassContext, PassResult, register
+from .base import Pass, PassContext, PassResult
 
 __all__ = [
+    "CLEANUP_PASSES",
+    "DEFAULT_CLEANUP",
     "ConstantFoldingPass",
     "CopyPropagationPass",
     "DeadCodeEliminationPass",
@@ -451,9 +453,6 @@ def eliminate_dead_code(tree: DecisionTree) -> Dict[str, int]:
 class _TreeCleanupPass(Pass):
     """Shared driver: apply a per-tree rewrite across the program."""
 
-    stage = "cleanup"
-    invalidates = frozenset({"depgraph", "schedule"})
-
     def rewrite(self, tree: DecisionTree) -> Dict[str, int]:
         raise NotImplementedError
 
@@ -469,7 +468,6 @@ class _TreeCleanupPass(Pass):
         )
 
 
-@register
 class ConstantFoldingPass(_TreeCleanupPass):
     name = "constfold"
     description = "fold constant tree operations and propagate the results"
@@ -478,7 +476,6 @@ class ConstantFoldingPass(_TreeCleanupPass):
         return fold_constants(tree)
 
 
-@register
 class CopyPropagationPass(_TreeCleanupPass):
     name = "copyprop"
     description = "forward unguarded register copies into their readers"
@@ -487,10 +484,21 @@ class CopyPropagationPass(_TreeCleanupPass):
         return propagate_copies(tree)
 
 
-@register
 class DeadCodeEliminationPass(_TreeCleanupPass):
     name = "dce"
     description = "remove never-committing guarded ops and unread temporaries"
 
     def rewrite(self, tree: DecisionTree) -> Dict[str, int]:
         return eliminate_dead_code(tree)
+
+
+#: Name -> class of every cleanup pass (``--passes``, ``repro passes``).
+CLEANUP_PASSES: Dict[str, Type[Pass]] = {
+    cls.name: cls
+    for cls in (ConstantFoldingPass, CopyPropagationPass, DeadCodeEliminationPass)
+}
+
+#: The recommended cleanup sequence: folding first (it feeds copies),
+#: then register-copy propagation, then guard-aware dead-code
+#: elimination to sweep up everything the first two orphaned.
+DEFAULT_CLEANUP: Tuple[str, ...] = ("constfold", "copyprop", "dce")

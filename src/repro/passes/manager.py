@@ -1,18 +1,17 @@
 """The pass manager: ordered execution, observability, validation, dumps.
 
-One :class:`PassManager` owns one ordered pass list.  ``run`` threads a
-program through every pass, and around each pass it
+One :class:`PassManager` owns the ordered pass list of one
+disambiguated view (:func:`repro.disambig.pipeline.disambiguate`).
+``run`` threads a program through every pass, and around each pass it
 
 * opens a ``passes.<name>`` span annotated with the op counts before
   and after (``repro trace`` shows the per-pass tree; ``--json``
   exports it),
 * bumps the ``passes.<name>.runs`` and signed ``passes.<name>.ops_delta``
   counters,
-* accumulates the pass's declared invalidations into the context when
-  the pass reports a change — and drops a now-stale profile, and on a
-  ``depgraph`` invalidation every graph the pass did not build itself,
-* re-validates the whole program (``passes.validate`` span) when
-  the pass reports a change,
+* when the pass reports a change, drops from the context every
+  dependence graph the pass did not build itself, and re-validates the
+  whole program (``passes.validate`` span),
 * dumps the IR via :mod:`repro.ir.printer` when the pass is named in
   ``dump_after``.
 
@@ -58,9 +57,6 @@ class PassManager:
         #: per-pass op-delta reports of the most recent :meth:`run`
         self.reports: List[Dict[str, object]] = []
 
-    def pass_names(self) -> List[str]:
-        return [p.name for p in self.passes]
-
     def run(self, program: Program, ctx: Optional[PassContext] = None) -> Program:
         """Thread *program* through every pass, in order."""
         if ctx is None:
@@ -85,14 +81,11 @@ class PassManager:
                         f"passes.{pass_.name}.ops_delta", ops_after - ops_before
                     )
                 if result.changed:
-                    ctx.invalidated |= pass_.invalidates
-                    if "profile" in pass_.invalidates:
-                        ctx.profile = None
-                    if "depgraph" in pass_.invalidates:
-                        ctx.graphs = {
-                            key: graph for key, graph in ctx.graphs.items()
-                            if graphs_before.get(key) is not graph}
-                if result.changed:
+                    ctx.graphs = {
+                        key: graph
+                        for key, graph in ctx.graphs.items()
+                        if graphs_before.get(key) is not graph
+                    }
                     with obs.span("passes.validate", after=pass_.name):
                         validate_program(program)
             self.reports.append(

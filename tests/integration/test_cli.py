@@ -314,13 +314,34 @@ class TestListAndReport:
         assert "Integer multiplies" in capsys.readouterr().out
 
 
+def listed_passes(capsys):
+    """The pass names ``repro passes`` prints, one per line before the
+    blank line that starts its footer."""
+    assert main(["passes"]) == 0
+    table = capsys.readouterr().out.split("\n\n")[0]
+    return [line.split()[0] for line in table.splitlines()]
+
+
 class TestPasses:
     def test_passes_lists_registry(self, capsys):
+        assert listed_passes(capsys) == ["spd", "constfold", "copyprop", "dce"]
         assert main(["passes"]) == 0
-        out = capsys.readouterr().out
-        for name in ("lower", "graft", "spd", "constfold", "copyprop", "dce"):
-            assert name in out, name
-        assert "default cleanup" in out
+        assert "default cleanup" in capsys.readouterr().out
+
+    def test_every_listed_pass_dumps(self, capsys):
+        # a name --dump-after accepts must dump: each listed pass runs
+        # in some view of perm at --passes default
+        for name in listed_passes(capsys):
+            assert main(["bench", "perm", "--memory", "2", "--passes",
+                         "default", "--dump-after", name]) == 0
+            assert f"; IR after pass {name}" in capsys.readouterr().err, name
+
+    @pytest.mark.parametrize("name", ["lower", "graft"])
+    def test_compile_steps_are_not_passes(self, name, capsys):
+        with pytest.raises(SystemExit, match="unknown pass"):
+            main(["bench", "perm", "--dump-after", name])
+        with pytest.raises(SystemExit, match="unknown pass"):
+            main(["bench", "perm", "--passes", name])
 
     def test_bench_with_default_cleanup(self, capsys):
         assert main(["bench", "perm", "--memory", "2",

@@ -51,11 +51,24 @@ class TestPipelineSpans:
         names = span_names(traced_pipeline.finish())
         for expected in ("frontend.compile", "frontend.parse",
                          "frontend.semantic", "frontend.lower",
-                         "frontend.treegen", "passes.lower",
-                         "passes.validate", "sim.run", "disambig.spec",
+                         "frontend.treegen", "frontend.validate",
+                         "sim.run", "disambig.spec",
                          "passes.spd", "disambig.spd_transform",
                          "disambig.build_graphs", "timing.evaluate"):
             assert expected in names, expected
+
+    def test_changing_passes_are_validated(self):
+        program = compile_source(get_benchmark("perm").source)
+        with obs.tracing() as tracer:
+            view = disambiguate(program, Disambiguator.NAIVE,
+                                passes=PassPipelineConfig(
+                                    cleanup=DEFAULT_CLEANUP))
+        validated = [span.attributes["after"]
+                     for span in tracer.finish().walk()
+                     if span.name == "passes.validate"]
+        changed = [report["pass"] for report in view.pass_stats
+                   if report["changed"]]
+        assert validated == changed and changed
 
     def test_work_counters_recorded(self, traced_pipeline):
         counters = traced_pipeline.metrics.counters

@@ -1,25 +1,21 @@
-"""Pass manager contract: registry, ordering, invalidation, dumps."""
+"""Pass manager contract: pass names, ordering, graph dropping, dumps."""
 
 import pytest
 
 from repro.ir.program import Program
 from repro.ir.validate import IRValidationError
-from repro.passes import (DEFAULT_CLEANUP, Pass, PassContext, PassManager,
-                          PassPipelineConfig, PassResult, UnknownPassError,
-                          build_cleanup_passes, pass_class, registered_passes)
+from repro.passes import (CLEANUP_PASSES, DEFAULT_CLEANUP, Pass, PassContext,
+                          PassManager, PassPipelineConfig, PassResult,
+                          UnknownPassError, build_cleanup_passes)
 
 
 class _Recorder(Pass):
     """Test pass that logs its invocation and optionally mutates."""
 
-    stage = "cleanup"
-
-    def __init__(self, name, log, changed=False, invalidates=(),
-                 mutate=None):
+    def __init__(self, name, log, changed=False, mutate=None):
         self.name = name
         self.log = log
         self.changed = changed
-        self.invalidates = frozenset(invalidates)
         self.mutate = mutate
 
     def run(self, program, ctx):
@@ -30,21 +26,18 @@ class _Recorder(Pass):
 
 
 class TestRegistry:
-    def test_builtins_registered(self):
-        names = set(registered_passes())
-        assert {"lower", "graft", "spd",
-                "constfold", "copyprop", "dce"} <= names
+    """The name -> class table of the cleanup passes."""
 
-    def test_stages(self):
-        assert pass_class("lower").stage == "compile"
-        assert pass_class("graft").stage == "compile"
-        assert pass_class("spd").stage == "disambig"
-        for name in DEFAULT_CLEANUP:
-            assert pass_class(name).stage == "cleanup"
+    def test_builtins_registered(self):
+        assert set(CLEANUP_PASSES) == set(DEFAULT_CLEANUP)
+        for name, cls in CLEANUP_PASSES.items():
+            assert cls.name == name
 
     def test_unknown_name_lists_known(self):
-        with pytest.raises(UnknownPassError, match="constfold"):
-            pass_class("nope")
+        for name in ("nope", "lower", "graft"):
+            with pytest.raises(UnknownPassError,
+                               match=r"unknown pass .*constfold.*spd"):
+                build_cleanup_passes((name,))
 
     def test_cleanup_builder_orders_and_rejects(self):
         passes = build_cleanup_passes(("dce", "constfold"))
@@ -99,21 +92,10 @@ class TestManagerRun:
         assert out is replacement
         assert seen == [replacement]
 
-    def test_invalidations_accumulate_and_drop_profile(self,
-                                                       raw_tree_program):
-        ctx = PassContext(profile=object())
-        manager = PassManager([
-            _Recorder("a", [], changed=True, invalidates={"depgraph"}),
-            _Recorder("b", [], changed=True, invalidates={"profile"}),
-        ])
-        manager.run(raw_tree_program.copy(), ctx)
-        assert ctx.invalidated == {"depgraph", "profile"}
-        assert ctx.profile is None
-
     def test_depgraph_invalidation_keeps_only_the_pass_graphs(
             self, raw_tree_program):
-        """A changing pass that invalidates ``depgraph`` leaves only the
-        graphs it built; any other pass leaves every graph alone."""
+        """A changing pass leaves only the graphs it built; an unchanged
+        pass leaves every graph alone."""
         old_graph, own_graph = object(), object()
 
         class Builder(_Recorder):
@@ -126,22 +108,12 @@ class TestManagerRun:
         def run(*passes):
             PassManager(list(passes)).run(raw_tree_program, ctx)
 
-        run(_Recorder("same", [], changed=False, invalidates={"depgraph"}),
-            _Recorder("other", [], changed=True, invalidates={"profile"}))
+        run(_Recorder("same", [], changed=False))
         assert ctx.graphs == {("main", "t0"): old_graph}
-        run(Builder("build", [], changed=True, invalidates={"depgraph"}))
+        run(Builder("build", [], changed=True))
         assert ctx.graphs == {("main", "t1"): own_graph}
-        run(_Recorder("drop", [], changed=True, invalidates={"depgraph"}))
+        run(_Recorder("drop", [], changed=True))
         assert ctx.graphs == {}
-
-    def test_unchanged_pass_does_not_invalidate(self):
-        marker = object()
-        ctx = PassContext(profile=marker)
-        manager = PassManager([
-            _Recorder("a", [], changed=False, invalidates={"profile"})])
-        manager.run(Program(), ctx)
-        assert ctx.invalidated == set()
-        assert ctx.profile is marker
 
     def test_reports_have_op_deltas(self, raw_tree_program):
         def drop_one(program):
