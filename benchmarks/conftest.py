@@ -44,10 +44,3 @@ def pipeline():
 def output_dir():
     OUTPUT_DIR.mkdir(exist_ok=True)
     return OUTPUT_DIR
-
-
-def publish(output_dir, name: str, text: str) -> None:
-    """Print a regenerated artefact and persist it."""
-    print()
-    print(text)
-    (output_dir / f"{name}.txt").write_text(text + "\n")

@@ -6,7 +6,7 @@ STATIC (the safety property is preserved either way)."""
 
 from repro.experiments import ablation
 
-from conftest import publish
+from publish import publish
 
 
 def test_ablation_alias_probability(benchmark, pipeline, output_dir):

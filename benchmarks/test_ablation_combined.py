@@ -9,7 +9,7 @@ original time."""
 
 from repro.experiments import ablation
 
-from conftest import publish
+from publish import publish
 
 
 def test_ablation_combined(benchmark, output_dir):

@@ -7,7 +7,7 @@ Shape target: grafting never reduces the SPEC-over-STATIC speedup."""
 
 from repro.experiments import ablation
 
-from conftest import publish
+from publish import publish
 
 
 def test_ablation_grafting(benchmark, pipeline, output_dir):

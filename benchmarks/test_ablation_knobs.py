@@ -6,7 +6,7 @@ reasonable point of the speedup/size trade-off."""
 
 from repro.experiments import ablation
 
-from conftest import publish
+from publish import publish
 
 
 def test_ablation_knobs(benchmark, pipeline, output_dir):

@@ -7,7 +7,7 @@ dynamic disambiguation legitimately wins (quick, per the paper)."""
 from repro.disambig import Disambiguator
 from repro.experiments import figure6_2
 
-from conftest import publish
+from publish import publish
 
 
 def test_figure6_2(benchmark, pipeline, output_dir):

@@ -8,7 +8,7 @@ larger at the higher latency."""
 from repro.bench import NRC_BENCHMARKS
 from repro.experiments import figure6_3
 
-from conftest import publish
+from publish import publish
 
 
 def test_figure6_3(benchmark, pipeline, output_dir):

@@ -7,7 +7,7 @@ widely across benchmarks (the paper's smooft-vs-solvde contrast)."""
 from repro.bench import REPORTED
 from repro.experiments import figure6_4
 
-from conftest import publish
+from publish import publish
 
 
 def test_figure6_4(benchmark, pipeline, output_dir):

@@ -9,7 +9,7 @@ the hardware simulator that moves any of them shows up as a diff.
 
 from repro.experiments import hw_compare
 
-from conftest import publish
+from publish import publish
 
 
 def test_hw_compare(benchmark, pipeline, output_dir):

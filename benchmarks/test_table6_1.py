@@ -3,7 +3,7 @@ model construction."""
 
 from repro.experiments import table6_1
 
-from conftest import publish
+from publish import publish
 
 
 def test_table6_1(benchmark, output_dir):

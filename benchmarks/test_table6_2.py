@@ -2,7 +2,7 @@
 
 from repro.experiments import table6_2
 
-from conftest import publish
+from publish import publish
 
 
 def test_table6_2(benchmark, output_dir):

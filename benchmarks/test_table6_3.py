@@ -8,7 +8,7 @@ exist at both latencies.
 
 from repro.experiments import table6_3
 
-from conftest import publish
+from publish import publish
 
 
 def test_table6_3(benchmark, pipeline, output_dir):

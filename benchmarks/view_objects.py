@@ -1,4 +1,4 @@
-"""GC-tracked objects and pickle bytes per view loaded from the store.
+"""GC-tracked objects, pickle bytes and pickle times per stored view.
 
 Runs the first corpus-cold batch of the end-to-end benchmark (the
 ``repro bench --corpus`` job triple for 50 programs, one per cost bin)
@@ -9,6 +9,13 @@ large its file is.  The count is the difference in
 ``len(gc.get_objects())`` from a full collection before the load to
 one after it, so neither the load's temporaries nor the tuples a
 collection stops tracking count.
+
+It also times, per compiled and per view entry, the store's two pickle
+calls: ``dump``, pickling the artifact the cold run built (what a
+store put pays), and ``load``, unpickling its file (what a warm hit
+pays); and ``decode``, unpickling the file and then reading every
+tree's operations (what a stage that misses over a stored artifact
+pays).  Each figure is the best of ``REPEATS`` calls, in microseconds.
 
 The script measures whichever ``repro`` is on ``PYTHONPATH``, so the
 same file compares two checkouts::
@@ -31,6 +38,7 @@ import pickle
 import statistics
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -39,7 +47,13 @@ sys.path.insert(0, str(HERE / "e2e"))
 import workloads  # noqa: E402  (benchmarks/e2e, needs repro importable)
 from repro.corpus.manifest import entry_source  # noqa: E402
 from repro.pipeline.core import Pipeline  # noqa: E402
+from repro.pipeline.fingerprint import PIPELINE_VERSION  # noqa: E402
 from repro.pipeline.store import ArtifactStore  # noqa: E402
+
+#: Calls per timed figure; the best one counts.
+REPEATS = 3
+#: The stages whose entries carry a program.
+TIMED_STAGES = ("compiled", "view")
 
 
 def _load_counting(path: Path):
@@ -52,6 +66,36 @@ def _load_counting(path: Path):
     # after a real load would, and frees the load's temporaries
     gc.collect()
     return len(gc.get_objects()) - before, payload
+
+
+def _best_us(call) -> float:
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        best = min(best, time.perf_counter() - start)
+    return best * 1e6
+
+
+def _decode(data: bytes) -> None:
+    """Unpickle a stored entry and read every tree's operations."""
+    for _, tree in pickle.loads(data)["artifact"].program.all_trees():
+        tree.ops
+
+
+def _pickle_times(store: ArtifactStore, path: Path, stage: str) -> dict:
+    """Dump, load and decode times of one stored entry; the dump
+    pickles the in-process artifact *store*'s memory tier holds."""
+    artifact = store.get(stage, path.stem)
+    if artifact is None:
+        raise LookupError(f"{path} is not in the store's memory tier")
+    payload = {"version": PIPELINE_VERSION, "artifact": artifact}
+    data = path.read_bytes()
+    return {"stage": stage,
+            "dump_us": _best_us(lambda: pickle.dumps(
+                payload, protocol=pickle.HIGHEST_PROTOCOL)),
+            "load_us": _best_us(lambda: pickle.loads(data)),
+            "decode_us": _best_us(lambda: _decode(data))}
 
 
 def measure(seed: int, batch_index: int) -> dict:
@@ -67,6 +111,9 @@ def measure(seed: int, batch_index: int) -> dict:
             for call in workloads._corpus_flow(
                     pipe, label, entry_source(manifest, entries[label])):
                 call()
+        timings = [_pickle_times(pipe.store, path, stage)
+                   for stage in TIMED_STAGES
+                   for path in sorted(Path(root, stage).rglob("*.pkl"))]
         del pipe
         for path in sorted(Path(root, "view").rglob("*.pkl")):
             objects, payload = _load_counting(path)
@@ -76,7 +123,8 @@ def measure(seed: int, batch_index: int) -> dict:
                           "objects": objects,
                           "bytes": path.stat().st_size})
             del payload, artifact
-    return {"seed": seed, "batch": batch_index, "views": views}
+    return {"seed": seed, "batch": batch_index, "views": views,
+            "pickle_times": timings}
 
 
 def _summary(views: list) -> str:
@@ -102,6 +150,13 @@ def main(argv=None) -> int:
     for kind in ("spec", "naive"):
         print(f"  {kind:5}  {_summary([v for v in views if v['kind'] == kind])}")
     print(f"  all    {_summary(views)}")
+    for stage in TIMED_STAGES:
+        rows = [row for row in result["pickle_times"]
+                if row["stage"] == stage]
+        means = "  ".join(
+            f"{name} {statistics.mean(r[name + '_us'] for r in rows):6.0f}"
+            for name in ("dump", "load", "decode"))
+        print(f"  {stage:8} {len(rows):3d} entries  mean us  {means}")
     if args.json:
         Path(args.json).write_text(json.dumps(result, indent=1) + "\n")
     mean = statistics.mean(view["objects"] for view in views)

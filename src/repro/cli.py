@@ -23,7 +23,8 @@ Options shared by ``analyze``/``bench``/``trace``/``schedule``:
 ``--min-gain``, ``--profiled-alias``, and the pass-pipeline knobs
 ``--passes LIST`` (comma-separated cleanup passes, or ``default`` /
 ``none``) and ``--dump-after PASS`` (print the IR after a pass;
-repeatable).  ``report`` honors the SpD and pass knobs too.
+repeatable, and each takes a comma-separated list too).  ``report``
+honors the SpD and pass knobs too.
 
 ``run``/``analyze``/``bench``/``trace``/``report``/``hwcompare`` and
 ``perf check`` accept ``--engine {interp,jit}`` (default ``jit``) to
@@ -102,10 +103,12 @@ def _pass_config_from(args) -> PassPipelineConfig:
 
     ``--passes`` accepts a comma-separated cleanup pass list, the word
     ``default`` (= ``constfold,copyprop,dce``) or ``none`` (= empty, the
-    default: the paper's unaltered toolchain).
+    default: the paper's unaltered toolchain).  Each ``--dump-after``
+    takes one pass or a comma-separated list of them.
     """
     cleanup = parse_cleanup_spec(getattr(args, "passes", None) or "none")
-    dump = tuple(getattr(args, "dump_after", None) or ())
+    dump = tuple(name for spec in getattr(args, "dump_after", None) or ()
+                 for name in spec.split(",") if name)
     try:
         return PassPipelineConfig(cleanup=cleanup, dump_after=dump).validated()
     except UnknownPassError as error:
@@ -818,7 +821,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dump-after", metavar="PASS", action="append",
                        default=None,
                        help="print the IR to stderr after this pass "
-                            "(repeatable)")
+                            "(repeatable, or a comma-separated list)")
 
     def add_engine_flag(p):
         p.add_argument("--engine", choices=engine_names(),

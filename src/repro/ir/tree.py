@@ -24,12 +24,17 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from .. import obs
 from .frozen import slotted
 from .guards import Guard
 from .operations import NO_PATH, Operation, PathLiterals
 from .values import Operand, Register
 
 __all__ = ["ExitKind", "TreeExit", "DecisionTree"]
+
+#: The fields a loaded tree keeps packed until one of them is read.
+_PACKED_FIELDS = ("ops", "exits", "spd_resolved", "next_op_id",
+                  "next_temp_id")
 
 
 class ExitKind(enum.Enum):
@@ -95,6 +100,13 @@ class DecisionTree:
     whose ambiguous memory dependence has been *resolved* by speculative
     disambiguation — the dependence builder must not re-create an
     ambiguous arc for them.
+
+    A tree pickles as its name, its size and one flat tuple of atomic
+    values (:mod:`repro.ir.treepack`).  A loaded tree holds only those
+    until one of the other fields is first read, which decodes all of
+    them into plain instance attributes and counts
+    ``ir.trees_decoded``; :meth:`size` answers without decoding, and an
+    undecoded tree pickles its tuple back unchanged.
     """
 
     name: str
@@ -103,6 +115,34 @@ class DecisionTree:
     spd_resolved: set = field(default_factory=set)
     next_op_id: int = 0
     next_temp_id: int = 0
+
+    # -- pickling ---------------------------------------------------------
+
+    def _still_packed(self) -> bool:
+        state = self.__dict__
+        return "_packed" in state and state.keys().isdisjoint(_PACKED_FIELDS)
+
+    def __getstate__(self) -> Tuple[str, int, tuple]:
+        if self._still_packed():
+            return self.name, self._size, self._packed
+        return self.name, self.size(), pack_tree(self)
+
+    def __setstate__(self, state: Tuple[str, int, tuple]) -> None:
+        self.name, self._size, self._packed = state
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute missing from the instance: on a
+        # loaded tree, a field that is still packed
+        state = self.__dict__
+        if name not in _PACKED_FIELDS or "_packed" not in state:
+            raise AttributeError(
+                f"{type(self).__name__!r} object has no attribute {name!r}")
+        for field_name, value in zip(_PACKED_FIELDS,
+                                     unpack_tree(state["_packed"])):
+            state.setdefault(field_name, value)  # a field set since stays
+        del state["_packed"], state["_size"]
+        obs.incr("ir.trees_decoded")
+        return state[name]
 
     # -- construction helpers ---------------------------------------------
 
@@ -137,7 +177,10 @@ class DecisionTree:
     def size(self) -> int:
         """Tree size in operations, the paper's code-size metric
         (operations rather than VLIW instructions; exits count as the
-        branch operations they compile to)."""
+        branch operations they compile to).  A loaded tree answers
+        from its pickled header without decoding."""
+        if self._still_packed():
+            return self._size
         return len(self.ops) + len(self.exits)
 
     def memory_ops(self) -> List[int]:
@@ -176,3 +219,8 @@ class DecisionTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<tree {self.name}: {len(self.ops)} ops, {len(self.exits)} exits>"
+
+
+# the codec builds this module's classes, so it can only be imported once
+# they exist
+from .treepack import pack_tree, unpack_tree  # noqa: E402

@@ -48,7 +48,10 @@ __all__ = ["PIPELINE_VERSION", "fingerprint", "spd_config_key",
 #: 6: each arc is generated once, exit reads in operand order, so the
 #: packed arc order changed (it followed ``PYTHONHASHSEED`` before);
 #: pickled LatencyTable instances carry their fields only.
-PIPELINE_VERSION = 6
+#: 7: decision trees pickle as their name, size and one flat tuple
+#: (:mod:`repro.ir.treepack`), decoded on first use; version-6 payloads
+#: carry ``Operation`` and ``TreeExit`` objects.
+PIPELINE_VERSION = 7
 
 
 def fingerprint(payload: Dict[str, object]) -> str:

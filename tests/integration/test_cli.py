@@ -368,6 +368,18 @@ class TestPasses:
                      "default", "--dump-after", "dce"]) == 0
         assert capsys.readouterr().err.count("; IR after pass dce") == 4
 
+    def test_dump_after_takes_a_comma_list(self, capsys):
+        # a comma list dumps each listed pass as often as its own flag
+        # would: spd runs in the SPEC view only, dce in all four views
+        assert main(["bench", "perm", "--memory", "2", "--passes",
+                     "default", "--dump-after", "spd,dce"]) == 0
+        err = capsys.readouterr().err
+        assert err.count("; IR after pass spd") == 1
+        assert err.count("; IR after pass dce") == 4
+        assert "; IR after pass copyprop" not in err
+        with pytest.raises(SystemExit, match="unknown pass 'bogus'"):
+            main(["bench", "perm", "--dump-after", "dce,bogus"])
+
     def test_dump_after_writes_ir_to_stderr(self, demo_source, capsys):
         assert main(["analyze", demo_source, "--passes", "default",
                      "--dump-after", "dce"]) == 0

@@ -86,6 +86,18 @@ class TestDiskTier:
         assert store.get("view", FP) is None
         assert not path.exists()
 
+    def test_version_6_entry_is_a_miss(self, tmp_path):
+        # version 6 pickled decision trees as objects; from version 7
+        # they are packed, so an older entry must be rebuilt
+        assert PIPELINE_VERSION >= 7
+        store = ArtifactStore(tmp_path)
+        path = store._path("view", FP)
+        path.parent.mkdir(parents=True)
+        with open(path, "wb") as handle:
+            pickle.dump({"version": 6, "artifact": "v6"}, handle)
+        assert store.get("view", FP) is None
+        assert not path.exists()
+
     def test_unexpected_layout_is_dropped(self, tmp_path):
         store = ArtifactStore(tmp_path)
         path = store._path("view", FP)

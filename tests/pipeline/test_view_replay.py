@@ -1,9 +1,10 @@
 """Views replayed from the disk store time exactly like fresh ones.
 
 A pickled dependence graph carries its arcs as one packed int tuple,
-decoded on the first ``arcs`` read; these tests pin that the decoded
-arcs, in order, and the cycles they yield match the in-process view of
-every kernel.
+decoded on the first ``arcs`` read, and a pickled decision tree its
+fields as one flat tuple, decoded on the first read of any of them;
+these tests pin that the decoded arcs, in order, the decoded trees and
+the cycles they yield match the in-process view of every kernel.
 """
 
 import pickle
@@ -21,6 +22,7 @@ from repro.sim.evaluate import evaluate_program
 
 LATENCIES = (2, 6)
 CASES = [(name, latency) for name in SUITE for latency in LATENCIES]
+TREE_FIELDS = ("ops", "exits", "spd_resolved", "next_op_id", "next_temp_id")
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +101,33 @@ def test_undecoded_graph_pickles_like_its_decoded_twin(pipelines):
         assert packed._arcs is None
         assert pickle.dumps(packed) == pickle.dumps(twin)
         assert packed._arcs is None  # re-pickling decoded nothing
+
+
+@pytest.mark.parametrize("name,latency", CASES,
+                         ids=[f"{n}-mem{m}" for n, m in CASES])
+def test_pickled_views_load_their_trees_packed(pipelines, name, latency):
+    """Every tree of every view round-trips, stays packed until read
+    (``size()`` answers from the header), is decoded once per read tree,
+    and is the very object its graph holds."""
+    cold, _ = pipelines
+    for kind in Disambiguator:
+        view = cold.view(name, SUITE[name].source, kind, latency)
+        loaded = pickle.loads(pickle.dumps(view))
+        trees = [((function, tree.name), tree,
+                  loaded.program.functions[function].trees[tree.name])
+                 for function, tree in view.program.all_trees()]
+        for key, tree, packed in trees:
+            assert loaded.graphs[key].tree is packed
+            assert "_packed" in vars(packed)
+            assert packed.size() == tree.size()
+        assert loaded.code_size() == view.code_size()
+        read = trees[::2]
+        with obs.tracing() as tracer:
+            for _, tree, packed in read:
+                for field in TREE_FIELDS:
+                    assert getattr(packed, field) == getattr(tree, field)
+                assert packed.size() == tree.size()
+        assert (tracer.metrics.counters["ir.trees_decoded"]
+                == len(read)), kind
+        for _, _, packed in trees[1::2]:
+            assert "_packed" in vars(packed)
