@@ -5,8 +5,8 @@ For every program in the committed corpus manifest, builds the hwsim
 (memory latency 6) from the view's dependence graph, as
 ``Pipeline.hw_timing`` does, and requires it to equal the context of
 the same tree's graph built with an all-NO alias oracle: the same
-latencies, sorted issue preds and sorted guard preds
-(``tests/hwsim/graph_parity.py``).  Prints a summary and exits 1 on
+latencies, sorted on-issue and on-completion successor lists and pred
+counts (``tests/hwsim/graph_parity.py``).  Prints a summary and exits 1 on
 any mismatch, naming the first few.
 
 Views come from the default artifact store (``REPRO_CACHE_DIR``), so a

@@ -4,11 +4,13 @@ hwsim runs a tree's resolve pass interpreted while the tree is cold and
 compiled once it is hot (:class:`repro.engines.jit.Tier`).  For every
 program in the committed corpus manifest, this simulates the SPEC view
 (memory latency 6) on ``hw_machine(4, 6)`` twice: at
-``TIER_THRESHOLD = 0``, where every tree compiles on entry, and at the
-default threshold from an empty code cache, where most trees never
+``HW_TIER_THRESHOLD = 0``, where every tree compiles on entry, and as
+``Pipeline.hw_timing`` does, at the default threshold with the
+profile's tree counts, from an empty code cache, where most trees never
 leave the interpreted tier.  The two runs must give identical
-``HwTiming.to_dict()`` payloads, cycles and output.  Prints a summary
-and exits 1 on any difference, naming the first few.
+``HwTiming.to_dict()`` payloads, cycles and output, and the forced runs
+must compile trees (``hwsim.tier_ups``).  Prints a summary and exits 1
+on any difference, naming the first few.
 
 Views come from the default artifact store (``REPRO_CACHE_DIR``), so a
 store that a full ``repro bench --corpus`` run has filled serves them
@@ -26,6 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
+from repro import obs  # noqa: E402
 from repro.corpus import (DEFAULT_MANIFEST_PATH, entry_source,  # noqa: E402
                           load_manifest)
 from repro.disambig import Disambiguator  # noqa: E402
@@ -38,9 +41,10 @@ MEMORY_LATENCY = 6
 SHOWN_MISMATCHES = 10
 
 
-def _simulate(view, mach, threshold: int):
-    jit.TIER_THRESHOLD = threshold
-    run = simulate_program(view.program.copy(), mach, view.graphs)
+def _simulate(view, mach, threshold: int, tree_counts=None):
+    jit.HW_TIER_THRESHOLD = threshold
+    run = simulate_program(view.program.copy(), mach, view.graphs,
+                           tree_counts=tree_counts)
     return run.timing.to_dict(), run.cycles, list(run.output)
 
 
@@ -49,28 +53,35 @@ def main() -> int:
     manifest = load_manifest(ROOT / DEFAULT_MANIFEST_PATH)
     mach = hw_machine(4, MEMORY_LATENCY)
     pipeline = Pipeline()
-    default = jit.TIER_THRESHOLD
+    default = jit.HW_TIER_THRESHOLD
     mismatches = []
+    forced_compiles = 0
     try:
         for entry in manifest["entries"]:
-            view = pipeline.view(entry["id"], entry_source(manifest, entry),
-                                 Disambiguator.SPEC, MEMORY_LATENCY)
+            source = entry_source(manifest, entry)
+            view = pipeline.view(entry["id"], source, Disambiguator.SPEC,
+                                 MEMORY_LATENCY)
+            counts = pipeline.profile(entry["id"], source).profile.tree_counts
             # an empty cache: no tree enters compiled from a past run
             jit.clear_code_cache()
-            tiered = _simulate(view, mach, default)
-            compiled = _simulate(view, mach, 0)
+            tiered = _simulate(view, mach, default, counts)
+            with obs.tracing() as tracer:
+                compiled = _simulate(view, mach, 0)
+            forced_compiles += tracer.metrics.counters.get(
+                "hwsim.tier_ups", 0)
             for axis, left, right in zip(("timing", "cycles", "output"),
                                          compiled, tiered):
                 if left != right:
                     mismatches.append(f"{entry['id']} {axis}: compiled "
                                       f"{left!r}, tiered {right!r}")
     finally:
-        jit.TIER_THRESHOLD = default
+        jit.HW_TIER_THRESHOLD = default
     for line in mismatches[:SHOWN_MISMATCHES]:
         print(f"MISMATCH {line}")
     print(f"{len(manifest['entries'])} programs, {len(mismatches)} "
-          f"mismatches ({time.perf_counter() - started:.1f} s)")
-    return 1 if mismatches else 0
+          f"mismatches, {forced_compiles} trees compiled on entry when "
+          f"forced ({time.perf_counter() - started:.1f} s)")
+    return 1 if mismatches or not forced_compiles else 0
 
 
 if __name__ == "__main__":

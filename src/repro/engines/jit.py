@@ -45,7 +45,10 @@ Execution state is kept at three levels:
 
 The rule — the budget, the shape memory and the code-cache probe on
 entry — lives in :class:`Tier`, which the hardware simulator
-(:mod:`repro.hwsim.core`) applies to single trees as well.
+(:mod:`repro.hwsim.core`) applies to single trees as well, with its own
+threshold (:data:`HW_TIER_THRESHOLD`, a tree compile's break-even) and
+one more input: a tree whose profiled execution count says it will
+spend its budget compiles on entry.
 
 Cache behaviour is observable as ``engines.jit.cache_hits`` /
 ``cache_misses`` / ``cache_evictions`` / ``compiles`` counters, and
@@ -63,7 +66,8 @@ from ..ir.program import Program
 from ..sim.interpreter import Interpreter, InterpreterError, _Frame
 from .codegen import EXEC_GLOBALS, generate_function_source
 
-__all__ = ["CODE_CACHE_CAPACITY", "TIER_THRESHOLD", "Tier", "remember",
+__all__ = ["CODE_CACHE_CAPACITY", "TIER_THRESHOLD", "HW_TIER_THRESHOLD",
+           "Tier", "remember",
            "compiled_fn", "code_cache_size", "clear_code_cache",
            "JitInterpreter"]
 
@@ -73,13 +77,23 @@ __all__ = ["CODE_CACHE_CAPACITY", "TIER_THRESHOLD", "Tier", "remember",
 CODE_CACHE_CAPACITY = 512
 
 #: Interpreted steps (``Interpreter.steps`` units) per operation or
-#: exit of a function (of a tree, in the hardware simulator) after
-#: which it is compiled.  On a 2-core x86-64 host under CPython 3.11,
-#: ``compile()`` costs ~70 us per operation and a compiled step saves
-#: ~1-1.3 us, so 24 spends a third to a half of a compile on the
-#: interpreted prefix.  0 compiles every function on entry; 1 tiers up
-#: after about one pass over its trees.
+#: exit of a function after which the ``jit`` engine compiles it.  On a
+#: 2-core x86-64 host under CPython 3.11, ``compile()`` costs ~70 us
+#: per operation and a compiled step saves ~1-1.3 us, so 24 spends a
+#: third to a half of a compile on the interpreted prefix.  0 compiles
+#: every function on entry; 1 tiers up after about one pass over its
+#: trees.
 TIER_THRESHOLD = 24
+
+#: The same budget for a hardware-simulator tree's resolve pass: its
+#: break-even.  On the same host, generating and compiling a tree's
+#: ``hw_resolve`` source costs ~50-56 us per operation or exit, and a
+#: compiled step saves ~0.5-0.57 us over the interpreted pass (the 14
+#: kernels' NAIVE and SPEC trees, from recorded entry states), so a
+#: tree pays its compile back after ~100 steps per operation or exit —
+#: 55 to 180 executions for most trees.  A tree whose profiled
+#: execution count reaches it compiles on entry (see :class:`Tier`).
+HW_TIER_THRESHOLD = 100
 
 #: Bound on the shapes whose history outlives their run.
 SEEN_CAPACITY = 4096
@@ -134,26 +148,38 @@ class Tier:
     engine, a tree of the hardware simulator.
 
     The unit runs interpreted while ``fn`` is None and ``steps`` is
-    below ``budget`` (:data:`TIER_THRESHOLD` steps per operation or
-    exit of its *size*); then :meth:`tier_up` compiles it.  On entry
-    its *shape*'s history decides where it starts: a shape that stayed
+    below ``budget`` (*threshold* steps per operation or exit of its
+    *size*: :data:`TIER_THRESHOLD` for a function,
+    :data:`HW_TIER_THRESHOLD` for a tree); then :meth:`tier_up`
+    compiles it, counting the promotion under *counter*.  On entry its
+    *shape*'s history decides where it starts: a shape that stayed
     cold resumes its step count; one that was compiled before has its
     source generated, and enters compiled (``fn`` set) when the code
-    cache holds that source.  *source* generates the text on demand.
-    :func:`remember` records the cold units' counts when the run ends.
+    cache holds that source.  A unit that would otherwise start cold
+    but whose *expected* steps in this run (known when the caller has
+    an execution count) would reach its budget compiles on entry,
+    skipping the interpreted prefix.  *source* generates the text on
+    demand.  :func:`remember` records the cold units' counts when the
+    run ends.
     """
 
-    __slots__ = ("shape", "steps", "budget", "source", "fn", "_generate")
+    __slots__ = ("shape", "steps", "budget", "counter", "source", "fn",
+                 "_generate")
 
-    def __init__(self, shape: tuple, size: int, source: Callable[[], str]):
+    def __init__(self, shape: tuple, size: int, source: Callable[[], str],
+                 threshold: int, counter: str,
+                 expected: Optional[int] = None):
         self.shape = shape
-        self.budget = TIER_THRESHOLD * size
+        self.budget = threshold * size
+        self.counter = counter
         self.source: Optional[str] = None
         self.fn: Optional[Callable] = None
         self._generate = source
         seen = _seen.get(shape, 0)
         if seen != _COMPILED:
             self.steps = seen
+            if expected is not None and seen + expected >= self.budget:
+                self.tier_up()
             return
         self.steps = 0
         text = source()
@@ -162,10 +188,10 @@ class Tier:
         else:
             self.source = text
 
-    def tier_up(self, counter: str) -> Callable:
-        """Compile the unit, which has spent its budget, counting the
-        promotion under *counter*."""
-        obs.incr(counter)
+    def tier_up(self) -> Callable:
+        """Compile the unit, which has spent (or will spend) its budget,
+        counting the promotion."""
+        obs.incr(self.counter)
         self.fn = compiled_fn(self.source or self._generate())
         self.source = None
         _seen[self.shape] = _COMPILED
@@ -239,7 +265,7 @@ class JitInterpreter(Interpreter):
                 exit_ = super()._execute_tree(frame)
                 tier.steps += self.steps - steps
                 return exit_
-            tier.tier_up("engines.jit.tier_ups")
+            tier.tier_up()
             fn = self._link(frame.function, tier)
         tree_idx, exit_idx = fn(frame.regs, self.memory, self,
                                 tier.tree_index[frame.tree])
@@ -258,7 +284,8 @@ class JitInterpreter(Interpreter):
         shape = (name, len(func.trees), size, self.collect_profile,
                  self.trace_stores, self.strict_memory, self._obs_on)
         tier = self._tiers[name] = _FunctionTier(
-            shape, size, lambda: self._source(name))
+            shape, size, lambda: self._source(name), TIER_THRESHOLD,
+            "engines.jit.tier_ups")
         if tier.fn is not None:
             self._link(name, tier)
         return tier

@@ -427,10 +427,12 @@ def _run_hw(report: ConformanceReport, label: str, program, graphs, mach,
             reference, ref_interp: Interpreter, max_steps: int):
     """Execute one program, timed from its dependence *graphs*, on one
     hardware machine and diff it against the reference interpreter;
-    ``None`` on a crash divergence."""
+    ``None`` on a crash divergence.  The reference profile's tree counts
+    decide which trees compile on entry, as in ``Pipeline.hw_timing``."""
     try:
         sim = HwSimulator(program.copy(), mach, graphs, max_steps=max_steps,
-                          trace_stores=True)
+                          trace_stores=True,
+                          tree_counts=reference.profile.tree_counts)
         result = sim.run()
     except Exception as exc:  # engine crash / non-convergence = finding
         report.divergences.append(Divergence(

@@ -13,18 +13,22 @@ The pass has two tiers, under the ``jit`` engine's rule
 (:class:`repro.engines.jit.Tier`) applied per tree.  A tree starts
 cold and runs the pass interpreted
 (:meth:`~repro.sim.interpreter.Interpreter._resolve_tree`); once it has
-spent ``TIER_THRESHOLD`` steps per operation or exit it compiles the
-generated ``hw_resolve`` source once, and a tree whose source an
-earlier run compiled enters compiled while the code cache holds it.
-Most trees run a handful of times, so most never pay for a
-``compile()``.  Both tiers return the same results, so the tier never
-changes a memo key, a cycle or a counter; compilations by hotness are
-counted as ``hwsim.tier_ups``.  The per-tree memo, keyed on the events
-plus the predictor's decision bits, supplies the timing (its violations
-train the predictor, on hits too).  The simulator then adopts the
-registers, drains the stores and appends the output.  The engine reads
-each tree's dependences from the graph the compiler built for it: the
-simulator takes the view's graphs, keyed by ``(function, tree)``.
+spent ``HW_TIER_THRESHOLD`` steps per operation or exit (a compile's
+break-even) it compiles the generated ``hw_resolve`` source once, and
+a tree whose source an earlier run compiled enters compiled while the
+code cache holds it.  A caller that passes ``tree_counts`` — a profile
+of the same run, as ``Pipeline.hw_timing`` does — has each tree whose
+count will spend that budget compile on entry, and no other tree
+compile at all.  Most trees run a handful of times, so most never pay
+for a ``compile()``.  Both tiers return the same results, so the tier
+never changes a memo key, a cycle or a counter; compilations by
+hotness, measured or counted, are counted as ``hwsim.tier_ups``.  The
+per-tree memo, keyed on the events plus the predictor's decision bits,
+supplies the timing (its violations train the predictor, on hits too).
+The simulator then adopts the registers, drains the stores and appends
+the output.  The engine reads each tree's dependences from the graph
+the compiler built for it: the simulator takes the view's graphs, keyed
+by ``(function, tree)``.
 
 That retirement is exact only if the load/store queue forwards every
 load the value the pass gave it: the LSQ forwards the latest earlier
@@ -53,8 +57,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .. import obs
+from ..engines import jit
 from ..engines.codegen import generate_tree_source, touches_memory
-from ..engines.jit import Tier, remember
 from ..ir.depgraph import DependenceGraph
 from ..ir.program import Program
 from ..ir.tree import DecisionTree
@@ -134,7 +138,8 @@ class _TreeState:
                  "op_keys", "memo", "decisions", "result")
 
     def __init__(self, function: str, name: str, tree: DecisionTree,
-                 graph: Optional[DependenceGraph], machine: HwMachine):
+                 graph: Optional[DependenceGraph], machine: HwMachine,
+                 count: Optional[int]):
         if graph is None or (graph.num_ops, graph.num_nodes) != (
                 len(tree.ops), len(tree.ops) + len(tree.exits)):
             raise ValueError(f"the dependence graph of tree "
@@ -145,11 +150,14 @@ class _TreeState:
         self.steps = len(tree.ops) + 1
         #: when the resolve pass compiles (the code cache is the
         #: ``jit`` engine's — the source is the key, so identical trees
-        #: compile once per process)
-        self.tier = Tier(("hw_resolve", function, name, len(tree.ops),
-                          len(tree.exits)),
-                         len(tree.ops) + len(tree.exits),
-                         lambda: generate_tree_source(tree))
+        #: compile once per process); *count*, the tree's executions in
+        #: this run when the caller knows them, decides it on entry
+        self.tier = jit.Tier(("hw_resolve", function, name,
+                              len(tree.ops), len(tree.exits)),
+                             len(tree.ops) + len(tree.exits),
+                             lambda: generate_tree_source(tree),
+                             jit.HW_TIER_THRESHOLD, "hwsim.tier_ups",
+                             None if count is None else count * self.steps)
         #: the resolve pass, ``run(regs, memory, simulator)``: compiled,
         #: or the interpreted tier while the tree is cold
         self.run = self.tier.fn or self._run_cold
@@ -170,7 +178,7 @@ class _TreeState:
         if tier.steps < tier.budget:
             tier.steps += self.steps
             return simulator._resolve_tree(self.tree, regs, self.has_mem)
-        self.run = tier.tier_up("hwsim.tier_ups")
+        self.run = tier.tier_up()
         return self.run(regs, memory, simulator)
 
 
@@ -205,12 +213,16 @@ class HwSimulator(Interpreter):
 
     def __init__(self, program: Program, machine: HwMachine,
                  graphs: Mapping[Tuple[str, str], DependenceGraph],
-                 max_steps: int = 200_000_000, trace_stores: bool = False):
+                 max_steps: int = 200_000_000, trace_stores: bool = False,
+                 tree_counts: Optional[Mapping[Tuple[str, str], int]] = None):
         super().__init__(program, max_steps=max_steps, collect_profile=False,
                          trace_stores=trace_stores)
         self.machine = machine
         #: each tree's dependence graph, by (function, tree)
         self.graphs = graphs
+        #: each tree's executions in this run, by (function, tree), when
+        #: the caller knows them (a profile of the same program)
+        self.tree_counts = tree_counts
         self.is_oracle = machine.predictor == "oracle"
         # the oracle decides every pair from the actual addresses
         # (see _decide) and never consults its predictor
@@ -251,7 +263,7 @@ class HwSimulator(Interpreter):
         try:
             return super()._run(args)
         finally:
-            remember(state.tier for state in self._trees.values())
+            jit.remember(state.tier for state in self._trees.values())
 
     # -- per-tree execution --------------------------------------------------
 
@@ -259,10 +271,12 @@ class HwSimulator(Interpreter):
         key = (frame.function, frame.tree)
         state = self._trees.get(key)
         if state is None:
+            counts = self.tree_counts
             state = self._trees[key] = _TreeState(
                 frame.function, frame.tree,
                 self.program.functions[frame.function].trees[frame.tree],
-                self.graphs.get(key), self.machine)
+                self.graphs.get(key), self.machine,
+                None if counts is None else counts.get(key, 0))
         stats = self.stats
         stats.tree_executions += 1
         self.steps += state.steps
@@ -390,8 +404,12 @@ class HwSimulator(Interpreter):
 def simulate_program(program: Program, machine: HwMachine,
                      graphs: Mapping[Tuple[str, str], DependenceGraph],
                      args: Tuple[Number, ...] = (),
-                     max_steps: int = 200_000_000) -> HwRunResult:
+                     max_steps: int = 200_000_000,
+                     tree_counts: Optional[Mapping[Tuple[str, str], int]]
+                     = None) -> HwRunResult:
     """Execute *program* on the dynamically scheduled *machine*, timing
-    each tree from its dependence graph in *graphs*."""
-    return HwSimulator(program, machine, graphs,
-                       max_steps=max_steps).run(args)
+    each tree from its dependence graph in *graphs*.  *tree_counts*, a
+    profile's executions per tree of the same run, lets each tree that
+    will pay back a compile compile on entry."""
+    return HwSimulator(program, machine, graphs, max_steps=max_steps,
+                       tree_counts=tree_counts).run(args)

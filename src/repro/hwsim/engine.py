@@ -5,7 +5,10 @@ cycle-by-cycle simulation of an R10000-style core executing one
 decision tree whose memory addresses are already known to the
 *simulator* (the functional layer resolves them) but not to the
 *machine* (a store's address becomes architecturally known only when
-the store issues).  The model:
+the store issues).  It is event driven: each dependence is resolved
+once, into a successor entry released when its source issues or
+completes, and each cycle issues from a ready heap in program order
+(see :func:`simulate_tree`).  The model:
 
 * **register renaming** — WAR and WAW register arcs vanish; only true
   data dependences (``REG_RAW``), the conditional-execution guard rule,
@@ -45,11 +48,12 @@ assert bit-identical repeat runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..ir.depgraph import MEMORY_ARC_KINDS, ArcKind, DependenceGraph
 from ..machine.hw import HwMachine
-from ..sim.timing import (AFTER_COMPLETION, AFTER_ISSUE, GUARD_FLOOR,
+from ..sim.timing import (AFTER_ISSUE, AFTER_ISSUE_PLUS1, GUARD_FLOOR,
                           UNTIMED, arc_rule, node_latencies)
 
 __all__ = ["MemEvent", "TreeContext", "EngineResult", "simulate_tree"]
@@ -85,30 +89,43 @@ class MemEvent(NamedTuple):
 
 class TreeContext:
     """Static, per-tree data shared by every execution of the tree,
-    read from the tree's dependence graph in one pass over its arcs."""
+    read from the tree's dependence graph in one pass over its arcs.
+
+    Each kept arc becomes a successor entry of its source, released
+    when the source issues (``AFTER_ISSUE``, ``AFTER_ISSUE_PLUS1``) or
+    when the source's completion becomes known (``AFTER_COMPLETION``,
+    ``GUARD_FLOOR``), and counts as one pred of its destination."""
 
     def __init__(self, graph: DependenceGraph, machine: HwMachine):
         self.tree = graph.tree
         self.num_ops = num_ops = graph.num_ops
-        self.num_nodes = graph.num_nodes
+        self.num_nodes = num_nodes = graph.num_nodes
         self.latency: List[int] = node_latencies(graph, machine.latencies)
-        #: per node: (src, AFTER_* rule) issue constraints, and the
-        #: guard definitions that floor its completion
-        self.issue_preds: List[List[Tuple[int, int]]] = [
-            [] for _ in range(self.num_nodes)]
-        self.guard_preds: List[List[int]] = [
-            [] for _ in range(self.num_nodes)]
+        #: per node: (dst, delay) — dst may issue ``delay`` cycles after
+        #: this node issues
+        self.issue_succs: List[List[Tuple[int, int]]] = [
+            [] for _ in range(num_nodes)]
+        #: per node: (dst, guard) — dst may issue once this node has
+        #: completed; a guard dst may issue as soon as the completion is
+        #: known, and completes no earlier than one cycle after it
+        self.completion_succs: List[List[Tuple[int, bool]]] = [
+            [] for _ in range(num_nodes)]
+        #: per node: the successor entries that point into it
+        self.num_preds: List[int] = [0] * num_nodes
         for arc in graph.arcs:
             if arc.kind in HARDWARE_ARC_KINDS:
                 continue
             rule = arc_rule(arc, num_ops)
-            if rule == GUARD_FLOOR:
-                self.guard_preds[arc.dst].append(arc.src)
-            elif rule != UNTIMED:
-                self.issue_preds[arc.dst].append((arc.src, rule))
-
-    def exit_node(self, exit_index: int) -> int:
-        return self.num_ops + exit_index
+            if rule == UNTIMED:
+                continue
+            if rule == AFTER_ISSUE:
+                self.issue_succs[arc.src].append((arc.dst, 0))
+            elif rule == AFTER_ISSUE_PLUS1:
+                self.issue_succs[arc.src].append((arc.dst, 1))
+            else:
+                self.completion_succs[arc.src].append(
+                    (arc.dst, rule == GUARD_FLOOR))
+            self.num_preds[arc.dst] += 1
 
 
 @dataclass(frozen=True)
@@ -136,128 +153,122 @@ def simulate_tree(ctx: TreeContext, machine: HwMachine,
     program order; ``bypass`` maps each ``(store_event, load_event)``
     index pair (store earlier than load) to the predictor's decision —
     may the load issue while that store's address is still unknown?
+
+    Event driven, like the list scheduler: a node is released once the
+    last of its preds has resolved, into the ``ready`` heap when its
+    earliest issue cycle has come and into ``pending`` otherwise.  Each
+    cycle issues from ``ready`` oldest first, up to the window's end.
+    Every pred precedes its node in program order — arcs point forward
+    and events come in program order — so a node released while the
+    cycle issues is younger than the one that released it, and issues
+    in the same cycle exactly when a scan of the unissued nodes in
+    program order would have issued it.
     """
     num_nodes = ctx.num_nodes
+    latency = ctx.latency
+    issue_succs = ctx.issue_succs
+    completion_succs = ctx.completion_succs
     issue = [-1] * num_nodes       # first (possibly speculative) issue
     completion = [-1] * num_nodes  # -1 = not yet known
-    latency = ctx.latency
+    waiting = list(ctx.num_preds)  # unresolved preds per node
+    earliest = [0] * num_nodes     # issue floor from the resolved preds
+    floor = [0] * num_nodes        # completion floor from guard defs
 
-    # events are indexed positionally: the compiled resolve pass emits
-    # plain (node, is_store, addr_class) tuples (see MemEvent docstring)
-    event_index: Dict[int, int] = {e[0]: i for i, e in enumerate(events)}
-    # per load event: earlier store events, split by aliasing
-    load_alias: Dict[int, List[int]] = {}
-    load_clear: Dict[int, List[int]] = {}
-    prev_same_store: Dict[int, int] = {}
+    # The load/store queue's orders, resolved for this execution in one
+    # pass over the events (indexed positionally: the compiled resolve
+    # pass emits plain (node, is_store, addr_class) tuples).
+    #: store node -> (dst, delay) preds it resolves when it issues: dst
+    #: may issue ``delay`` cycles later, or once it completes (None)
+    store_succs: Dict[int, List[Tuple[int, Optional[int]]]] = {}
+    #: store node -> aliasing loads that may bypass it: once its address
+    #: is known they wait for its data instead
+    forwards: Dict[int, List[int]] = {}
+    #: load node -> (bypassed store nodes, the aliasing ones among them)
+    bypassing: Dict[int, Tuple[List[int], List[int]]] = {}
+    stores: List[Tuple[int, int, int]] = []   # (event, node, class)
     last_store_of_class: Dict[int, int] = {}
-    store_events: List[int] = []
-    for i, (_node, is_store, addr_class) in enumerate(events):
+    for i, (node, is_store, addr_class) in enumerate(events):
         if is_store:
             prev = last_store_of_class.get(addr_class)
             if prev is not None:
-                prev_same_store[i] = prev
-            last_store_of_class[addr_class] = i
-            store_events.append(i)
-        else:
-            aliased = [s for s in store_events
-                       if events[s][2] == addr_class]
-            clear = [s for s in store_events
-                     if events[s][2] != addr_class]
-            load_alias[i] = aliased
-            load_clear[i] = clear
+                # pipelined memory completes same-address writes in
+                # issue order: one cycle apart suffices
+                store_succs[prev].append((node, 1))
+                waiting[node] += 1
+            last_store_of_class[addr_class] = node
+            stores.append((i, node, addr_class))
+            store_succs[node] = []
+            continue
+        bypassed: List[int] = []
+        aliased: List[int] = []
+        for s, s_node, s_class in stores:
+            if bypass[(s, i)]:
+                bypassed.append(s_node)
+                if s_class == addr_class:
+                    aliased.append(s_node)
+                    forwards.setdefault(s_node, []).append(node)
+            else:
+                # wait for the address; an aliasing store's data is
+                # forwarded at its completion
+                store_succs[s_node].append(
+                    (node, None if s_class == addr_class else 0))
+                waiting[node] += 1
+        if bypassed:
+            bypassing[node] = (bypassed, aliased)
 
-    num_fus: Optional[int] = machine.num_fus
-    window: Optional[int] = machine.window
+    # issue slots per cycle and the window's length; an unbounded one
+    # is as large as this execution can use
+    width = (machine.num_fus if machine.num_fus is not None
+             else num_nodes + len(events))
+    span = machine.window if machine.window is not None else num_nodes
     penalty = machine.replay_penalty
 
-    unissued: List[int] = list(range(num_nodes))
-    #: violated loads awaiting replay: node -> aliasing store *nodes*
+    #: violated loads awaiting replay: node -> the aliasing stores whose
+    #: addresses were unknown when it issued
     pending_replay: Dict[int, List[int]] = {}
+    violated = set()
     violations: List[Tuple[int, int]] = []
     slots_used = 0
     spec_issues = 0
     retire_base = 0
+    unissued = num_nodes
 
-    def guard_floor(node: int) -> int:
-        """Conditional-execution rule: complete no earlier than one
-        cycle after the guard value is available."""
-        floor = 0
-        for src in ctx.guard_preds[node]:
-            floor = max(floor, completion[src] + 1)
-        return floor
+    # nodes whose preds have all resolved and whose earliest cycle has
+    # come, by node index (an ascending list is already a heap); the
+    # rest of the released ones as (earliest cycle, node)
+    ready = [node for node in range(num_nodes) if not waiting[node]]
+    pending: List[Tuple[int, int]] = []
 
-    def data_ready(node: int, cycle: int) -> bool:
-        for src, rule in ctx.issue_preds[node]:
-            if rule == AFTER_COMPLETION:
-                done = completion[src]
-                if done < 0 or done > cycle:
-                    return False
-            elif rule == AFTER_ISSUE:
-                if issue[src] < 0:
-                    return False
-            else:  # AFTER_ISSUE_PLUS1
-                started = issue[src]
-                if started < 0 or started + 1 > cycle:
-                    return False
-        for src in ctx.guard_preds[node]:
-            # the consumer may issue before its guard completes, but its
-            # completion floor needs the guard's completion to be
-            # *known* — i.e. the guard definition must have issued (a
-            # violated load's completion stays unknown until replay)
-            if completion[src] < 0:
-                return False
-        return True
-
-    def memory_ready(node: int, cycle: int) -> Tuple[bool, List[int]]:
-        """May this guard-true memory op issue at ``cycle``?
-
-        Returns ``(ready, violating_store_nodes)`` — the stores whose
-        addresses are still unknown that an issuing load would truly
-        alias with (the misspeculation the LSQ later detects).
-        """
-        ei = event_index.get(node)
-        if ei is None:      # guard-false memory op: plain ALU-style slot
-            return True, []
-        if events[ei][1]:   # is_store
-            prev = prev_same_store.get(ei)
-            if prev is not None:
-                prev_node = events[prev][0]
-                # pipelined memory completes same-address writes in
-                # issue order: one cycle apart suffices
-                if issue[prev_node] < 0 or issue[prev_node] + 1 > cycle:
-                    return False, []
-            return True, []
-        will_violate: List[int] = []
-        for s in load_alias[ei]:
-            s_node = events[s][0]
-            if issue[s_node] >= 0:
-                # address known: the LSQ sees the conflict and forwards
-                # the store's data at its completion
-                if completion[s_node] > cycle:
-                    return False, []
-            elif bypass[(s, ei)]:
-                will_violate.append(s_node)
+    def release(dst: int, t: int) -> None:
+        """Resolve one pred of *dst*, which lets it issue from cycle *t*."""
+        if t > earliest[dst]:
+            earliest[dst] = t
+        waiting[dst] -= 1
+        if not waiting[dst]:
+            if earliest[dst] > cycle:
+                heappush(pending, (earliest[dst], dst))
             else:
-                return False, []
-        for s in load_clear[ei]:
-            s_node = events[s][0]
-            if issue[s_node] < 0 and not bypass[(s, ei)]:
-                return False, []
-        return True, will_violate
+                heappush(ready, dst)
 
-    def replay_ready(load_node: int, cycle: int) -> bool:
-        """All aliasing earlier stores have completed: the corrected
-        value is forwardable, the load may re-issue."""
-        ei = event_index[load_node]
-        for s in load_alias[ei]:
-            done = completion[events[s][0]]
-            if done < 0 or done > cycle:
-                return False
-        return True
+    def complete(node: int, done: int) -> None:
+        """Record *node*'s completion, floored by its guards, and
+        resolve the preds waiting for it."""
+        if done < floor[node]:
+            done = floor[node]
+        completion[node] = done
+        for dst, guard in completion_succs[node]:
+            if guard:
+                # conditional execution: complete no earlier than one
+                # cycle after the guard value is available
+                if done + 1 > floor[dst]:
+                    floor[dst] = done + 1
+                release(dst, 0)
+            else:
+                release(dst, done)
 
     cycle = 0
     while unissued or pending_replay:
-        if cycle > _MAX_CYCLES:
+        if cycle > _MAX_CYCLES or not (ready or pending or pending_replay):
             raise RuntimeError(
                 f"hwsim engine did not converge on tree "
                 f"{ctx.tree.name!r} (machine {machine.name})")
@@ -267,67 +278,77 @@ def simulate_tree(ctx: TreeContext, machine: HwMachine,
                and completion[retire_base] <= cycle):
             retire_base += 1
 
-        budget = (num_fus if num_fus is not None
-                  else len(unissued) + len(pending_replay))
+        budget = width
         # oldest-first issue: replays are the oldest work in the queue
-        for load_node in list(pending_replay):
+        for load_node in list(pending_replay) if pending_replay else ():
             if budget <= 0:
                 break
-            if replay_ready(load_node, cycle):
+            # every aliasing earlier store has completed: the corrected
+            # value is forwardable, the load may re-issue
+            if all(0 <= completion[s] <= cycle
+                   for s in pending_replay[load_node]):
                 del pending_replay[load_node]
-                done = cycle + latency[load_node] + penalty
-                completion[load_node] = max(done, guard_floor(load_node))
+                complete(load_node, cycle + latency[load_node] + penalty)
                 slots_used += 1
                 budget -= 1
-        progressed = True
-        while budget > 0 and progressed:
-            progressed = False
-            for node in list(unissued):
-                if budget <= 0:
-                    break
-                if window is not None and node >= retire_base + window:
-                    break  # later nodes are further outside the window
-                if not data_ready(node, cycle):
-                    continue
-                ready, violating = memory_ready(node, cycle)
-                if not ready:
-                    continue
-                issue[node] = cycle
-                unissued.remove(node)
-                slots_used += 1
-                budget -= 1
-                progressed = True
-                ei = event_index.get(node)
-                if ei is not None and not events[ei][1]:
-                    unknown = any(
-                        issue[events[s][0]] < 0
-                        for s in (load_alias[ei] + load_clear[ei]))
-                    if unknown:
-                        spec_issues += 1
+
+        while pending and pending[0][0] <= cycle:
+            node = heappop(pending)[1]
+            if earliest[node] > cycle:   # a store it aliases has issued
+                heappush(pending, (earliest[node], node))
+            else:
+                heappush(ready, node)
+        limit = retire_base + span
+        while budget > 0 and ready and ready[0] < limit:
+            node = heappop(ready)
+            if earliest[node] > cycle:   # a store it aliases has issued
+                heappush(pending, (earliest[node], node))
+                continue
+            issue[node] = cycle
+            unissued -= 1
+            slots_used += 1
+            budget -= 1
+            for dst, delay in issue_succs[node]:
+                release(dst, cycle + delay)
+            speculated = bypassing.get(node)
+            if speculated is not None:
+                if any(issue[s] < 0 for s in speculated[0]):
+                    spec_issues += 1
+                violating = [s for s in speculated[1] if issue[s] < 0]
                 if violating:
                     # misspeculation: completion stays unknown until the
                     # replay issues (consumers wait for it naturally)
                     pending_replay[node] = violating
+                    violated.add(node)
                     violations.extend((node, s) for s in violating)
-                else:
-                    done = cycle + latency[node]
-                    completion[node] = max(done, guard_floor(node))
+                    continue
+            complete(node, cycle + latency[node])
+            succs = store_succs.get(node)
+            if succs is not None:
+                done = completion[node]
+                for dst, delay in succs:
+                    release(dst, done if delay is None else cycle + delay)
+                # its address is known: the LSQ sees the conflict and
+                # forwards the data at its completion
+                for load in forwards.get(node, ()):
+                    if done > earliest[load]:
+                        earliest[load] = done
         cycle += 1
+        if not ready and not pending_replay and pending:
+            # nothing can issue before the next release is due
+            cycle = max(cycle, pending[0][0])
 
-    path_times = tuple(completion[ctx.exit_node(e)]
-                       for e in range(len(ctx.tree.exits)))
     final_issue = []
     mem_completion = []
     for node, is_store, _addr_class in events:
         done = completion[node]
         # a violated load's replay issued latency+penalty before it
         # completed; everything else issued once
-        if not is_store and any(v[0] == node for v in violations):
+        if not is_store and node in violated:
             final_issue.append(done - latency[node] - penalty)
         else:
             final_issue.append(issue[node])
         mem_completion.append(done)
-    return EngineResult(path_times, tuple(final_issue),
+    return EngineResult(tuple(completion[ctx.num_ops:]), tuple(final_issue),
                         tuple(mem_completion), tuple(violations),
-                        slots_used, spec_issues,
-                        len({load for load, _store in violations}))
+                        slots_used, spec_issues, len(violated))

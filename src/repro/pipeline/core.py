@@ -205,8 +205,9 @@ class Pipeline:
                           kind=kind.value, machine=mach.name):
                 # simulate a copy: the simulator may lay out memory on a
                 # program the store also serves to other callers
-                run = simulate_program(view.program.copy(), mach,
-                                       view.graphs)
+                run = simulate_program(
+                    view.program.copy(), mach, view.graphs,
+                    tree_counts=profiled.profile.tree_counts)
                 if not profiled.reference.output_equal(run):
                     raise AssertionError(
                         f"hardware simulation diverged from the reference "

@@ -5,8 +5,8 @@ EXIT_ORDER and COMMIT arcs and skips the kinds the hardware resolves
 itself (register WAR/WAW, every memory kind).  None of the kept arcs
 depends on the alias oracle, so the context of any view's graph must
 equal the context of the same tree's graph built with an oracle that
-answers NO to every pair: the same latencies, issue preds and guard
-preds.  ``benchmarks/hw_graph_parity.py`` runs the same comparison
+answers NO to every pair: the same latencies, on-issue and on-completion
+successor lists, and pred counts.  ``benchmarks/hw_graph_parity.py`` runs the same comparison
 over the whole corpus.
 """
 
@@ -24,8 +24,10 @@ def _no_alias(op_a, op_b) -> AliasAnswer:
 
 def _rows(ctx: TreeContext):
     return {"latency": ctx.latency,
-            "issue_preds": [sorted(preds) for preds in ctx.issue_preds],
-            "guard_preds": [sorted(preds) for preds in ctx.guard_preds]}
+            "issue_succs": [sorted(succs) for succs in ctx.issue_succs],
+            "completion_succs": [sorted(succs)
+                                 for succs in ctx.completion_succs],
+            "num_preds": ctx.num_preds}
 
 
 def context_diff(graph, machine) -> str:

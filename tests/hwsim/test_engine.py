@@ -55,12 +55,11 @@ class TestContext:
     def test_renaming_drops_war_waw_keeps_raw(self, tree):
         ctx = ctx_for(tree, hw_machine(4))
         # the FMUL truly depends on the LOAD's completion
-        assert any(src == LOAD_NODE for src, _rule in ctx.issue_preds[5])
+        assert (5, False) in ctx.completion_succs[LOAD_NODE]
         # the graph's memory arcs are skipped: the LSQ handles them
-        for node in range(ctx.num_nodes):
-            assert all(src != STORE_NODE or node == EXIT_NODE
-                       for src, _rule in ctx.issue_preds[node]) or \
-                node != LOAD_NODE
+        store_succs = (ctx.issue_succs[STORE_NODE]
+                       + ctx.completion_succs[STORE_NODE])
+        assert all(dst != LOAD_NODE for dst, _ in store_succs)
 
 
 class TestBypassAndViolation:

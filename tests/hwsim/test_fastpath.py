@@ -18,6 +18,7 @@ from repro.engines import get_engine
 from repro.engines.codegen import generate_tree_source
 from repro.engines import jit
 from repro.engines.jit import clear_code_cache
+from repro.frontend import compile_source
 from repro.fuzz.oracle import OracleConfig, check_source
 from repro.hwsim import HwSimulator, MemEvent, core
 from repro.machine.hw import hw_machine
@@ -114,7 +115,7 @@ class TestFastPathEquivalence:
     def test_compiles_one_pass_per_tree_shape(self, monkeypatch,
                                               example22_program):
         # every tree compiled on entry
-        monkeypatch.setattr(jit, "TIER_THRESHOLD", 0)
+        monkeypatch.setattr(jit, "HW_TIER_THRESHOLD", 0)
         clear_code_cache()
         with obs.tracing() as tracer:
             sim, _ = _simulate(example22_program, _mach("store-set"))
@@ -142,18 +143,27 @@ int main() {
 """
 
 
+#: Example 2-2's loop, four times as long: past the loop tree's budget
+HOT_LOOP = EXAMPLE_2_2.replace("300", "1000").replace("<= 100", "<= 400")
+
+HOT_TREE = ("main", "main.b1_for")
+
+
 class TestTiers:
     """A tree runs its resolve pass interpreted until it has spent its
     step budget, and compiles once; a tree whose source a past run
-    compiled enters compiled."""
+    compiled enters compiled; with execution counts, a tree that will
+    spend its budget compiles on entry and any other never compiles."""
 
-    def _counters(self, program):
+    def _counters(self, program, tree_counts=None):
         with obs.tracing() as tracer:
-            sim, _ = _simulate(program, _mach("store-set"))
+            sim = HwSimulator(program.copy(), _mach("store-set"),
+                              naive_graphs(program), trace_stores=True,
+                              tree_counts=tree_counts)
+            sim.run()
         return sim, tracer.metrics.counters
 
     def test_cold_program_compiles_nothing(self):
-        from repro.frontend import compile_source
         clear_code_cache()
         sim, counters = self._counters(compile_source(COLD_LOOP))
         assert sim.output == [3]
@@ -161,21 +171,80 @@ class TestTiers:
         assert counters.get("hwsim.tier_ups", 0) == 0
         assert all(state.tier.fn is None for state in sim._trees.values())
 
-    def test_hot_tree_compiles_once(self, example22_program):
+    def test_hot_tree_compiles_once(self):
+        program = compile_source(HOT_LOOP)
         clear_code_cache()
-        sim, counters = self._counters(example22_program)
+        sim, counters = self._counters(program)
         hot = [key for key, state in sim._trees.items()
                if state.tier.fn is not None]
-        # the loop body runs 100 times; every other tree once or twice
-        assert hot == [("main", "main.b1_for")]
+        # the loop body runs 400 times; every other tree once or twice
+        assert hot == [HOT_TREE]
         assert counters["engines.jit.compiles"] == 1
         assert counters["hwsim.tier_ups"] == 1
         # a second run enters the loop compiled from the code cache
-        sim, counters = self._counters(example22_program)
+        sim, counters = self._counters(program)
         assert counters.get("engines.jit.compiles", 0) == 0
         assert counters.get("hwsim.tier_ups", 0) == 0
         assert counters["engines.jit.cache_hits"] == 1
-        assert sim._trees[("main", "main.b1_for")].tier.fn is not None
+        assert sim._trees[HOT_TREE].tier.fn is not None
+
+    def test_tree_below_break_even_never_compiles(self, example22_program):
+        # example 2-2's loop runs 100 times: about its break-even, short
+        # of its budget
+        clear_code_cache()
+        sim, counters = self._counters(example22_program)
+        assert counters.get("engines.jit.compiles", 0) == 0
+        assert sim._trees[HOT_TREE].tier.steps < sim._trees[
+            HOT_TREE].tier.budget
+
+    def _break_even(self, program):
+        """The loop tree's execution count at which its expected steps
+        reach its budget."""
+        tree = program.functions["main"].trees[HOT_TREE[1]]
+        budget = jit.HW_TIER_THRESHOLD * (len(tree.ops) + len(tree.exits))
+        return -(-budget // (len(tree.ops) + 1))
+
+    def test_count_at_break_even_compiles_on_entry(self, example22_program,
+                                                   monkeypatch):
+        counts = {HOT_TREE: self._break_even(example22_program)}
+        interpreted = []
+        resolve = HwSimulator._resolve_tree
+
+        def recording(sim, tree, regs, buffers):
+            interpreted.append(tree.name)
+            return resolve(sim, tree, regs, buffers)
+
+        monkeypatch.setattr(HwSimulator, "_resolve_tree", recording)
+        clear_code_cache()
+        sim, counters = self._counters(example22_program, counts)
+        state = sim._trees[HOT_TREE]
+        assert state.run is state.tier.fn is not None
+        assert HOT_TREE[1] not in interpreted and interpreted
+        assert state.tier.steps == 0
+        assert counters["engines.jit.compiles"] == 1
+        assert counters["hwsim.tier_ups"] == 1
+        # the same timing as the rule without counts
+        assert sim.timing() == _simulate(example22_program,
+                                         _mach("store-set"))[0].timing()
+
+    def test_count_below_break_even_compiles_nothing(self,
+                                                     example22_program):
+        counts = {HOT_TREE: self._break_even(example22_program) - 1}
+        clear_code_cache()
+        sim, counters = self._counters(example22_program, counts)
+        assert counters.get("engines.jit.compiles", 0) == 0
+        assert counters.get("hwsim.tier_ups", 0) == 0
+        assert all(state.tier.fn is None for state in sim._trees.values())
+
+    def test_profiled_counts_compile_only_the_hot_tree(self):
+        program = compile_source(HOT_LOOP)
+        profile = get_engine("interp").executor(program.copy()).run().profile
+        clear_code_cache()
+        sim, counters = self._counters(program, profile.tree_counts)
+        assert [key for key, state in sim._trees.items()
+                if state.tier.fn is not None] == [HOT_TREE]
+        assert sim._trees[HOT_TREE].tier.steps == 0
+        assert counters["hwsim.tier_ups"] == 1
 
     def test_tier_ups_stay_out_of_the_payload(self, example22_program):
         clear_code_cache()

@@ -130,7 +130,7 @@ class TestDivergenceGuard:
             output = ("not", "the", "real", "output")
 
         monkeypatch.setattr(core, "simulate_program",
-                            lambda program, mach, graphs: _Liar())
+                            lambda program, mach, graphs, **_: _Liar())
         pipe = Pipeline(store=ArtifactStore(tmp_path))
         with pytest.raises(AssertionError, match="diverged"):
             pipe.hw_timing("ex", SOURCE, Disambiguator.NAIVE, MACH)

@@ -272,7 +272,7 @@ class TestEntryStates:
     @pytest.mark.parametrize("threshold", (0, 1000), ids=("hot", "cold"))
     def test_simulator_raises_after_draining_stores(self, monkeypatch,
                                                     threshold):
-        monkeypatch.setattr(jit, "TIER_THRESHOLD", threshold)
+        monkeypatch.setattr(jit, "HW_TIER_THRESHOLD", threshold)
         jit.clear_code_cache()
         tree = self._undefined_exit_guard_tree()
         program = _one_tree_program(tree, self.WORDS)
@@ -283,3 +283,5 @@ class TestEntryStates:
             sim.run()
         assert sim.memory[1] == 5
         assert sim.output == [7]
+        assert (sim._trees[("main", "t")].tier.fn is not None) == (
+            threshold == 0)

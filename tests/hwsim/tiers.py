@@ -2,23 +2,36 @@
 
 hwsim tiers each tree like the ``jit`` engine tiers each function
 (:class:`repro.engines.jit.Tier`): a tree's resolve pass runs
-interpreted until the tree has spent ``TIER_THRESHOLD`` steps per
+interpreted until the tree has spent ``HW_TIER_THRESHOLD`` steps per
 operation or exit, then compiled.  A class that also derives from
-:class:`ForcedThreshold` runs its inherited cases again with the
-threshold at 0 (every tree compiled on entry) and at 1 (each tree
-compiled after about one execution, mid-loop).
+:class:`ForcedThreshold` runs its inherited cases again with both
+engines' thresholds at 0 (every tree and function compiled on entry)
+and at 1 (each compiled after about one execution, mid-loop).
 """
 
 import pytest
 
 from repro.engines import jit
+from repro.hwsim import HwSimulator
+from repro.machine import hw_machine
+
+from ..conftest import naive_graphs
 
 
 class ForcedThreshold:
-    """Re-runs the inherited cases with the tier threshold forced low."""
+    """Re-runs the inherited cases with the tier thresholds forced low."""
 
     @pytest.fixture(autouse=True, params=(0, 1), ids=("tier0", "tier1"))
     def _threshold(self, request, monkeypatch):
         # a tree already in the code cache would enter compiled
         jit.clear_code_cache()
+        monkeypatch.setattr(jit, "HW_TIER_THRESHOLD", request.param)
         monkeypatch.setattr(jit, "TIER_THRESHOLD", request.param)
+
+    def test_forced_threshold_compiles_trees(self, example22_program):
+        sim = HwSimulator(example22_program.copy(), hw_machine(2),
+                          naive_graphs(example22_program))
+        sim.run()
+        compiled = [state.tier.fn is not None
+                    for state in sim._trees.values()]
+        assert all(compiled) if jit.HW_TIER_THRESHOLD == 0 else any(compiled)
