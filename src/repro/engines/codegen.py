@@ -13,7 +13,8 @@ specialization discipline the paper applies to memory disambiguation
 (compile the check down to a cheap guard).
 
 Exactness contract — the generated code must be observationally
-identical to :meth:`repro.sim.interpreter.Interpreter._execute_tree`:
+identical to the interpreter's tree walker
+(:meth:`repro.sim.interpreter.Interpreter._walk`) under its wrappers:
 
 * unset data registers read as the operand's typed junk value
   (``0.0`` for float operands, ``0`` otherwise);
@@ -39,9 +40,10 @@ buffered in program order.  The pass returns ``(exit_index, events,
 stores, prints)``, or only the exit index for a tree without memory
 operations, which prints directly.  The index is ``-1`` when no exit
 fires *or* an exit guard is undefined: the caller re-evaluates the
-exits, for the interpreter's exact error, once stores drained.  Its
-interpreted twin, which hwsim runs while a tree is too cold to
-compile, is :meth:`repro.sim.interpreter.Interpreter._resolve_tree`.
+exits, for the interpreter's exact error, once stores drained.  While
+a tree is too cold to compile, hwsim runs the interpreter's walker
+through :meth:`repro.sim.interpreter.Interpreter._resolve_tree`
+instead.
 
 Generated sources are deterministic functions of (tree structure,
 flags) and therefore double as structural tree fingerprints for the
@@ -56,7 +58,7 @@ from typing import Dict, List, Set
 from ..ir.operations import Opcode
 from ..ir.tree import DecisionTree, ExitKind
 from ..ir.values import Constant, FLOAT
-from ..sim.interpreter import BINARY_OPS, InterpreterError
+from ..sim.interpreter import BINARY_OPS, InterpreterError, _undefined_guard
 
 __all__ = ["MISSING", "EXEC_GLOBALS", "touches_memory",
            "generate_tree_source", "generate_function_source"]
@@ -67,21 +69,16 @@ __all__ = ["MISSING", "EXEC_GLOBALS", "touches_memory",
 MISSING = object()
 
 
-def _guard_missing(name: str) -> None:
-    raise InterpreterError(
-        f"guard register %{name} read before definition")
-
-
 def _step_limit(max_steps: int) -> None:
     raise InterpreterError(f"step limit exceeded ({max_steps})")
 
 
 #: Globals every compiled tree function runs under: the sentinel, the
-#: interpreter's shared div/mod helpers (identical error messages) and
-#: the libm entry points the dispatch tables referenced.
+#: interpreter's shared guard and div/mod helpers (identical error
+#: messages) and the libm entry points the dispatch tables referenced.
 EXEC_GLOBALS = {
     "_M": MISSING,
-    "_ge": _guard_missing,
+    "_ge": _undefined_guard,
     "_slim": _step_limit,
     "_ierr": InterpreterError,
     "_div": BINARY_OPS[Opcode.DIV],
@@ -257,7 +254,7 @@ class _Emitter:
             out.append(f"{indent}    {dest} = memory[_a]")
             if self.collect_profile:
                 self.uses_mem_trace = True
-                out.append(f"{indent}    _mt.append(({op.op_id}, _a, False))")
+                out.append(f"{indent}    _mt.append(({op_index}, False, _a))")
         if self.strict_memory:
             self.uses_check_addr = True
             out.append(f"{indent}else:")
@@ -284,7 +281,7 @@ class _Emitter:
                 out.append(f"{indent}_st.append((_a, _v))")
             if self.collect_profile:
                 self.uses_mem_trace = True
-                out.append(f"{indent}_mt.append(({op.op_id}, _a, True))")
+                out.append(f"{indent}_mt.append(({op_index}, True, _a))")
 
     def _emit_print(self, op, indent: str, out: List[str]) -> None:
         if self.buffers:

@@ -2,8 +2,9 @@
 
 :class:`JitInterpreter` subclasses the reference interpreter and keeps
 its CALL/RETURN loop; only the per-frame step differs.  Each function
-starts *cold*: its trees run through the inherited tree-walking
-:meth:`~repro.sim.interpreter.Interpreter._execute_tree`, and the
+starts *cold*: its trees run through the inherited
+:meth:`~repro.sim.interpreter.Interpreter._execute_tree` (the
+reference's profiling wrapper around its one tree walker), and the
 engine counts the steps they take.  Once a function has spent its step
 budget (:data:`TIER_THRESHOLD` steps per operation or exit, the size
 its ``compile()`` cost grows with) it *tiers up*: all of its decision
@@ -63,7 +64,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .. import obs
 from ..ir.program import Program
-from ..sim.interpreter import Interpreter, InterpreterError, _Frame
+from ..sim.interpreter import Interpreter, _Frame
 from .codegen import EXEC_GLOBALS, generate_function_source
 
 __all__ = ["CODE_CACHE_CAPACITY", "TIER_THRESHOLD", "HW_TIER_THRESHOLD",
@@ -269,10 +270,10 @@ class JitInterpreter(Interpreter):
             fn = self._link(frame.function, tier)
         tree_idx, exit_idx = fn(frame.regs, self.memory, self,
                                 tier.tree_index[frame.tree])
-        if exit_idx < 0:
-            tree = list(self.program.functions[frame.function].trees)[tree_idx]
-            raise InterpreterError(
-                f"tree {frame.function}.{tree}: no exit taken")
+        if exit_idx < 0:  # no exit fired: raise the interpreter's error
+            frame.tree = list(tier.tree_index)[tree_idx]
+            self._take_exit(frame, self.program.functions[frame.function]
+                            .trees[frame.tree])
         return tier.exits[tree_idx][exit_idx]
 
     def _enter(self, name: str) -> _FunctionTier:

@@ -12,7 +12,8 @@ through a store overlay, i.e. see what sequential execution would.
 The pass has two tiers, under the ``jit`` engine's rule
 (:class:`repro.engines.jit.Tier`) applied per tree.  A tree starts
 cold and runs the pass interpreted
-(:meth:`~repro.sim.interpreter.Interpreter._resolve_tree`); once it has
+(:meth:`~repro.sim.interpreter.Interpreter._resolve_tree`, the
+reference's tree walker with a store overlay and buffers); once it has
 spent ``HW_TIER_THRESHOLD`` steps per operation or exit (a compile's
 break-even) it compiles the generated ``hw_resolve`` source once, and
 a tree whose source an earlier run compiled enters compiled while the
@@ -344,15 +345,6 @@ class HwSimulator(Interpreter):
         if prints:
             self.output.extend(prints)
         return exit_index, result
-
-    def _take_exit(self, frame, tree) -> int:
-        """The first exit whose guard holds, with the interpreter's
-        errors for an undefined guard or no exit taken."""
-        for exit_index, exit_ in enumerate(tree.exits):
-            if self._guard_true(frame.regs, exit_.guard):
-                return exit_index
-        raise InterpreterError(
-            f"tree {frame.function}.{frame.tree}: no exit taken")
 
     def _account(self, state: _TreeState, result: EngineResult) -> None:
         """Fold one engine result into the run counters and train the

@@ -5,7 +5,7 @@ stage opened through :func:`profile_span` runs under its own
 :class:`cProfile.Profile` and attaches a top-N hot-function table to
 the stage's span as a structured ``profile`` attribute::
 
-    {"top": [{"func": "interpreter.py:260:_execute_tree",
+    {"top": [{"func": "interpreter.py:315:_walk",
               "ncalls": 91342, "tottime_ms": 812.4, "cumtime_ms": 1720.9},
              ...],
      "total_calls": 1234567}
@@ -117,7 +117,7 @@ def format_profile_tables(root: Span) -> str:
 
         profile: pipeline.disambiguate (34 hot functions, top 10)
           cum_ms    tot_ms    ncalls  function
-          1720.9     812.4     91342  interpreter.py:260:_execute_tree
+          1720.9     812.4     91342  interpreter.py:315:_walk
           ...
     """
     blocks: List[str] = []

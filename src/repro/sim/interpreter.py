@@ -10,6 +10,10 @@ decision trees under their sequential semantics, producing
 * dynamic alias counts per memory-reference pair (the input to the
   PERFECT disambiguator).
 
+One walker, :meth:`Interpreter._walk`, states a tree's semantics for
+two wrappers: ``_execute_tree``, the reference, which writes memory and
+profiles, and ``_resolve_tree``, :mod:`repro.hwsim`'s cold resolve pass.
+
 Timing is *not* modelled here — see :mod:`repro.sim.timing` and
 :mod:`repro.sched` — so the interpreter stays a pure semantic reference.
 """
@@ -28,7 +32,7 @@ from ..ir.values import Constant, FLOAT, Operand
 from .profile import ProfileData
 
 __all__ = ["InterpreterError", "RunResult", "Interpreter", "run_program",
-           "BINARY_OPS", "UNARY_OPS"]
+           "BINARY_OPS"]
 
 Number = Union[int, float]
 
@@ -76,6 +80,10 @@ def _c_div(a: int, b: int) -> int:
 def _c_mod(a: int, b: int) -> int:
     """C-style remainder: sign follows the dividend."""
     return a - _c_div(a, b) * b
+
+
+def _undefined_guard(name: str) -> None:
+    raise InterpreterError(f"guard register %{name} read before definition")
 
 
 def _fdiv(a: float, b: float) -> float:
@@ -129,17 +137,15 @@ _UNARY = {
     Opcode.FABS: abs,
 }
 
-#: The opcodes ``_execute_tree`` and ``_resolve_tree`` test each
-#: operation against, bound once: an enum attribute lookup per
-#: operation is measurable there.
+#: The opcodes ``_walk`` tests each operation against, bound once: an
+#: enum attribute lookup per operation is measurable there.
 _LOAD, _STORE, _PRINT, _SELECT = (
     Opcode.LOAD, Opcode.STORE, Opcode.PRINT, Opcode.SELECT)
 
-#: Public aliases of the opcode semantic tables, so alternative
-#: execution engines (notably :mod:`repro.hwsim`) evaluate operations
-#: with byte-identical semantics instead of re-implementing them.
+#: Public alias of the binary opcode table, so compiled code
+#: (:mod:`repro.engines.codegen`) raises through the same DIV, MOD and
+#: FDIV helpers, with the same messages.
 BINARY_OPS = _BINARY
-UNARY_OPS = _UNARY
 
 
 @dataclass
@@ -196,16 +202,6 @@ class Interpreter:
             # cancelled path could commit.
             return 0.0 if operand.type == FLOAT else 0
         return value
-
-    def _guard_true(self, regs: Dict[str, Number], op_guard) -> bool:
-        if op_guard is None:
-            return True
-        value = regs.get(op_guard.reg.name)
-        if value is None:
-            raise InterpreterError(
-                f"guard register %{op_guard.reg.name} read before definition")
-        truth = bool(value)
-        return (not truth) if op_guard.negate else truth
 
     # -- execution -----------------------------------------------------------
 
@@ -264,13 +260,10 @@ class Interpreter:
         exactly one tree; an engine that runs intra-function GOTOs
         itself (the tiered JIT) may execute many."""
         tree = self.program.functions[frame.function].trees[frame.tree]
-        regs = frame.regs
-        memory = self.memory
         if self._obs_on:
             key = (frame.function, frame.tree)
             self._obs_tree_execs[key] = self._obs_tree_execs.get(key, 0) + 1
-        mem_trace: Optional[List[Tuple[int, int, bool]]] = (
-            [] if self.collect_profile else None)
+        trace = [] if self.collect_profile else None
 
         # the taken exit counts as one step so that op-free trees (an
         # empty infinite loop compiles to one) still consume budget
@@ -278,33 +271,89 @@ class Interpreter:
         if self.steps > self.max_steps:
             raise InterpreterError(f"step limit exceeded ({self.max_steps})")
 
+        exit_index, committed = self._walk(
+            tree, frame.regs, None, self.output,
+            self.store_trace if self.trace_stores else None, trace,
+            self._obs_squashed if self._obs_on else None)
+        if trace is not None:
+            # committed (guard-true) operations: the dynamic-operation
+            # count Table 6-3's per-program sizes are normalised by
+            self.profile.dynamic_operations += committed
+            if len(trace) > 1:
+                self._record_alias_pairs(frame.function, frame.tree, trace)
+        if exit_index < 0:
+            exit_index = self._take_exit(frame, tree)
+        if trace is not None:
+            self.profile.record_tree((frame.function, frame.tree),
+                                     len(tree.exits), exit_index)
+        return tree.exits[exit_index]
+
+    def _resolve_tree(self, tree, regs: Dict[str, Number], buffers: bool):
+        """The hardware simulator's resolve pass over *tree*, interpreted:
+        what its compiled ``hw_resolve`` pass
+        (:func:`repro.engines.codegen.generate_tree_source`) returns, for
+        a tree that runs too rarely to repay a ``compile()``.
+
+        The walk runs on *regs*.  With *buffers* (a tree with a LOAD or
+        STORE, run on a copy of the frame's registers) loads read through
+        a store overlay and the result is ``(exit index, events, stores,
+        prints)``: each event is a ``(node, is_store, addr_class)``, with
+        addresses renamed by first occurrence.  Without, PRINT appends to
+        the output and the result is the exit index.  The caller raises
+        for an index of ``-1`` once the stores are drained."""
+        if not buffers:
+            return self._walk(tree, regs, None, self.output, None, None,
+                              None)[0]
+        trace, stores, prints = [], [], []
+        exit_index = self._walk(tree, regs, {}, prints, stores, trace,
+                                None)[0]
+        classes: Dict[int, int] = {}
+        events = [(node, is_store, classes.setdefault(addr, len(classes)))
+                  for node, is_store, addr in trace]
+        return exit_index, events, stores, prints
+
+    def _walk(self, tree, regs: Dict[str, Number],
+              overlay: Optional[Dict[int, Number]], out: List[Number],
+              stores: Optional[List[Tuple[int, Number]]],
+              trace: Optional[List[Tuple[int, bool, int]]],
+              squashed: Optional[Dict[str, int]]) -> Tuple[int, int]:
+        """Run *tree*'s operations on *regs* in list order and pick its
+        exit: the tree semantics both wrappers share.  Stores write
+        *overlay* if given (loads read through it), else memory; PRINT
+        values go to *out*.  Unless ``None``, *stores* gets each store's
+        ``(addr, value)``, *trace* each in-range load's and every store's
+        ``(node, is_store, addr)``, and *squashed* a per-opcode tally of
+        guard-false operations.  Returns ``(exit index, committed
+        operations)``; the index is ``-1`` when no exit fires or an exit
+        guard is undefined (:meth:`_take_exit` raises the error)."""
+        memory = self.memory
+        size = len(memory)
+        sink = memory if overlay is None else overlay
+        strict = self.strict_memory
         read = self._read
         committed = 0
-        for op in tree.ops:
+        for node, op in enumerate(tree.ops):
             guard = op.guard
             if guard is not None:
-                # _guard_true inlined: this loop is the interpreted
-                # tier's hot path
                 value = regs.get(guard.reg.name)
                 if value is None:
-                    raise InterpreterError(
-                        f"guard register %{guard.reg.name} read before "
-                        f"definition")
+                    _undefined_guard(guard.reg.name)
                 if bool(value) == guard.negate:
-                    if self._obs_on:
+                    if squashed is not None:
                         name = op.opcode.name
-                        self._obs_squashed[name] = \
-                            self._obs_squashed.get(name, 0) + 1
+                        squashed[name] = squashed.get(name, 0) + 1
                     continue
             committed += 1
             opcode = op.opcode
             if opcode is _LOAD:
                 addr = read(regs, op.srcs[0])
-                if isinstance(addr, int) and 0 <= addr < len(memory):
-                    regs[op.dest.name] = memory[addr]
-                    if mem_trace is not None:
-                        mem_trace.append((op.op_id, addr, False))
-                elif self.strict_memory:
+                if isinstance(addr, int) and 0 <= addr < size:
+                    regs[op.dest.name] = (
+                        memory[addr] if overlay is None
+                        else overlay.get(addr, memory[addr]))
+                    if trace is not None:
+                        trace.append((node, False, addr))
+                elif strict:
                     self._check_addr(addr)
                 else:
                     # speculated loads never fault (paper Sections 4.1/4.6):
@@ -315,13 +364,13 @@ class Interpreter:
                 value = read(regs, op.srcs[0])
                 addr = read(regs, op.srcs[1])
                 self._check_addr(addr)
-                memory[addr] = value
-                if self.trace_stores:
-                    self.store_trace.append((addr, value))
-                if mem_trace is not None:
-                    mem_trace.append((op.op_id, addr, True))
+                sink[addr] = value
+                if stores is not None:
+                    stores.append((addr, value))
+                if trace is not None:
+                    trace.append((node, True, addr))
             elif opcode is _PRINT:
-                self.output.append(read(regs, op.srcs[0]))
+                out.append(read(regs, op.srcs[0]))
             elif opcode is _SELECT:
                 cond = read(regs, op.srcs[0])
                 picked = op.srcs[1] if cond else op.srcs[2]
@@ -334,109 +383,44 @@ class Interpreter:
                 else:
                     regs[op.dest.name] = _UNARY[opcode](read(regs, op.srcs[0]))
 
-        if mem_trace is not None:
-            # committed (guard-true) operations: the dynamic-operation
-            # count Table 6-3's per-program sizes are normalised by
-            self.profile.dynamic_operations += committed
-            if len(mem_trace) > 1:
-                self._record_alias_pairs(frame.function, frame.tree,
-                                         mem_trace)
-
-        for exit_index, exit_ in enumerate(tree.exits):
-            if self._guard_true(regs, exit_.guard):
-                if mem_trace is not None:
-                    self.profile.record_tree((frame.function, frame.tree),
-                                             len(tree.exits), exit_index)
-                return exit_
-        raise InterpreterError(f"tree {frame.function}.{frame.tree}: no exit taken")
-
-    def _resolve_tree(self, tree, regs: Dict[str, Number], buffers: bool):
-        """The hardware simulator's resolve pass over *tree*, interpreted:
-        the result of its compiled ``hw_resolve`` pass
-        (:func:`repro.engines.codegen.generate_tree_source`), for a
-        tree that runs too rarely to repay a ``compile()``.
-
-        The operations run on *regs*.  With *buffers* (a tree with a
-        LOAD or STORE, run on a copy of the frame's registers) loads
-        read through an overlay of the tree's own stores, each in-range
-        load and every store records a ``(node, is_store, addr_class)``
-        event — addresses renamed by first occurrence — and stores and
-        PRINT values are buffered in program order: the result is
-        ``(exit index, events, stores, prints)``.  Without, PRINT
-        appends to the output and the result is the exit index.  The
-        index is ``-1`` when no exit fires or an exit guard is
-        undefined: the caller raises once the stores are drained."""
-        memory = self.memory
-        size = len(memory)
-        read = self._read
-        events: List[Tuple[int, bool, int]] = []
-        classes: Dict[int, int] = {}
-        overlay: Dict[int, Number] = {}
-        stores: List[Tuple[int, Number]] = []
-        prints = [] if buffers else self.output
-        for node, op in enumerate(tree.ops):
-            guard = op.guard
-            if guard is not None:
-                value = regs.get(guard.reg.name)
-                if value is None:
-                    raise InterpreterError(
-                        f"guard register %{guard.reg.name} read before "
-                        f"definition")
-                if bool(value) == guard.negate:
-                    continue
-            opcode = op.opcode
-            if opcode is _LOAD:
-                addr = read(regs, op.srcs[0])
-                if isinstance(addr, int) and 0 <= addr < size:
-                    events.append(
-                        (node, False, classes.setdefault(addr, len(classes))))
-                    regs[op.dest.name] = overlay.get(addr, memory[addr])
-                else:
-                    regs[op.dest.name] = (0.0 if op.dest.type == FLOAT else 0)
-            elif opcode is _STORE:
-                value = read(regs, op.srcs[0])
-                addr = read(regs, op.srcs[1])
-                self._check_addr(addr)
-                events.append(
-                    (node, True, classes.setdefault(addr, len(classes))))
-                overlay[addr] = value
-                stores.append((addr, value))
-            elif opcode is _PRINT:
-                prints.append(read(regs, op.srcs[0]))
-            elif opcode is _SELECT:
-                cond = read(regs, op.srcs[0])
-                picked = op.srcs[1] if cond else op.srcs[2]
-                regs[op.dest.name] = read(regs, picked)
-            else:
-                handler = _BINARY.get(opcode)
-                if handler is not None:
-                    regs[op.dest.name] = handler(
-                        read(regs, op.srcs[0]), read(regs, op.srcs[1]))
-                else:
-                    regs[op.dest.name] = _UNARY[opcode](read(regs, op.srcs[0]))
-
-        exit_index = -1
         for index, exit_ in enumerate(tree.exits):
             guard = exit_.guard
-            if guard is not None:
-                value = regs.get(guard.reg.name)
-                if value is None:
-                    break
-                if bool(value) == guard.negate:
-                    continue
-            exit_index = index
-            break
-        if buffers:
-            return exit_index, events, stores, prints
-        return exit_index
+            if guard is None:
+                return index, committed
+            value = regs.get(guard.reg.name)
+            if value is None:
+                break
+            if bool(value) != guard.negate:
+                return index, committed
+        return -1, committed
+
+    def _take_exit(self, frame: _Frame, tree) -> int:
+        """The first exit of *tree* whose guard holds on *frame*'s
+        registers; raises for an undefined guard or no exit taken."""
+        for exit_index, exit_ in enumerate(tree.exits):
+            guard = exit_.guard
+            if guard is None:
+                return exit_index
+            value = frame.regs.get(guard.reg.name)
+            if value is None:
+                _undefined_guard(guard.reg.name)
+            if bool(value) != guard.negate:
+                return exit_index
+        raise InterpreterError(
+            f"tree {frame.function}.{frame.tree}: no exit taken")
 
     def _record_alias_pairs(self, func: str, tree: str,
-                            trace: List[Tuple[int, int, bool]]) -> None:
+                            trace: List[Tuple[int, bool, int]]) -> None:
+        """Record each pair of *trace*'s accesses with a store among them
+        by op ids; traces are short, so each pair looks its ids up."""
+        ops = self.program.functions[func].trees[tree].ops
         record = self.profile.record_pair
-        for i, (id_i, addr_i, store_i) in enumerate(trace):
-            for id_j, addr_j, store_j in trace[i + 1:]:
+        for i, (node_i, store_i, addr_i) in enumerate(trace):
+            id_i = ops[node_i].op_id
+            for node_j, store_j, addr_j in trace[i + 1:]:
                 if store_i or store_j:
-                    record((func, tree, id_i, id_j), addr_i == addr_j)
+                    record((func, tree, id_i, ops[node_j].op_id),
+                           addr_i == addr_j)
 
     def _check_addr(self, addr: Number) -> None:
         if not isinstance(addr, int):

@@ -56,11 +56,15 @@ class ProfileData:
 
     def record_tree(self, key: TreeKey, num_exits: int, exit_index: int) -> None:
         self.tree_counts[key] = self.tree_counts.get(key, 0) + 1
-        counts = self.exit_counts.setdefault(key, [0] * num_exits)
+        counts = self.exit_counts.get(key)
+        if counts is None:
+            counts = self.exit_counts[key] = [0] * num_exits
         counts[exit_index] += 1
 
     def record_pair(self, key: PairKey, aliased: bool) -> None:
-        stats = self.pair_stats.setdefault(key, PairStats())
+        stats = self.pair_stats.get(key)
+        if stats is None:
+            stats = self.pair_stats[key] = PairStats()
         stats.executed += 1
         if aliased:
             stats.aliased += 1

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.bench.suite import benchmark_names, get_benchmark
+from repro.disambig import Disambiguator
 from repro.frontend import compile_source
 from repro.ir import (ArrayDecl, Function, Guard, Opcode,
                       Program, TreeBuilder)
@@ -132,6 +134,27 @@ class TestProfiling:
 
     def test_steps_counted(self, example22_program):
         assert run_program(example22_program).steps > 100
+
+    @pytest.mark.parametrize("engine", ["interp", "jit"])
+    @pytest.mark.parametrize("name", benchmark_names())
+    def test_pair_keys_are_op_ids(self, pipeline, name, engine):
+        """Each ``pair_stats`` key ``(f, t, a, b)`` names two memory
+        operations of tree ``t`` by ``op_id``, a store among them, with
+        ``a`` placed before ``b``.  A SPEC view's operations are not
+        numbered by position, unlike a freshly compiled program's."""
+        program = pipeline.view(name, get_benchmark(name).source,
+                                Disambiguator.SPEC, 2).program
+        profile = run_program(program.copy(), engine=engine).profile
+        assert profile.pair_stats
+        memory_ops = (Opcode.LOAD, Opcode.STORE)
+        for func, tree, id_a, id_b in profile.pair_stats:
+            placed = {op.op_id: (node, op.opcode) for node, op in enumerate(
+                program.functions[func].trees[tree].ops)}
+            (node_a, opcode_a), (node_b, opcode_b) = (
+                placed[id_a], placed[id_b])
+            assert opcode_a in memory_ops and opcode_b in memory_ops
+            assert Opcode.STORE in (opcode_a, opcode_b)
+            assert node_a < node_b
 
 
 class TestOutputComparison:
