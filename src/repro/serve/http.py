@@ -93,6 +93,8 @@ class ServeApp:
         if task is not None:
             self._connections.add(task)
             task.add_done_callback(self._connections.discard)
+        # asyncio's 256 KiB reads can make glibc trim its heap per request
+        writer.transport.max_size = 64 << 10
         try:
             while True:
                 request = await self._read_request(reader)

@@ -147,6 +147,27 @@ class TestKeepAlive:
             conn.close()
 
 
+class TestReadSize:
+    def test_connections_read_below_glibc_thresholds(self, server):
+        """Each connection reads less than glibc's 128 KiB mmap
+        threshold and top pad at a time, not the selector transport's
+        256 KiB default, which in some heap layouts made glibc grow and
+        trim its heap on every request."""
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=120)
+        try:
+            conn.request("GET", "/v1/health")
+            assert conn.getresponse().read()
+            # the selector loop's fd -> transport table; the connection
+            # stays open, so its transport is in it
+            transports = list(server.loop._transports.values())
+        finally:
+            conn.close()
+        assert transports
+        assert all(transport.max_size < 128 << 10
+                   for transport in transports)
+
+
 class TestCacheBudget:
     def test_budget_shrinks_the_store_not_the_bodies(self, server_factory):
         """Workers sweep a byte-budgeted store every 64 disk puts: the
