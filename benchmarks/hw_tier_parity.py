@@ -1,16 +1,17 @@
 """hwsim's interpreted tier against its compiled tier, corpus-wide.
 
-hwsim runs a tree's resolve pass interpreted while the tree is cold and
-compiled once it is hot (:class:`repro.engines.jit.Tier`).  For every
-program in the committed corpus manifest, this simulates the SPEC view
-(memory latency 6) on ``hw_machine(4, 6)`` twice: at
-``HW_TIER_THRESHOLD = 0``, where every tree compiles on entry, and as
-``Pipeline.hw_timing`` does, at the default threshold with the
-profile's tree counts, from an empty code cache, where most trees never
-leave the interpreted tier.  The two runs must give identical
-``HwTiming.to_dict()`` payloads, cycles and output, and the forced runs
-must compile trees (``hwsim.tier_ups``).  Prints a summary and exits 1
-on any difference, naming the first few.
+hwsim runs a function's trees interpreted while the function is cold
+and as timed compiled code once it is hot
+(:class:`repro.engines.jit.Tier`).  For every program in the committed
+corpus manifest, this simulates the SPEC view (memory latency 6) on
+``hw_machine(4, 6)`` twice: at ``HW_TIER_THRESHOLD = 0``, where every
+function compiles on entry, and as ``Pipeline.hw_timing`` does, at the
+default threshold with the profile's tree counts, from an empty code
+cache, where most functions never leave the interpreted tier.  The two
+runs must give identical ``HwTiming.to_dict()`` payloads, cycles and
+output, and the forced runs must compile functions
+(``engines.jit.tier_ups``).  Prints a summary and exits 1 on any
+difference, naming the first few.
 
 Views come from the default artifact store (``REPRO_CACHE_DIR``), so a
 store that a full ``repro bench --corpus`` run has filled serves them
@@ -62,13 +63,13 @@ def main() -> int:
             view = pipeline.view(entry["id"], source, Disambiguator.SPEC,
                                  MEMORY_LATENCY)
             counts = pipeline.profile(entry["id"], source).profile.tree_counts
-            # an empty cache: no tree enters compiled from a past run
+            # an empty cache: no function enters compiled from a past run
             jit.clear_code_cache()
             tiered = _simulate(view, mach, default, counts)
             with obs.tracing() as tracer:
                 compiled = _simulate(view, mach, 0)
             forced_compiles += tracer.metrics.counters.get(
-                "hwsim.tier_ups", 0)
+                "engines.jit.tier_ups", 0)
             for axis, left, right in zip(("timing", "cycles", "output"),
                                          compiled, tiered):
                 if left != right:
@@ -79,7 +80,7 @@ def main() -> int:
     for line in mismatches[:SHOWN_MISMATCHES]:
         print(f"MISMATCH {line}")
     print(f"{len(manifest['entries'])} programs, {len(mismatches)} "
-          f"mismatches, {forced_compiles} trees compiled on entry when "
+          f"mismatches, {forced_compiles} functions compiled on entry when "
           f"forced ({time.perf_counter() - started:.1f} s)")
     return 1 if mismatches or not forced_compiles else 0
 

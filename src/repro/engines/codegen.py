@@ -1,20 +1,22 @@
 """Tree-to-Python specialization: the compilation technique of the JIT.
 
-Each decision tree is compiled once into a plain Python function whose
-body *is* the tree: every guarded operation becomes an ``if`` statement
-over a local variable, every opcode becomes the inline expression the
-interpreter's dispatch tables would have selected, and registers become
-function locals (loaded from the frame's register dict on entry,
-written back on exit).  The per-step costs of the tree-walking
-interpreter — operand-type tests, dispatch-dict lookups, attribute
-chains, bound-method calls — all disappear; what remains per operation
-is one or two bytecode-level expressions, which is the same
-specialization discipline the paper applies to memory disambiguation
-(compile the check down to a cheap guard).
+Each function is compiled once into a plain Python function whose
+body *is* its decision trees: every guarded operation becomes an
+``if`` statement over a local variable, every opcode becomes the
+inline expression the interpreter's dispatch tables would have
+selected, and registers become function locals (loaded from the
+frame's register dict on entry, written back on exit).  The per-step
+costs of the tree-walking interpreter — operand-type tests,
+dispatch-dict lookups, attribute chains, bound-method calls — all
+disappear; what remains per operation is one or two bytecode-level
+expressions, which is the same specialization discipline the paper
+applies to memory disambiguation (compile the check down to a cheap
+guard).
 
 Exactness contract — the generated code must be observationally
 identical to the interpreter's tree walker
-(:meth:`repro.sim.interpreter.Interpreter._walk`) under its wrappers:
+(:meth:`repro.sim.interpreter.Interpreter._walk`) under
+``_execute_tree``:
 
 * unset data registers read as the operand's typed junk value
   (``0.0`` for float operands, ``0`` otherwise);
@@ -30,23 +32,23 @@ identical to the interpreter's tree walker
 * profile collection (committed-op counts, memory traces) and the
   observability squash tallies byte-match the interpreter's.
 
-Two shapes are generated.  The JIT's whole-function dispatch loop
-(:class:`_FunctionEmitter`) shares its operation bodies with the
-hardware simulator's per-tree ``hw_resolve`` pass
-(:func:`generate_tree_source`), which runs on a copy of the frame's
-registers: loads/stores record canonical-address-class events and
-loads read through a store overlay; stores and PRINT values are
-buffered in program order.  The pass returns ``(exit_index, events,
-stores, prints)``, or only the exit index for a tree without memory
-operations, which prints directly.  The index is ``-1`` when no exit
-fires *or* an exit guard is undefined: the caller re-evaluates the
-exits, for the interpreter's exact error, once stores drained.  While
-a tree is too cold to compile, hwsim runs the interpreter's walker
-through :meth:`repro.sim.interpreter.Interpreter._resolve_tree`
-instead.
+One shape is generated: the JIT's whole-function dispatch loop
+(:class:`_FunctionEmitter`).  Besides the plain functional mode it has
+two recording modes, which both build each tree's memory trace — a
+``(node, is_store, address class)`` per in-range load and per store,
+in program order, with addresses renamed to classes by first
+occurrence.  *Profile* mode hands a trace with at least two accesses
+to the interpreter's ``_count_trace`` before the exits are read, and
+counts exits in per-tree rows.  *Timed* mode, the hardware simulator's
+(:mod:`repro.hwsim.core`), calls the simulator's ``_time`` sink with
+``((function, tree), exit index, trace)`` at a memory tree's exit
+action, on every execution; a tree without memory operations counts
+its exits in rows instead, which the simulator times once the run
+ends, unless a tracer is installed, when every tree calls the sink in
+execution order.
 
-Generated sources are deterministic functions of (tree structure,
-flags) and therefore double as structural tree fingerprints for the
+Generated sources are deterministic functions of (function structure,
+flags) and therefore double as structural fingerprints for the
 bounded code cache in :mod:`repro.engines.jit`.
 """
 
@@ -61,7 +63,7 @@ from ..ir.values import Constant, FLOAT
 from ..sim.interpreter import BINARY_OPS, InterpreterError, _undefined_guard
 
 __all__ = ["MISSING", "EXEC_GLOBALS", "touches_memory",
-           "generate_tree_source", "generate_function_source"]
+           "generate_function_source"]
 
 #: Sentinel for "register not present in the frame dict" — ``None`` is
 #: unusable because a register can never hold it, but ``0`` is a
@@ -73,7 +75,7 @@ def _step_limit(max_steps: int) -> None:
     raise InterpreterError(f"step limit exceeded ({max_steps})")
 
 
-#: Globals every compiled tree function runs under: the sentinel, the
+#: Globals every compiled function runs under: the sentinel, the
 #: interpreter's shared guard and div/mod helpers (identical error
 #: messages) and the libm entry points the dispatch tables referenced.
 EXEC_GLOBALS = {
@@ -138,43 +140,71 @@ _UN_EXPR = {
 
 
 def touches_memory(tree: DecisionTree) -> bool:
-    """Whether *tree* has a LOAD or STORE: the trees whose
-    ``hw_resolve`` pass buffers its stores and output."""
+    """Whether *tree* has a LOAD or STORE: the trees whose executions
+    timed code reports to the hardware simulator one by one."""
     return any(op.opcode is Opcode.LOAD or op.opcode is Opcode.STORE
                for op in tree.ops)
 
 
-class _Emitter:
-    """Generates the ``hw_resolve`` source of one tree.
+class _FunctionEmitter:
+    """Whole-function specialization: every tree of one function
+    compiled into a single dispatch loop.
 
-    The operation bodies also serve :class:`_FunctionEmitter`, the only
-    emitter that collects profiles or traces stores.
+    The payoff over per-tree functions is *register residency*: a GOTO
+    between two trees of the same function — the shape every source
+    loop compiles to (body tree ↔ join tree) — transfers control with
+    ``_t = <index>; continue`` while every register stays a Python
+    local.  Per-tree functions would write all live registers back to
+    the frame dict and re-load them on the next tree, which was the
+    dominant per-execution cost of loop-heavy programs.
+
+    Control returns to the interpreter loop only at CALL / RETURN /
+    HALT exits (and at a tree with no true exit guard, reported as
+    exit index ``-1``); the function returns ``(tree_index,
+    exit_index)`` and the engine resolves the exit object.  Step
+    accounting, dynamic-operation counts and per-exit tallies are kept
+    in locals and folded into the interpreter in a ``finally`` (steps,
+    dynamic ops) or recorded through the live per-tree count lists of
+    ``interp._fcounts`` (exits), so the observable totals byte-match
+    the reference interpreter — including on the error paths, where a
+    mid-tree fault must leave the profile exactly as the tree-walking
+    interpreter would have.
     """
 
-    def __init__(self, tree: DecisionTree, buffers: bool,
-                 strict_memory: bool = False, collect_profile: bool = False,
-                 trace_stores: bool = False):
-        self.tree = tree
+    def __init__(self, function, collect_profile: bool,
+                 trace_stores: bool, strict_memory: bool,
+                 count_squashes: bool, timed: bool):
+        self.function = function
         self.collect_profile = collect_profile
         self.trace_stores = trace_stores
         self.strict_memory = strict_memory
-        #: hw_resolve of a memory tree: record events, read loads
-        #: through the store overlay, buffer stores and output
-        self.buffers = buffers
+        self.count_squashes = count_squashes
+        self.timed = timed
+        #: both recording modes build each tree's memory trace
+        self.trace_memory = collect_profile or timed
+        self.tree_names = list(function.trees)
+        self.tree_index = {name: i for i, name in enumerate(self.tree_names)}
+        #: the current tree's (function, tree) key, as source text
+        self.tree_key = ""
         self.lines: List[str] = []
         self.reg_var: Dict[str, str] = {}
-        #: register names written by at least one op in this tree
+        #: register names written by at least one op of the function
         self.written: Set[str] = set()
         #: registers guaranteed present as a number at the current
         #: program point (unguarded writes); reads of these skip the
-        #: sentinel test and writebacks skip the presence test
+        #: sentinel test
         self.definitely_set: Set[str] = set()
         self.uses_memory = False
         self.uses_output = False
         self.uses_check_addr = False
-        #: at least one op of the current tree appends to the profile
-        #: memory trace; other trees allocate no trace list
+        #: at least one op of the current tree appends to the memory
+        #: trace; other trees allocate no trace list
         self.uses_mem_trace = False
+        self.any_mem_trace = False
+        self.uses_rows = False
+        self.uses_sink = False
+        self.uses_squash = False
+        self.uses_obs_execs = False
 
     # -- small helpers -----------------------------------------------------
 
@@ -194,17 +224,13 @@ class _Emitter:
         default = "0.0" if operand.type == FLOAT else "0"
         return f"({var} if {var} is not _M else {default})"
 
-    def emit_guard_check(self, guard, indent: str,
-                         on_missing: str = "") -> str:
-        """Emit the definedness check a guard read implies and return
-        the guard's truth expression.  The check raises the
-        interpreter's error unless *on_missing* gives another
-        statement."""
+    def emit_guard_check(self, guard, indent: str) -> str:
+        """Emit the definedness check a guard read implies (raising the
+        interpreter's error) and return the guard's truth expression."""
         name = guard.reg.name
         var = self.var(name)
         if name not in self.definitely_set:
-            action = on_missing or f"_ge({name!r})"
-            self.lines.append(f"{indent}if {var} is _M: {action}")
+            self.lines.append(f"{indent}if {var} is _M: _ge({name!r})")
         return f"not {var}" if guard.negate else var
 
     # -- operation bodies --------------------------------------------------
@@ -217,7 +243,8 @@ class _Emitter:
         elif opcode is Opcode.STORE:
             self._emit_store(op, op_index, indent, out)
         elif opcode is Opcode.PRINT:
-            self._emit_print(op, indent, out)
+            self.uses_output = True
+            out.append(f"{indent}_out.append({self.read(op.srcs[0])})")
         elif opcode is Opcode.SELECT:
             dest = self.var(op.dest.name)
             out.append(f"{indent}{dest} = {self.read(op.srcs[1])} "
@@ -236,8 +263,6 @@ class _Emitter:
             dest = self.var(op.dest.name)
             expr = _UN_EXPR[opcode].format(a=self.read(op.srcs[0]))
             out.append(f"{indent}{dest} = {expr}")
-        if not out:
-            out.append(f"{indent}pass")
         self.lines.extend(out)
 
     def _emit_load(self, op, op_index: int, indent: str, out: List[str]) -> None:
@@ -246,21 +271,16 @@ class _Emitter:
         junk = "0.0" if op.dest.type == FLOAT else "0"
         out.append(f"{indent}_a = {self.read(op.srcs[0])}")
         out.append(f"{indent}if isinstance(_a, int) and 0 <= _a < _ml:")
-        if self.buffers:
-            out.append(f"{indent}    _ev.append("
-                       f"({op_index}, False, _co.setdefault(_a, len(_co))))")
-            out.append(f"{indent}    {dest} = _ov.get(_a, memory[_a])")
-        else:
-            out.append(f"{indent}    {dest} = memory[_a]")
-            if self.collect_profile:
-                self.uses_mem_trace = True
-                out.append(f"{indent}    _mt.append(({op_index}, False, _a))")
+        out.append(f"{indent}    {dest} = memory[_a]")
+        if self.trace_memory:
+            self.uses_mem_trace = True
+            out.append(f"{indent}    _mt.append(({op_index}, False, "
+                       f"_co.setdefault(_a, len(_co))))")
+        out.append(f"{indent}else:")
         if self.strict_memory:
             self.uses_check_addr = True
-            out.append(f"{indent}else:")
             out.append(f"{indent}    _ca(_a)")
         else:
-            out.append(f"{indent}else:")
             out.append(f"{indent}    {dest} = {junk}")
 
     def _emit_store(self, op, op_index: int, indent: str, out: List[str]) -> None:
@@ -270,156 +290,20 @@ class _Emitter:
         out.append(f"{indent}_a = {self.read(op.srcs[1])}")
         out.append(f"{indent}if not (isinstance(_a, int) and 0 <= _a < _ml): "
                    f"_ca(_a)")
-        if self.buffers:
-            out.append(f"{indent}_ev.append("
-                       f"({op_index}, True, _co.setdefault(_a, len(_co))))")
-            out.append(f"{indent}_ov[_a] = _v")
-            out.append(f"{indent}_sl.append((_a, _v))")
-        else:
-            out.append(f"{indent}memory[_a] = _v")
-            if self.trace_stores:
-                out.append(f"{indent}_st.append((_a, _v))")
-            if self.collect_profile:
-                self.uses_mem_trace = True
-                out.append(f"{indent}_mt.append(({op_index}, True, _a))")
-
-    def _emit_print(self, op, indent: str, out: List[str]) -> None:
-        if self.buffers:
-            out.append(f"{indent}_pr.append({self.read(op.srcs[0])})")
-            return
-        self.uses_output = True
-        out.append(f"{indent}_out.append({self.read(op.srcs[0])})")
-
-    # -- whole-tree generation ---------------------------------------------
-
-    def generate(self) -> str:
-        body: List[str] = self.lines
-
-        for op_index, op in enumerate(self.tree.ops):
-            if op.guard is None:
-                self.emit_op_body(op, op_index, "    ")
-                if op.dest is not None:
-                    self.written.add(op.dest.name)
-                    self.definitely_set.add(op.dest.name)
-            else:
-                cond = self.emit_guard_check(op.guard, "    ")
-                start = len(body)
-                body.append(f"    if {cond}:")
-                self.emit_op_body(op, op_index, "        ")
-                if len(body) == start + 1:
-                    body.append("        pass")
-                if op.dest is not None:
-                    self.written.add(op.dest.name)
-
-        self._emit_exits(body)
-        self._emit_writeback(body)
-        body.append("    return _ei, _ev, _sl, _pr" if self.buffers
-                    else "    return _ei")
-
-        return "\n".join(self._emit_header() + body) + "\n"
-
-    def _emit_exits(self, body: List[str]) -> None:
-        """Exit selection, first-true-guard wins; ``_ei`` stays ``-1``
-        when no exit fires *or* an exit guard is undefined (the caller
-        drains the stores, then raises the interpreter's message).
-        Sequential so a later exit's undefined guard register is never
-        read once an earlier exit has been taken."""
-        body.append("    _ei = -1")
-        body.append("    while 1:")
-        for index, exit_ in enumerate(self.tree.exits):
-            if exit_.guard is None:
-                body.append(f"        _ei = {index}; break")
-                break
-            cond = self.emit_guard_check(exit_.guard, "        ", "break")
-            body.append(f"        if {cond}:")
-            body.append(f"            _ei = {index}; break")
-        else:
-            body.append("        break")
-
-    def _emit_writeback(self, body: List[str]) -> None:
-        for name in sorted(self.written):
-            var = self.reg_var[name]
-            if name in self.definitely_set:
-                body.append(f"    regs[{name!r}] = {var}")
-            else:
-                body.append(f"    if {var} is not _M: "
-                            f"regs[{name!r}] = {var}")
-
-    def _emit_header(self) -> List[str]:
-        header = ["def _tree_fn(regs, memory, interp):"]
-        if self.reg_var:
-            header.append("    _get = regs.get")
-        for name, var in self.reg_var.items():
-            header.append(f"    {var} = _get({name!r}, _M)")
-        if self.uses_memory:
-            header.append("    _ml = len(memory)")
-        if self.uses_output:
-            header.append("    _out = interp.output")
-        if self.uses_check_addr:
-            header.append("    _ca = interp._check_addr")
-        if self.buffers:
-            header.append("    _ev = []")
-            header.append("    _co = {}")
-            header.append("    _ov = {}")
-            header.append("    _sl = []")
-            header.append("    _pr = []")
-        return header
-
-
-def generate_tree_source(tree: DecisionTree) -> str:
-    """Source text of the hardware simulator's ``hw_resolve`` pass for
-    *tree*.
-
-    The text is a pure function of the tree's structure, which makes
-    it the cache key of the bounded code cache: trees with identical
-    shape (across programs, even) share one compiled function.
-    """
-    return _Emitter(tree, touches_memory(tree)).generate()
-
-
-class _FunctionEmitter(_Emitter):
-    """Whole-function specialization: every tree of one function
-    compiled into a single dispatch loop.
-
-    The payoff over per-tree functions is *register residency*: a GOTO
-    between two trees of the same function — the shape every source
-    loop compiles to (body tree ↔ join tree) — transfers control with
-    ``_t = <index>; continue`` while every register stays a Python
-    local.  The per-tree engine instead wrote all live registers back
-    to the frame dict and re-loaded them on the next tree, which was
-    the dominant per-execution cost of loop-heavy programs.
-
-    Control returns to the interpreter loop only at CALL / RETURN /
-    HALT exits (and at a tree with no true exit guard, reported as
-    exit index ``-1``); the function returns ``(tree_index,
-    exit_index)`` and the engine resolves the exit object.  Step
-    accounting, dynamic-operation counts and per-exit profile tallies
-    are kept in locals and folded into the interpreter in a ``finally``
-    (steps, dynamic ops) or recorded through the live per-tree count
-    lists of ``interp._fcounts`` (exits), so the observable totals
-    byte-match the reference interpreter — including on the error
-    paths, where a mid-tree fault must leave the profile exactly as
-    the tree-walking interpreter would have.
-    """
-
-    def __init__(self, function, collect_profile: bool,
-                 trace_stores: bool, strict_memory: bool,
-                 count_squashes: bool):
-        super().__init__(None, False, strict_memory, collect_profile,
-                         trace_stores)
-        self.count_squashes = count_squashes
-        self.function = function
-        self.tree_names = list(function.trees)
-        self.tree_index = {name: i for i, name in enumerate(self.tree_names)}
-        self.any_mem_trace = False
-        self.uses_squash = False
-        self.uses_obs_execs = False
+        out.append(f"{indent}memory[_a] = _v")
+        if self.trace_stores:
+            out.append(f"{indent}_st.append((_a, _v))")
+        if self.trace_memory:
+            self.uses_mem_trace = True
+            out.append(f"{indent}_mt.append(({op_index}, True, "
+                       f"_co.setdefault(_a, len(_co))))")
 
     # -- per-tree fragments --------------------------------------------------
 
     def _emit_tree(self, idx: int, tname: str) -> None:
         tree = self.function.trees[tname]
-        self.tree = tree
+        key = repr((self.function.name, tname))
+        self.tree_key = key
         self.definitely_set = set()
         self.uses_mem_trace = False
         body = self.lines
@@ -431,7 +315,6 @@ class _FunctionEmitter(_Emitter):
         body.append(f"{indent}if _steps > _max: _slim(_max)")
         if self.count_squashes:
             self.uses_obs_execs = True
-            key = repr((self.function.name, tname))
             body.append(f"{indent}_ote[{key}] = _ote.get({key}, 0) + 1")
         if self.collect_profile:
             num_unguarded = sum(1 for op in tree.ops if op.guard is None)
@@ -446,13 +329,10 @@ class _FunctionEmitter(_Emitter):
                     self.definitely_set.add(op.dest.name)
             else:
                 cond = self.emit_guard_check(op.guard, indent)
-                start = len(body)
                 body.append(f"{indent}if {cond}:")
                 if self.collect_profile:
                     body.append(f"{indent}    _c += 1")
                 self.emit_op_body(op, op_index, indent + "    ")
-                if len(body) == start + 1:
-                    body.append(f"{indent}    pass")
                 if self.count_squashes:
                     # squashes are rare and only counted under a
                     # tracer: direct dict increments (as the reference
@@ -467,13 +347,12 @@ class _FunctionEmitter(_Emitter):
                     self.written.add(op.dest.name)
 
         if self.uses_mem_trace:
-            body.insert(trace_mark, f"{indent}_mt = []")
+            body.insert(trace_mark, f"{indent}_mt = []; _co = {{}}")
             self.any_mem_trace = True
         if self.collect_profile:
             body.append(f"{indent}_dyn += _c")
             if self.uses_mem_trace:
-                body.append(f"{indent}if len(_mt) > 1: "
-                            f"_rap({self.function.name!r}, {tname!r}, _mt)")
+                body.append(f"{indent}if len(_mt) > 1: _rap({key}, _mt)")
 
         # exit selection with the exit's action inlined: control never
         # reaches a later guard once an earlier exit fired, preserving
@@ -492,7 +371,12 @@ class _FunctionEmitter(_Emitter):
     def _emit_exit_action(self, tree_idx: int, exit_idx: int, exit_,
                           indent: str) -> None:
         body = self.lines
-        if self.collect_profile:
+        if self.timed and (self.uses_mem_trace or self.count_squashes):
+            self.uses_sink = True
+            trace = "_mt" if self.uses_mem_trace else "()"
+            body.append(f"{indent}_hw({self.tree_key}, {exit_idx}, {trace})")
+        elif self.trace_memory:
+            self.uses_rows = True
             body.append(f"{indent}_cb[{tree_idx}][{exit_idx}] += 1")
         if exit_.kind is ExitKind.GOTO and exit_.target in self.tree_index:
             body.append(f"{indent}_t = {self.tree_index[exit_.target]}")
@@ -520,9 +404,9 @@ class _FunctionEmitter(_Emitter):
             var = self.reg_var[name]
             body.append(f"    if {var} is not _M: regs[{name!r}] = {var}")
         body.append("    return _rv")
-        return "\n".join(self._emit_func_header() + body) + "\n"
+        return "\n".join(self._emit_header() + body) + "\n"
 
-    def _emit_func_header(self) -> List[str]:
+    def _emit_header(self) -> List[str]:
         header = ["def _func_fn(regs, memory, interp, _t):"]
         if self.reg_var:
             header.append("    _get = regs.get")
@@ -544,22 +428,27 @@ class _FunctionEmitter(_Emitter):
             header.append("    _sq = interp._obs_squashed")
         if self.collect_profile:
             header.append("    _dyn = 0")
-            header.append(f"    _cb = interp._fcounts[{self.function.name!r}]")
             if self.any_mem_trace:
-                header.append("    _rap = interp._record_alias_pairs")
+                header.append("    _rap = interp._count_trace")
+        if self.uses_rows:
+            header.append(f"    _cb = interp._fcounts[{self.function.name!r}]")
+        if self.uses_sink:
+            header.append("    _hw = interp._time")
         return header
 
 
 def generate_function_source(function, collect_profile: bool = False,
                              trace_stores: bool = False,
                              strict_memory: bool = False,
-                             count_squashes: bool = False) -> str:
+                             count_squashes: bool = False,
+                             timed: bool = False) -> str:
     """Source text of the whole-function dispatch loop for the JIT
-    engine (see :class:`_FunctionEmitter`).  Like the per-tree variant,
-    the text is a pure function of structure + flags and doubles as the
+    engine (see :class:`_FunctionEmitter`): profiled with
+    *collect_profile*, or timed for the hardware simulator with *timed*.
+    The text is a pure function of structure + flags and doubles as the
     bounded code cache's key — with the caveat that the function and
-    tree *names* appear in profile/observability keys, so cross-program
-    sharing needs matching names as well as matching structure."""
-    emitter = _FunctionEmitter(function, collect_profile, trace_stores,
-                               strict_memory, count_squashes)
-    return emitter.generate()
+    tree *names* appear in profile, timing and observability keys, so
+    cross-program sharing needs matching names as well as matching
+    structure."""
+    return _FunctionEmitter(function, collect_profile, trace_stores,
+                            strict_memory, count_squashes, timed).generate()

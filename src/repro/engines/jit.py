@@ -45,11 +45,13 @@ Execution state is kept at three levels:
   thousands of near-identical ones) share one ``compile()``/``exec()``.
 
 The rule — the budget, the shape memory and the code-cache probe on
-entry — lives in :class:`Tier`, which the hardware simulator
-(:mod:`repro.hwsim.core`) applies to single trees as well, with its own
-threshold (:data:`HW_TIER_THRESHOLD`, a tree compile's break-even) and
-one more input: a tree whose profiled execution count says it will
-spend its budget compiles on entry.
+entry — lives in :class:`Tier`.  The hardware simulator
+(:mod:`repro.hwsim.core`) is this engine with timed code and one more
+input: a profile of the same run, whose tree counts give each
+function's steps in advance, so a function that will spend its budget
+compiles on entry and any other never compiles.  Knowing the steps, it
+budgets a function at a compile's break-even
+(:data:`HW_TIER_THRESHOLD`) rather than at a fraction of it.
 
 Cache behaviour is observable as ``engines.jit.cache_hits`` /
 ``cache_misses`` / ``cache_evictions`` / ``compiles`` counters, and
@@ -60,7 +62,8 @@ docs/observability.md).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional,
+                    Tuple)
 
 from .. import obs
 from ..ir.program import Program
@@ -72,8 +75,8 @@ __all__ = ["CODE_CACHE_CAPACITY", "TIER_THRESHOLD", "HW_TIER_THRESHOLD",
            "compiled_fn", "code_cache_size", "clear_code_cache",
            "JitInterpreter"]
 
-#: Process-wide bound on distinct compiled tree functions kept alive.
-#: Sized for whole fuzz campaigns (a few hundred distinct tree shapes);
+#: Process-wide bound on distinct compiled functions kept alive.
+#: Sized for whole fuzz campaigns (a few hundred distinct shapes);
 #: eviction only costs a recompile, never changes behaviour.
 CODE_CACHE_CAPACITY = 512
 
@@ -86,15 +89,20 @@ CODE_CACHE_CAPACITY = 512
 #: trees.
 TIER_THRESHOLD = 24
 
-#: The same budget for a hardware-simulator tree's resolve pass: its
-#: break-even.  On the same host, generating and compiling a tree's
-#: ``hw_resolve`` source costs ~50-56 us per operation or exit, and a
-#: compiled step saves ~0.5-0.57 us over the interpreted pass (the 14
-#: kernels' NAIVE and SPEC trees, from recorded entry states), so a
-#: tree pays its compile back after ~100 steps per operation or exit —
-#: 55 to 180 executions for most trees.  A tree whose profiled
-#: execution count reaches it compiles on entry (see :class:`Tier`).
-HW_TIER_THRESHOLD = 100
+#: The same budget for a function of the hardware simulator's timed
+#: code, which knows each function's steps in advance from a profile
+#: (:class:`Tier`'s *expected*), so it compiles a function only when
+#: the compile repays itself: at its break-even.  On the same host,
+#: generating and compiling timed code costs ~41 us per operation or
+#: exit (~58 us for a median function), and a compiled step saves
+#: ~0.3-1.0 us over an interpreted one, 0.71 us weighted by steps (the
+#: 58 hw-sweep cells: the 14 kernels' NAIVE and SPEC views and the
+#: corpus smoke slice's SPEC views), because the timing sink costs
+#: the same in both tiers: break-even is ~58 steps per operation or
+#: exit.  :data:`TIER_THRESHOLD` would compile functions that run
+#: 24-58 steps per operation and lose their compile (a smoke program
+#: at 29 ran ~5 ms slower, twice its time).
+HW_TIER_THRESHOLD = 60
 
 #: Bound on the shapes whose history outlives their run.
 SEEN_CAPACITY = 4096
@@ -105,16 +113,16 @@ _COMPILED = -1
 _code_cache: "OrderedDict[str, Callable]" = OrderedDict()
 
 #: shape (a function's name, trees, operations and exits and
-#: generation flags; a tree's) -> steps interpreted in earlier runs,
-#: or ``_COMPILED``
+#: generation flags) -> steps interpreted in earlier runs, or
+#: ``_COMPILED``
 _seen: Dict[tuple, int] = {}
 
 
 def compiled_fn(source: str) -> Callable:
-    """The compiled function for a generated tree source, LRU-cached.
+    """The compiled function for a generated source, LRU-cached.
 
     The source text *is* the cache key: it is a pure function of the
-    tree structure and the generation flags.
+    function's structure and the generation flags.
     """
     fn = _code_cache.get(source)
     if fn is not None:
@@ -125,8 +133,7 @@ def compiled_fn(source: str) -> Callable:
     obs.incr("engines.jit.compiles")
     namespace = dict(EXEC_GLOBALS)
     exec(compile(source, "<repro-jit-tree>", "exec"), namespace)
-    # per-tree sources define _tree_fn, whole-function sources _func_fn
-    fn = namespace.get("_tree_fn") or namespace["_func_fn"]
+    fn = namespace["_func_fn"]
     _code_cache[source] = fn
     if len(_code_cache) > CODE_CACHE_CAPACITY:
         _code_cache.popitem(last=False)
@@ -145,34 +152,29 @@ def clear_code_cache() -> None:
 
 
 class Tier:
-    """One unit's tier state within a run — a function of the ``jit``
-    engine, a tree of the hardware simulator.
+    """One function's tier state within a run.
 
-    The unit runs interpreted while ``fn`` is None and ``steps`` is
+    The function runs interpreted while ``fn`` is None and ``steps`` is
     below ``budget`` (*threshold* steps per operation or exit of its
-    *size*: :data:`TIER_THRESHOLD` for a function,
-    :data:`HW_TIER_THRESHOLD` for a tree); then :meth:`tier_up`
-    compiles it, counting the promotion under *counter*.  On entry its
+    *size*); then :meth:`tier_up` compiles it.  On entry its
     *shape*'s history decides where it starts: a shape that stayed
     cold resumes its step count; one that was compiled before has its
     source generated, and enters compiled (``fn`` set) when the code
-    cache holds that source.  A unit that would otherwise start cold
-    but whose *expected* steps in this run (known when the caller has
-    an execution count) would reach its budget compiles on entry,
+    cache holds that source.  A function that would otherwise start
+    cold but whose *expected* steps in this run (known when the caller
+    has a profile of it) would reach its budget compiles on entry,
     skipping the interpreted prefix.  *source* generates the text on
-    demand.  :func:`remember` records the cold units' counts when the
-    run ends.
+    demand.  :func:`remember` records the cold functions' counts when
+    the run ends.
     """
 
-    __slots__ = ("shape", "steps", "budget", "counter", "source", "fn",
-                 "_generate")
+    __slots__ = ("shape", "steps", "budget", "source", "fn", "_generate",
+                 "tree_index", "exits")
 
     def __init__(self, shape: tuple, size: int, source: Callable[[], str],
-                 threshold: int, counter: str,
-                 expected: Optional[int] = None):
+                 threshold: int, expected: Optional[int] = None):
         self.shape = shape
         self.budget = threshold * size
-        self.counter = counter
         self.source: Optional[str] = None
         self.fn: Optional[Callable] = None
         self._generate = source
@@ -190,9 +192,9 @@ class Tier:
             self.source = text
 
     def tier_up(self) -> Callable:
-        """Compile the unit, which has spent (or will spend) its budget,
-        counting the promotion."""
-        obs.incr(self.counter)
+        """Compile the function, which has spent (or will spend) its
+        budget, counting the promotion."""
+        obs.incr("engines.jit.tier_ups")
         self.fn = compiled_fn(self.source or self._generate())
         self.source = None
         _seen[self.shape] = _COMPILED
@@ -200,20 +202,13 @@ class Tier:
 
 
 def remember(tiers: Iterable[Tier]) -> None:
-    """At the end of a run, keep each cold unit's step count for the
-    next run of its shape."""
+    """At the end of a run, keep each cold function's step count for
+    the next run of its shape."""
     for tier in tiers:
         if tier.fn is None and _seen.get(tier.shape) != _COMPILED:
             _seen[tier.shape] = tier.steps
     while len(_seen) > SEEN_CAPACITY:
         del _seen[next(iter(_seen))]
-
-
-class _FunctionTier(Tier):
-    """A function's tier state, plus what its compiled dispatch loop
-    needs once linked."""
-
-    __slots__ = ("tree_index", "exits")
 
 
 class JitInterpreter(Interpreter):
@@ -227,12 +222,15 @@ class JitInterpreter(Interpreter):
                          collect_profile=collect_profile,
                          strict_memory=strict_memory,
                          trace_stores=trace_stores)
-        self._tiers: Dict[str, _FunctionTier] = {}
+        self._tiers: Dict[str, Tier] = {}
         #: function name -> per-exit count lists, indexed by tree index;
         #: the compiled code increments these in place
         self._fcounts: Dict[str, List[List[int]]] = {}
         #: the same lists keyed the way ``ProfileData`` keys them
         self._counts: Dict[Tuple[str, str], List[int]] = {}
+        #: each tree's executions in this run, by (function, tree), when
+        #: the caller knows them (a profile of the same program)
+        self.tree_counts: Optional[Mapping[Tuple[str, str], int]] = None
 
     def _run(self, args):
         # the generated source depends on whether a tracer is
@@ -276,17 +274,22 @@ class JitInterpreter(Interpreter):
                             .trees[frame.tree])
         return tier.exits[tree_idx][exit_idx]
 
-    def _enter(self, name: str) -> _FunctionTier:
+    def _enter(self, name: str) -> Tier:
         """The first call of *name* in this run: its tier state, linked
         at once when its shape enters compiled."""
         func = self.program.functions[name]
         size = sum(len(tree.ops) + len(tree.exits)
                    for tree in func.trees.values())
         shape = (name, len(func.trees), size, self.collect_profile,
-                 self.trace_stores, self.strict_memory, self._obs_on)
-        tier = self._tiers[name] = _FunctionTier(
-            shape, size, lambda: self._source(name), TIER_THRESHOLD,
-            "engines.jit.tier_ups")
+                 self.trace_stores, self.strict_memory, self._obs_on,
+                 self._timed)
+        counts = self.tree_counts
+        expected = None if counts is None else sum(
+            counts.get((name, tname), 0) * (len(tree.ops) + 1)
+            for tname, tree in func.trees.items())
+        tier = self._tiers[name] = Tier(
+            shape, size, lambda: self._source(name),
+            HW_TIER_THRESHOLD if self._timed else TIER_THRESHOLD, expected)
         if tier.fn is not None:
             self._link(name, tier)
         return tier
@@ -297,17 +300,19 @@ class JitInterpreter(Interpreter):
             collect_profile=self.collect_profile,
             trace_stores=self.trace_stores, strict_memory=self.strict_memory,
             # squash tallies only exist under a tracer
-            count_squashes=self._obs_on)
+            count_squashes=self._obs_on, timed=self._timed)
 
-    def _link(self, name: str, tier: _FunctionTier) -> Callable:
+    def _link(self, name: str, tier: Tier) -> Callable:
         """Run *name* through its compiled function ``tier.fn`` from now
         on.
 
         A tree the interpreted prefix already ran keeps counting in its
         ``exit_counts`` row, so the compiled code adds to what
-        ``record_tree`` recorded; ``_run`` folds in the new rows."""
+        ``record_tree`` recorded; ``_run`` folds in the new rows.  Timed
+        code counts only the exits of trees it does not report to the
+        sink, from zero."""
         func = self.program.functions[name]
-        if self.collect_profile:
+        if self.collect_profile or self._timed:
             ec = self.profile.exit_counts
             rows = self._fcounts[name] = []
             for tname, tree in func.trees.items():

@@ -427,8 +427,11 @@ def _run_hw(report: ConformanceReport, label: str, program, graphs, mach,
             reference, ref_interp: Interpreter, max_steps: int):
     """Execute one program, timed from its dependence *graphs*, on one
     hardware machine and diff it against the reference interpreter;
-    ``None`` on a crash divergence.  The reference profile's tree counts
-    decide which trees compile on entry, as in ``Pipeline.hw_timing``."""
+    ``None`` on a crash divergence, which is all a timing that
+    mis-orders memory can be: the simulator raises once the tree has
+    run and leaves no result to diff.  The reference profile's tree
+    counts decide which functions compile on entry, as in
+    ``Pipeline.hw_timing``."""
     try:
         sim = HwSimulator(program.copy(), mach, graphs, max_steps=max_steps,
                           trace_stores=True,

@@ -1,53 +1,55 @@
 """Program-level hardware simulation: functional + timing, coupled.
 
-:class:`HwSimulator` executes a decision-tree program the way the
-interpreter does — same frames, same call stack, same opcode semantics —
-but times every *tree execution* on the engine of
-:mod:`repro.hwsim.engine`.  One execution is one resolve pass over a
-copy of the frame's registers, which yields the new registers, the
-taken exit, the guard-true memory accesses as canonical address-class
-events, the stores in program order and the PRINT values; loads read
-through a store overlay, i.e. see what sequential execution would.
+:class:`HwSimulator` is the ``jit`` engine
+(:class:`repro.engines.jit.JitInterpreter`) — same frames, same call
+stack, same whole-function compiled code and function tiers — with its
+code generated in *timed* mode, and it times every *tree execution* on
+the engine of :mod:`repro.hwsim.engine`.  A tree with a LOAD or STORE
+reports each execution to the timing sink, :meth:`HwSimulator._time`,
+as ``((function, tree), exit index, trace)``; the trace lists the
+tree's guard-true memory accesses in program order as ``(node,
+is_store, addr_class)`` events, addresses renamed by first occurrence.
+A tree without memory operations has one timing result: compiled code
+counts its exits, and the run's end times them all at once; under a
+tracer every tree reports each execution, so ``hwsim.tree_cycles``
+sees the trees in execution order.
 
-The pass has two tiers, under the ``jit`` engine's rule
-(:class:`repro.engines.jit.Tier`) applied per tree.  A tree starts
-cold and runs the pass interpreted
-(:meth:`~repro.sim.interpreter.Interpreter._resolve_tree`, the
-reference's tree walker with a store overlay and buffers); once it has
-spent ``HW_TIER_THRESHOLD`` steps per operation or exit (a compile's
-break-even) it compiles the generated ``hw_resolve`` source once, and
-a tree whose source an earlier run compiled enters compiled while the
-code cache holds it.  A caller that passes ``tree_counts`` — a profile
-of the same run, as ``Pipeline.hw_timing`` does — has each tree whose
-count will spend that budget compile on entry, and no other tree
-compile at all.  Most trees run a handful of times, so most never pay
-for a ``compile()``.  Both tiers return the same results, so the tier
-never changes a memo key, a cycle or a counter; compilations by
-hotness, measured or counted, are counted as ``hwsim.tier_ups``.  The
-per-tree memo, keyed on the events plus the predictor's decision bits,
-supplies the timing (its violations train the predictor, on hits too).
-The simulator then adopts the registers, drains the stores and appends
-the output.  The engine reads each tree's dependences from the graph
-the compiler built for it: the simulator takes the view's graphs, keyed
-by ``(function, tree)``.
+A function runs interpreted while cold — the reference's
+``_execute_tree``, which reports every tree to the same sink — and
+compiled once it has spent its step budget
+(:class:`repro.engines.jit.Tier`, at
+:data:`~repro.engines.jit.HW_TIER_THRESHOLD` steps per operation or
+exit, a compile's break-even).  A caller that passes
+``tree_counts`` — a profile of the same run, as ``Pipeline.hw_timing``
+does — gives each function its steps in advance, so a function whose
+counted steps reach its budget compiles on entry and no other function
+compiles at all.  Both tiers report the same traces, so the tier never
+changes a memo key, a cycle or a counter.  The per-tree memo, keyed on
+the events plus the predictor's decision bits, supplies the timing
+(its violations train the predictor, on hits too).  The engine reads
+each tree's dependences from the graph the compiler built for it: the
+simulator takes the view's graphs, keyed by ``(function, tree)``.
 
-That retirement is exact only if the load/store queue forwards every
-load the value the pass gave it: the LSQ forwards the latest earlier
-same-address store that has completed by the load's final issue, else
-memory.  Each memo miss therefore checks *in-order forwarding*: every
-load's latest earlier same-class store, if any, completes by the load's
-final issue.  Exactly then the LSQ's pick is the overlay's pick, and an
-LSQ-ordered pass would recompute the same registers, stores and output.
-A timing that fails the check breaks the data dependence the engine
-must honour, so it raises ``AssertionError`` naming the tree, the load
-node and the store node, and no result of the tree is retired; the fuzz
-oracle (:mod:`repro.fuzz.oracle`) reports it as a ``crash`` divergence.
+The tree runs with sequential semantics: each load reads the latest
+earlier store to its address, or memory.  That is what the hardware
+computes only if the load/store queue forwards every load that value:
+the LSQ forwards the latest earlier same-address store that has
+completed by the load's final issue, else memory.  Each memo miss
+therefore checks *in-order forwarding*: every load's latest earlier
+same-class store, if any, completes by the load's final issue.
+Exactly then the LSQ's pick is sequential execution's pick.  A timing
+that fails the check breaks the data dependence the engine must
+honour, so it raises ``AssertionError`` naming the tree, the load node
+and the store node.  The tree has already run by then — its stores are
+in memory and its output is printed — and the run ends without an
+:class:`HwRunResult`; the fuzz oracle (:mod:`repro.fuzz.oracle`)
+reports it as a ``crash`` divergence.
 
 The predictor's decision bits cost O(loads x stores) queries, so each
-tree caches them on the event tuple; the cache is bounded by
-:data:`MEMO_CAPACITY`, like the memo, and dropped whenever the
-predictor trains.  Trees without memory operations run the pass on the
-frame's own registers and reuse their one timing result.  Neither cache
+tree caches them on the event tuple, with the small integer that names
+the memo key (events plus decision bits), so a memo hit hashes its
+events once; the cache is bounded by :data:`MEMO_CAPACITY`, like the
+memo, and dropped whenever the predictor trains.  Neither cache
 changes the memo's hit, miss or eviction counts.
 """
 
@@ -55,16 +57,17 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import count
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .. import obs
-from ..engines import jit
-from ..engines.codegen import generate_tree_source, touches_memory
+from ..engines.codegen import touches_memory
+from ..engines.jit import JitInterpreter
 from ..ir.depgraph import DependenceGraph
 from ..ir.program import Program
 from ..ir.tree import DecisionTree
 from ..machine.hw import HwMachine
-from ..sim.interpreter import Interpreter, InterpreterError, Number, RunResult
+from ..sim.interpreter import Number, RunResult
 from .engine import EngineResult, TreeContext, simulate_tree
 from .predictor import DependencePredictor, NeverSpeculate, make_predictor
 
@@ -135,52 +138,31 @@ class HwRunResult(RunResult):
 class _TreeState:
     """Everything the simulator keeps per static tree."""
 
-    __slots__ = ("tree", "ctx", "steps", "tier", "run", "has_mem",
-                 "op_keys", "memo", "decisions", "result")
+    __slots__ = ("label", "ctx", "has_mem", "op_keys", "memo", "decisions",
+                 "memo_ids", "memo_keys", "result")
 
     def __init__(self, function: str, name: str, tree: DecisionTree,
-                 graph: Optional[DependenceGraph], machine: HwMachine,
-                 count: Optional[int]):
+                 graph: Optional[DependenceGraph], machine: HwMachine):
         if graph is None or (graph.num_ops, graph.num_nodes) != (
                 len(tree.ops), len(tree.ops) + len(tree.exits)):
             raise ValueError(f"the dependence graph of tree "
                              f"{function}.{name} does not match its "
                              f"operations and exits")
-        self.tree = tree
+        self.label = f"{function}.{name}"
         self.ctx = TreeContext(graph, machine)
-        self.steps = len(tree.ops) + 1
-        #: when the resolve pass compiles (the code cache is the
-        #: ``jit`` engine's — the source is the key, so identical trees
-        #: compile once per process); *count*, the tree's executions in
-        #: this run when the caller knows them, decides it on entry
-        self.tier = jit.Tier(("hw_resolve", function, name,
-                              len(tree.ops), len(tree.exits)),
-                             len(tree.ops) + len(tree.exits),
-                             lambda: generate_tree_source(tree),
-                             jit.HW_TIER_THRESHOLD, "hwsim.tier_ups",
-                             None if count is None else count * self.steps)
-        #: the resolve pass, ``run(regs, memory, simulator)``: compiled,
-        #: or the interpreted tier while the tree is cold
-        self.run = self.tier.fn or self._run_cold
         self.has_mem = touches_memory(tree)
         #: predictor identity of each op, by node index
         self.op_keys = [(function, name, op.op_id) for op in tree.ops]
-        #: (events, decisions) -> EngineResult, LRU
-        self.memo: "OrderedDict[tuple, EngineResult]" = OrderedDict()
-        #: events -> (bypass map, memo key), valid until the next train
+        #: memo id -> EngineResult, LRU
+        self.memo: "OrderedDict[int, EngineResult]" = OrderedDict()
+        #: events -> (bypass map, memo id), valid until the next train
         self.decisions: Dict[tuple, tuple] = {}
+        #: (events, decision bits) -> memo id, and back, for the keys
+        #: in the memo
+        self.memo_ids: Dict[tuple, int] = {}
+        self.memo_keys: Dict[int, tuple] = {}
         #: memory-free trees: their one timing result
         self.result: Optional[EngineResult] = None
-
-    def _run_cold(self, regs, memory, simulator):
-        """The resolve pass interpreted, until the tree has spent its
-        step budget; then compiled, from then on."""
-        tier = self.tier
-        if tier.steps < tier.budget:
-            tier.steps += self.steps
-            return simulator._resolve_tree(self.tree, regs, self.has_mem)
-        self.run = tier.tier_up()
-        return self.run(regs, memory, simulator)
 
 
 def _check_in_order(label: str, events, result: EngineResult) -> None:
@@ -204,13 +186,15 @@ def _check_in_order(label: str, events, result: EngineResult) -> None:
                 f"{result.mem_completion[store]}")
 
 
-class HwSimulator(Interpreter):
+class HwSimulator(JitInterpreter):
     """Cycle-level dynamically scheduled machine simulator.
 
     Functionally interpreter-compatible (same output, memory and return
     value when the timing engine is correct); see the module docstring
-    for the structure of each tree execution.
+    for how each tree execution is timed.
     """
+
+    _timed = True
 
     def __init__(self, program: Program, machine: HwMachine,
                  graphs: Mapping[Tuple[str, str], DependenceGraph],
@@ -221,8 +205,6 @@ class HwSimulator(Interpreter):
         self.machine = machine
         #: each tree's dependence graph, by (function, tree)
         self.graphs = graphs
-        #: each tree's executions in this run, by (function, tree), when
-        #: the caller knows them (a profile of the same program)
         self.tree_counts = tree_counts
         self.is_oracle = machine.predictor == "oracle"
         # the oracle decides every pair from the actual addresses
@@ -233,6 +215,7 @@ class HwSimulator(Interpreter):
         self.cycles = 0
         self.stats = HwStats()
         self._trees: Dict[Tuple[str, str], _TreeState] = {}
+        self._memo_ids = count()
 
     # -- public API ----------------------------------------------------------
 
@@ -261,90 +244,99 @@ class HwSimulator(Interpreter):
                         self.cycles, self.stats.to_dict())
 
     def _run(self, args):
-        try:
-            return super()._run(args)
-        finally:
-            jit.remember(state.tier for state in self._trees.values())
+        base = super()._run(args)
+        # the compiled code's exit counts of trees it did not report
+        for key, row in self._counts.items():
+            executions = sum(row)
+            if executions:
+                self._time_counted(key, row, executions)
+        return base
 
-    # -- per-tree execution --------------------------------------------------
+    # -- per-tree timing -----------------------------------------------------
 
-    def _execute_tree(self, frame):
-        key = (frame.function, frame.tree)
-        state = self._trees.get(key)
-        if state is None:
-            counts = self.tree_counts
-            state = self._trees[key] = _TreeState(
-                frame.function, frame.tree,
-                self.program.functions[frame.function].trees[frame.tree],
-                self.graphs.get(key), self.machine,
-                None if counts is None else counts.get(key, 0))
+    def _state(self, key: Tuple[str, str]) -> _TreeState:
+        state = self._trees[key] = _TreeState(
+            key[0], key[1], self.program.functions[key[0]].trees[key[1]],
+            self.graphs.get(key), self.machine)
+        return state
+
+    def _time(self, key: Tuple[str, str], exit_index: int,
+              trace) -> None:
+        """The timing sink: time one execution of tree *key* that
+        left by exit *exit_index* after the accesses *trace*, checking
+        on a memo miss that the LSQ forwards in order."""
+        state = self._trees.get(key) or self._state(key)
         stats = self.stats
         stats.tree_executions += 1
-        self.steps += state.steps
-        if self.steps > self.max_steps:
-            raise InterpreterError(f"step limit exceeded ({self.max_steps})")
-
         if state.has_mem:
-            exit_index, result = self._execute_memory_tree(frame, state)
+            events = tuple(trace)
+            decision = state.decisions.get(events)
+            if decision is None:
+                decision = self._decide(state, events)
+            bypass, memo_id = decision
+            memo = state.memo
+            result = memo.get(memo_id)
+            if result is None:
+                result = simulate_tree(state.ctx, self.machine, events,
+                                       bypass)
+                _check_in_order(state.label, events, result)
+                memo[memo_id] = result
+                stats.memo_misses += 1
+                if len(memo) > MEMO_CAPACITY:
+                    self._evict(state, memo.popitem(last=False)[0])
+                    stats.memo_evictions += 1
+            else:
+                memo.move_to_end(memo_id)
+                stats.memo_hits += 1
+            self._account(state, result)
         else:
-            # nothing to forward, so nothing to order: the pass runs on
-            # the frame's own registers and there is one timing result
-            exit_index = state.run(frame.regs, self.memory, self)
+            # nothing to forward, so nothing to order: one result
             result = state.result
             if result is None:
-                result = state.result = simulate_tree(
-                    state.ctx, self.machine, (), {})
-                stats.memo_misses += 1
+                result = self._time_once(state)
             else:
                 stats.memo_hits += 1
             stats.slots_used += result.slots_used
-        if exit_index < 0:
-            exit_index = self._take_exit(frame, state.tree)
         tree_cycles = result.path_times[exit_index]
         self.cycles += tree_cycles
         if self._obs_on:
             obs.observe("hwsim.tree_cycles", tree_cycles)
-        return state.tree.exits[exit_index]
 
-    def _execute_memory_tree(self, frame, state: _TreeState):
-        """Run the resolve pass on a copy of the registers, time it,
-        check on a memo miss that the LSQ forwards in order, and retire
-        the pass's results.  Returns ``(exit index, engine result)``;
-        the exit index is ``-1`` when the caller must re-evaluate the
-        exits."""
-        regs = dict(frame.regs)
-        memory = self.memory
-        exit_index, events, stores, prints = state.run(regs, memory, self)
-        events = tuple(events)
-        decision = state.decisions.get(events)
-        if decision is None:
-            decision = self._decide(state, events)
-        bypass, memo_key = decision
+    def _time_once(self, state: _TreeState) -> EngineResult:
+        """Time a tree without memory operations, a memo miss."""
+        result = state.result = simulate_tree(state.ctx, self.machine,
+                                              (), {})
+        self.stats.memo_misses += 1
+        return result
 
+    def _time_counted(self, key: Tuple[str, str], row: List[int],
+                      executions: int) -> None:
+        """Time the *executions* of memory-free tree *key* that compiled
+        code counted by exit in *row*, as the sink would have one by
+        one."""
+        state = self._trees.get(key) or self._state(key)
         stats = self.stats
-        memo = state.memo
-        result = memo.get(memo_key)
+        result = state.result
+        hits = executions
         if result is None:
-            result = simulate_tree(state.ctx, self.machine, events, bypass)
-            _check_in_order(f"{frame.function}.{frame.tree}", events, result)
-            memo[memo_key] = result
-            stats.memo_misses += 1
-            if len(memo) > MEMO_CAPACITY:
-                memo.popitem(last=False)
-                stats.memo_evictions += 1
-        else:
-            memo.move_to_end(memo_key)
-            stats.memo_hits += 1
-        self._account(state, result)
+            result = self._time_once(state)
+            hits -= 1
+        stats.memo_hits += hits
+        stats.tree_executions += executions
+        stats.slots_used += executions * result.slots_used
+        self.cycles += sum(times * cycles for times, cycles
+                           in zip(row, result.path_times))
 
-        frame.regs = regs
-        for addr, value in stores:
-            memory[addr] = value
-        if self.trace_stores:
-            self.store_trace.extend(stores)
-        if prints:
-            self.output.extend(prints)
-        return exit_index, result
+    def _evict(self, state: _TreeState, memo_id: int) -> None:
+        """Forget the memo key of the evicted entry *memo_id*, and the
+        cached decision that names it: a later execution with its events
+        decides afresh and misses, as the evicted key would."""
+        key = state.memo_keys.pop(memo_id)
+        del state.memo_ids[key]
+        events = key[0]
+        decision = state.decisions.get(events)
+        if decision is not None and decision[1] == memo_id:
+            del state.decisions[events]
 
     def _account(self, state: _TreeState, result: EngineResult) -> None:
         """Fold one engine result into the run counters and train the
@@ -365,9 +357,9 @@ class HwSimulator(Interpreter):
 
     def _decide(self, state: _TreeState, events: tuple) -> tuple:
         """The predictor's bypass decision for every (earlier store,
-        load) event pair, and the memo key (events plus the flat
-        decision bits), cached on *events* until the predictor next
-        trains."""
+        load) event pair, and the id of the memo key (events plus the
+        flat decision bits), cached on *events* until the predictor
+        next trains.  A key the memo holds keeps its id."""
         bypass: Dict[Tuple[int, int], bool] = {}
         decisions: List[bool] = []
         op_keys = state.op_keys
@@ -386,10 +378,15 @@ class HwSimulator(Interpreter):
                         load_key, op_keys[store[0]])
                 bypass[(si, li)] = decision
                 decisions.append(decision)
+        key = (events, tuple(decisions))
+        memo_id = state.memo_ids.get(key)
+        if memo_id is None:
+            memo_id = state.memo_ids[key] = next(self._memo_ids)
+            state.memo_keys[memo_id] = key
         cache = state.decisions
         if len(cache) >= MEMO_CAPACITY:
             del cache[next(iter(cache))]
-        decision = cache[events] = (bypass, (events, tuple(decisions)))
+        decision = cache[events] = (bypass, memo_id)
         return decision
 
 
@@ -401,7 +398,8 @@ def simulate_program(program: Program, machine: HwMachine,
                      = None) -> HwRunResult:
     """Execute *program* on the dynamically scheduled *machine*, timing
     each tree from its dependence graph in *graphs*.  *tree_counts*, a
-    profile's executions per tree of the same run, lets each tree that
-    will pay back a compile compile on entry."""
+    profile's executions per tree of the same run, lets each function
+    that will pay back a compile compile on entry, and keeps any other
+    from compiling."""
     return HwSimulator(program, machine, graphs, max_steps=max_steps,
                        tree_counts=tree_counts).run(args)

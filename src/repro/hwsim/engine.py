@@ -76,9 +76,9 @@ class MemEvent(NamedTuple):
     same aliasing pattern share a memo entry.
 
     A ``NamedTuple`` rather than a dataclass: the event sequence itself
-    is the memo key, and the compiled resolve pass of
-    :mod:`repro.engines` emits plain ``(node, is_store, addr_class)``
-    tuples that must compare and hash identically.  Engine code indexes
+    is the memo key, and the timed code of :mod:`repro.engines`
+    reports plain ``(node, is_store, addr_class)`` tuples that must
+    compare and hash identically.  Engine code indexes
     events positionally for the same reason.
     """
 

@@ -10,9 +10,9 @@ decision trees under their sequential semantics, producing
 * dynamic alias counts per memory-reference pair (the input to the
   PERFECT disambiguator).
 
-One walker, :meth:`Interpreter._walk`, states a tree's semantics for
-two wrappers: ``_execute_tree``, the reference, which writes memory and
-profiles, and ``_resolve_tree``, :mod:`repro.hwsim`'s cold resolve pass.
+One walker, :meth:`Interpreter._walk`, states a tree's semantics, and
+``_execute_tree`` runs it for every engine's interpreted tier: the
+reference, the ``jit`` engine's cold functions and :mod:`repro.hwsim`'s.
 
 Timing is *not* modelled here — see :mod:`repro.sim.timing` and
 :mod:`repro.sched` — so the interpreter stays a pure semantic reference.
@@ -142,6 +142,10 @@ _UNARY = {
 _LOAD, _STORE, _PRINT, _SELECT = (
     Opcode.LOAD, Opcode.STORE, Opcode.PRINT, Opcode.SELECT)
 
+#: Distinct access traces a profiling run counts before it expands
+#: them into alias pairs (a bound on memory; the pairs are the same).
+SHAPE_CAPACITY = 4096
+
 #: Public alias of the binary opcode table, so compiled code
 #: (:mod:`repro.engines.codegen`) raises through the same DIV, MOD and
 #: FDIV helpers, with the same messages.
@@ -159,6 +163,10 @@ class _Frame:
 
 class Interpreter:
     """Executes a program; optionally records a profile."""
+
+    #: a timing subclass receives every tree execution's key, exit
+    #: index and access trace through ``_time``
+    _timed = False
 
     def __init__(self, program: Program, max_steps: int = 200_000_000,
                  collect_profile: bool = True, strict_memory: bool = False,
@@ -187,6 +195,8 @@ class Interpreter:
         self._obs_on = False
         self._obs_tree_execs: Dict[Tuple[str, str], int] = {}
         self._obs_squashed: Dict[str, int] = {}
+        #: (tree key, access trace) -> executions, for the alias pairs
+        self._shapes: Dict[tuple, int] = {}
 
     # -- operand/guard evaluation -------------------------------------------
 
@@ -223,34 +233,37 @@ class Interpreter:
         stack: List[_Frame] = []
         return_value: Optional[Number] = None
 
-        while True:
-            exit_ = self._execute_tree(frame)
-            if exit_.kind is ExitKind.GOTO:
-                frame.tree = exit_.target
-            elif exit_.kind is ExitKind.CALL:
-                callee = self.program.functions[exit_.callee]
-                values = [self._read(frame.regs, a) for a in exit_.args]
-                frame.resume_tree = exit_.target
-                frame.result_reg = exit_.result.name if exit_.result else None
-                stack.append(frame)
-                if len(stack) > 100_000:
-                    raise InterpreterError("call-stack overflow")
-                frame = _Frame(callee.name, callee.entry,
-                               {p.name: v for p, v in zip(callee.params, values)})
-            elif exit_.kind is ExitKind.RETURN:
-                value = (self._read(frame.regs, exit_.value)
-                         if exit_.value is not None else None)
-                if not stack:
-                    return_value = value
+        try:
+            while True:
+                exit_ = self._execute_tree(frame)
+                if exit_.kind is ExitKind.GOTO:
+                    frame.tree = exit_.target
+                elif exit_.kind is ExitKind.CALL:
+                    callee = self.program.functions[exit_.callee]
+                    values = [self._read(frame.regs, a) for a in exit_.args]
+                    frame.resume_tree = exit_.target
+                    frame.result_reg = exit_.result.name if exit_.result else None
+                    stack.append(frame)
+                    if len(stack) > 100_000:
+                        raise InterpreterError("call-stack overflow")
+                    frame = _Frame(callee.name, callee.entry,
+                                   {p.name: v for p, v in zip(callee.params, values)})
+                elif exit_.kind is ExitKind.RETURN:
+                    value = (self._read(frame.regs, exit_.value)
+                             if exit_.value is not None else None)
+                    if not stack:
+                        return_value = value
+                        break
+                    frame = stack.pop()
+                    if frame.result_reg is not None:
+                        if value is None:
+                            raise InterpreterError("void return where value expected")
+                        frame.regs[frame.result_reg] = value
+                    frame.tree = frame.resume_tree
+                else:  # HALT
                     break
-                frame = stack.pop()
-                if frame.result_reg is not None:
-                    if value is None:
-                        raise InterpreterError("void return where value expected")
-                    frame.regs[frame.result_reg] = value
-                frame.tree = frame.resume_tree
-            else:  # HALT
-                break
+        finally:
+            self._record_pairs()
 
         return RunResult(self.output, self.profile, self.steps, return_value)
 
@@ -258,12 +271,19 @@ class Interpreter:
         """Run *frame* from its current tree to the next exit the call
         loop in ``_run`` acts on, and return that exit.  Here that is
         exactly one tree; an engine that runs intra-function GOTOs
-        itself (the tiered JIT) may execute many."""
+        itself (the tiered JIT) may execute many.
+
+        A profiling run and a timed one (a subclass that sets ``_timed``)
+        keep the tree's access trace, with addresses renamed to classes
+        by first occurrence: the profile counts it through
+        :meth:`_count_trace` before the exit is chosen, and the timing
+        sink ``_time`` receives it with the exit's index."""
         tree = self.program.functions[frame.function].trees[frame.tree]
+        key = (frame.function, frame.tree)
         if self._obs_on:
-            key = (frame.function, frame.tree)
             self._obs_tree_execs[key] = self._obs_tree_execs.get(key, 0) + 1
-        trace = [] if self.collect_profile else None
+        profile = self.collect_profile
+        trace = [] if profile or self._timed else None
 
         # the taken exit counts as one step so that op-free trees (an
         # empty infinite loop compiles to one) still consume budget
@@ -272,63 +292,42 @@ class Interpreter:
             raise InterpreterError(f"step limit exceeded ({self.max_steps})")
 
         exit_index, committed = self._walk(
-            tree, frame.regs, None, self.output,
+            tree, frame.regs, self.output,
             self.store_trace if self.trace_stores else None, trace,
             self._obs_squashed if self._obs_on else None)
-        if trace is not None:
+        if trace:
+            classes: Dict[int, int] = {}
+            trace = [(node, is_store, classes.setdefault(addr, len(classes)))
+                     for node, is_store, addr in trace]
+        if profile:
             # committed (guard-true) operations: the dynamic-operation
             # count Table 6-3's per-program sizes are normalised by
             self.profile.dynamic_operations += committed
             if len(trace) > 1:
-                self._record_alias_pairs(frame.function, frame.tree, trace)
+                self._count_trace(key, trace)
         if exit_index < 0:
             exit_index = self._take_exit(frame, tree)
-        if trace is not None:
-            self.profile.record_tree((frame.function, frame.tree),
-                                     len(tree.exits), exit_index)
+        if profile:
+            self.profile.record_tree(key, len(tree.exits), exit_index)
+        elif trace is not None:
+            self._time(key, exit_index, trace)
         return tree.exits[exit_index]
 
-    def _resolve_tree(self, tree, regs: Dict[str, Number], buffers: bool):
-        """The hardware simulator's resolve pass over *tree*, interpreted:
-        what its compiled ``hw_resolve`` pass
-        (:func:`repro.engines.codegen.generate_tree_source`) returns, for
-        a tree that runs too rarely to repay a ``compile()``.
-
-        The walk runs on *regs*.  With *buffers* (a tree with a LOAD or
-        STORE, run on a copy of the frame's registers) loads read through
-        a store overlay and the result is ``(exit index, events, stores,
-        prints)``: each event is a ``(node, is_store, addr_class)``, with
-        addresses renamed by first occurrence.  Without, PRINT appends to
-        the output and the result is the exit index.  The caller raises
-        for an index of ``-1`` once the stores are drained."""
-        if not buffers:
-            return self._walk(tree, regs, None, self.output, None, None,
-                              None)[0]
-        trace, stores, prints = [], [], []
-        exit_index = self._walk(tree, regs, {}, prints, stores, trace,
-                                None)[0]
-        classes: Dict[int, int] = {}
-        events = [(node, is_store, classes.setdefault(addr, len(classes)))
-                  for node, is_store, addr in trace]
-        return exit_index, events, stores, prints
-
-    def _walk(self, tree, regs: Dict[str, Number],
-              overlay: Optional[Dict[int, Number]], out: List[Number],
+    def _walk(self, tree, regs: Dict[str, Number], out: List[Number],
               stores: Optional[List[Tuple[int, Number]]],
               trace: Optional[List[Tuple[int, bool, int]]],
               squashed: Optional[Dict[str, int]]) -> Tuple[int, int]:
         """Run *tree*'s operations on *regs* in list order and pick its
-        exit: the tree semantics both wrappers share.  Stores write
-        *overlay* if given (loads read through it), else memory; PRINT
-        values go to *out*.  Unless ``None``, *stores* gets each store's
-        ``(addr, value)``, *trace* each in-range load's and every store's
-        ``(node, is_store, addr)``, and *squashed* a per-opcode tally of
-        guard-false operations.  Returns ``(exit index, committed
-        operations)``; the index is ``-1`` when no exit fires or an exit
-        guard is undefined (:meth:`_take_exit` raises the error)."""
+        exit: the tree semantics every engine's interpreted tier shares.
+        PRINT values go to *out*.  Unless ``None``, *stores* gets each
+        store's ``(addr, value)``, *trace* each in-range load's and every
+        store's ``(node, is_store, addr)``, and *squashed* a per-opcode
+        tally of guard-false operations.  Returns ``(exit index,
+        committed operations)``; the index is ``-1`` when no exit fires
+        or an exit guard is undefined (:meth:`_take_exit` raises the
+        error)."""
         memory = self.memory
         size = len(memory)
-        sink = memory if overlay is None else overlay
         strict = self.strict_memory
         read = self._read
         committed = 0
@@ -348,9 +347,7 @@ class Interpreter:
             if opcode is _LOAD:
                 addr = read(regs, op.srcs[0])
                 if isinstance(addr, int) and 0 <= addr < size:
-                    regs[op.dest.name] = (
-                        memory[addr] if overlay is None
-                        else overlay.get(addr, memory[addr]))
+                    regs[op.dest.name] = memory[addr]
                     if trace is not None:
                         trace.append((node, False, addr))
                 elif strict:
@@ -364,7 +361,7 @@ class Interpreter:
                 value = read(regs, op.srcs[0])
                 addr = read(regs, op.srcs[1])
                 self._check_addr(addr)
-                sink[addr] = value
+                memory[addr] = value
                 if stores is not None:
                     stores.append((addr, value))
                 if trace is not None:
@@ -409,18 +406,37 @@ class Interpreter:
         raise InterpreterError(
             f"tree {frame.function}.{frame.tree}: no exit taken")
 
-    def _record_alias_pairs(self, func: str, tree: str,
-                            trace: List[Tuple[int, bool, int]]) -> None:
-        """Record each pair of *trace*'s accesses with a store among them
-        by op ids; traces are short, so each pair looks its ids up."""
-        ops = self.program.functions[func].trees[tree].ops
+    def _count_trace(self, key: Tuple[str, str],
+                     trace: List[Tuple[int, bool, int]]) -> None:
+        """Count one execution of tree *key* whose accesses, with their
+        addresses as classes, were *trace*.  :meth:`_record_pairs`
+        expands each distinct trace into alias pairs once."""
+        shape = (key, tuple(trace))
+        shapes = self._shapes
+        count = shapes.get(shape)
+        if count is None:
+            if len(shapes) >= SHAPE_CAPACITY:
+                self._record_pairs()
+            shapes[shape] = 1
+        else:
+            shapes[shape] = count + 1
+
+    def _record_pairs(self) -> None:
+        """Record each pair of each counted trace's accesses with a store
+        among them, by op ids, as many times as the trace ran.  Traces
+        expand in the order they were first seen, which is the order
+        the pairs would have been met execution by execution."""
+        functions = self.program.functions
         record = self.profile.record_pair
-        for i, (node_i, store_i, addr_i) in enumerate(trace):
-            id_i = ops[node_i].op_id
-            for node_j, store_j, addr_j in trace[i + 1:]:
-                if store_i or store_j:
-                    record((func, tree, id_i, ops[node_j].op_id),
-                           addr_i == addr_j)
+        for ((func, tree), trace), count in self._shapes.items():
+            ops = functions[func].trees[tree].ops
+            for i, (node_i, store_i, class_i) in enumerate(trace):
+                id_i = ops[node_i].op_id
+                for node_j, store_j, class_j in trace[i + 1:]:
+                    if store_i or store_j:
+                        record((func, tree, id_i, ops[node_j].op_id),
+                               class_i == class_j, count)
+        self._shapes.clear()
 
     def _check_addr(self, addr: Number) -> None:
         if not isinstance(addr, int):

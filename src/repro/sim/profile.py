@@ -61,13 +61,14 @@ class ProfileData:
             counts = self.exit_counts[key] = [0] * num_exits
         counts[exit_index] += 1
 
-    def record_pair(self, key: PairKey, aliased: bool) -> None:
+    def record_pair(self, key: PairKey, aliased: bool, times: int = 1) -> None:
+        """Record *times* co-executions of the pair *key*."""
         stats = self.pair_stats.get(key)
         if stats is None:
             stats = self.pair_stats[key] = PairStats()
-        stats.executed += 1
+        stats.executed += times
         if aliased:
-            stats.aliased += 1
+            stats.aliased += times
 
     # -- queries ------------------------------------------------------------
 

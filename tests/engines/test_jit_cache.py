@@ -22,7 +22,7 @@ def _fresh_cache():
 def _sources(n):
     """*n* distinct-but-trivial generated-source stand-ins (the cache
     keys on source text, so any text exercises it)."""
-    return [f"def _tree_fn(regs, memory, interp):\n    return {i}\n"
+    return [f"def _func_fn(regs, memory, interp, _t):\n    return {i}\n"
             for i in range(n)]
 
 

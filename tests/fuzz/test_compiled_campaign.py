@@ -1,13 +1,13 @@
-"""The fuzz-smoke campaign with every function and tree compiled on entry.
+"""The fuzz-smoke campaign with every function compiled on entry.
 
 At the default tier thresholds most generated programs finish before
-any of their functions is hot, and most of hwsim's trees run too few
-times to compile, so ``repro fuzz --engine jit`` mostly checks the
-interpreted tiers and the handoff.  This replay of the same campaign
-(seed 0, 50 iterations) at ``TIER_THRESHOLD = 0`` and
-``HW_TIER_THRESHOLD = 0`` keeps the generated code under the oracle:
-the ``jit`` engine's whole-function code, and hwsim's compiled
-``hw_resolve`` pass of every tree it times.
+any of their functions is hot, in the ``jit`` engine and in hwsim
+alike, so ``repro fuzz --engine jit`` mostly checks the interpreted
+tiers and the handoff.  This replay of the same campaign (seed 0, 50
+iterations) at ``TIER_THRESHOLD = 0`` and ``HW_TIER_THRESHOLD = 0``
+keeps the generated code under the oracle: the ``jit`` engine's
+whole-function code, profiled and plain, and hwsim's timed
+whole-function code.
 """
 
 import pytest
@@ -36,7 +36,7 @@ def test_seed0_campaign_agrees_compiled_on_entry(monkeypatch):
     assert not result.generator_errors
     assert not result.divergent, [record.divergences[0]
                                   for record in result.divergent]
-    # both tiers' compiled code ran: hwsim's per-tree resolve passes and
-    # the jit engine's whole functions
-    assert any(source.startswith("def _tree_fn") for source in compiled)
-    assert any(source.startswith("def _func_fn") for source in compiled)
+    # compiled code of both engines ran: hwsim's timed functions and
+    # the jit engine's
+    assert any("_hw = interp._time" in source for source in compiled)
+    assert any("_hw = interp._time" not in source for source in compiled)

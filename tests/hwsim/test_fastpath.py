@@ -1,26 +1,27 @@
 """The one-pass tree execution, its in-order check and the timing memo.
 
-hwsim runs each tree once (its resolve pass, interpreted while the tree
-is cold and compiled once it is hot) and raises when the engine's
-timing would forward some load a value other than the one sequential
-execution reads.  These tests hold the result to the reference
-interpreter, pin the counters at the default tier threshold and at
-forced ones, check that a timing bug raises and that the fuzz oracle
-reports it, and pin when a tree compiles.
+hwsim runs each tree once (interpreted while its function is cold and
+as timed compiled code once the function is hot) and raises when the
+engine's timing would forward some load a value other than the one
+sequential execution reads.  These tests hold the result to the
+reference interpreter, pin the counters at the default tier threshold
+and at forced ones, check that a timing bug raises and that the fuzz
+oracle reports it, and pin when a function compiles.
 """
 
 import dataclasses
+from collections import OrderedDict
 
 import pytest
 
 from repro import obs
 from repro.engines import get_engine
-from repro.engines.codegen import generate_tree_source
 from repro.engines import jit
 from repro.engines.jit import clear_code_cache
 from repro.frontend import compile_source
 from repro.fuzz.oracle import OracleConfig, check_source
 from repro.hwsim import HwSimulator, MemEvent, core
+from repro.ir import Opcode
 from repro.machine.hw import hw_machine
 
 from ..conftest import EXAMPLE_2_2, naive_graphs
@@ -100,27 +101,28 @@ class TestFastPathEquivalence:
         self._check(pointer_program, "pointer", predictor)
 
     def test_paths_share_memo_shape(self, example22_program):
-        """The compiled pass emits plain tuples that hash and compare
-        like :class:`MemEvent` records, so memo keys built from either
-        find the same entries."""
+        """Both tiers report plain tuples that hash and compare like
+        :class:`MemEvent` records, so memo keys built from either name
+        the same entries."""
         sim, _ = _simulate(example22_program, _mach("store-set"))
         checked = 0
         for state in sim._trees.values():
-            for events, decisions in state.memo:
+            for memo_id, (events, decisions) in state.memo_keys.items():
                 as_records = tuple(MemEvent(*event) for event in events)
-                assert (as_records, decisions) in state.memo
+                assert state.memo_ids[(as_records, decisions)] == memo_id
+                assert memo_id in state.memo
                 checked += len(events)
         assert checked
 
-    def test_compiles_one_pass_per_tree_shape(self, monkeypatch,
+    def test_compiles_once_per_function_shape(self, monkeypatch,
                                               example22_program):
-        # every tree compiled on entry
+        # every function compiled on entry
         monkeypatch.setattr(jit, "HW_TIER_THRESHOLD", 0)
         clear_code_cache()
         with obs.tracing() as tracer:
             sim, _ = _simulate(example22_program, _mach("store-set"))
-        sources = {generate_tree_source(state.tree)
-                   for state in sim._trees.values()}
+        sources = {sim._source(name) for name in sim._tiers}
+        assert "_hw = interp._time" in next(iter(sources))
         assert tracer.metrics.counters["engines.jit.compiles"] == len(sources)
 
 
@@ -143,17 +145,20 @@ int main() {
 """
 
 
-#: Example 2-2's loop, four times as long: past the loop tree's budget
+#: Example 2-2's loop, four times as long: past main's budget
 HOT_LOOP = EXAMPLE_2_2.replace("300", "1000").replace("<= 100", "<= 400")
+
+#: Example 2-2's loop, half as long: short of main's budget
+WARM_LOOP = EXAMPLE_2_2.replace("<= 100", "<= 50")
 
 HOT_TREE = ("main", "main.b1_for")
 
 
 class TestTiers:
-    """A tree runs its resolve pass interpreted until it has spent its
-    step budget, and compiles once; a tree whose source a past run
-    compiled enters compiled; with execution counts, a tree that will
-    spend its budget compiles on entry and any other never compiles."""
+    """A function runs interpreted until it has spent its step budget,
+    and compiles once; a function whose source a past run compiled
+    enters compiled; with execution counts, a function that will spend
+    its budget compiles on entry and any other never compiles."""
 
     def _counters(self, program, tree_counts=None):
         with obs.tracing() as tracer:
@@ -168,83 +173,83 @@ class TestTiers:
         sim, counters = self._counters(compile_source(COLD_LOOP))
         assert sim.output == [3]
         assert counters.get("engines.jit.compiles", 0) == 0
-        assert counters.get("hwsim.tier_ups", 0) == 0
-        assert all(state.tier.fn is None for state in sim._trees.values())
+        assert counters.get("engines.jit.tier_ups", 0) == 0
+        assert all(tier.fn is None for tier in sim._tiers.values())
 
     def test_hot_tree_compiles_once(self):
         program = compile_source(HOT_LOOP)
         clear_code_cache()
         sim, counters = self._counters(program)
-        hot = [key for key, state in sim._trees.items()
-               if state.tier.fn is not None]
-        # the loop body runs 400 times; every other tree once or twice
-        assert hot == [HOT_TREE]
+        # the loop body runs 400 times: its function, main, compiles
+        assert [name for name, tier in sim._tiers.items()
+                if tier.fn is not None] == ["main"]
         assert counters["engines.jit.compiles"] == 1
-        assert counters["hwsim.tier_ups"] == 1
-        # a second run enters the loop compiled from the code cache
+        assert counters["engines.jit.tier_ups"] == 1
+        # a second run enters main compiled from the code cache
         sim, counters = self._counters(program)
         assert counters.get("engines.jit.compiles", 0) == 0
-        assert counters.get("hwsim.tier_ups", 0) == 0
+        assert counters.get("engines.jit.tier_ups", 0) == 0
         assert counters["engines.jit.cache_hits"] == 1
-        assert sim._trees[HOT_TREE].tier.fn is not None
+        assert sim._tiers["main"].fn is not None
 
-    def test_tree_below_break_even_never_compiles(self, example22_program):
-        # example 2-2's loop runs 100 times: about its break-even, short
-        # of its budget
+    def test_tree_below_break_even_never_compiles(self):
         clear_code_cache()
-        sim, counters = self._counters(example22_program)
+        sim, counters = self._counters(compile_source(WARM_LOOP))
         assert counters.get("engines.jit.compiles", 0) == 0
-        assert sim._trees[HOT_TREE].tier.steps < sim._trees[
-            HOT_TREE].tier.budget
+        tier = sim._tiers["main"]
+        assert tier.budget // 2 < tier.steps < tier.budget
 
     def _break_even(self, program):
-        """The loop tree's execution count at which its expected steps
-        reach its budget."""
-        tree = program.functions["main"].trees[HOT_TREE[1]]
-        budget = jit.HW_TIER_THRESHOLD * (len(tree.ops) + len(tree.exits))
-        return -(-budget // (len(tree.ops) + 1))
+        """The loop tree's execution count at which main's expected
+        steps reach its budget."""
+        trees = program.functions["main"].trees
+        size = sum(len(tree.ops) + len(tree.exits) for tree in trees.values())
+        budget = jit.HW_TIER_THRESHOLD * size
+        return -(-budget // (len(trees[HOT_TREE[1]].ops) + 1))
 
     def test_count_at_break_even_compiles_on_entry(self, example22_program,
                                                    monkeypatch):
         counts = {HOT_TREE: self._break_even(example22_program)}
         interpreted = []
-        resolve = HwSimulator._resolve_tree
+        walk = HwSimulator._walk
 
-        def recording(sim, tree, regs, buffers):
+        def recording(sim, tree, *args):
             interpreted.append(tree.name)
-            return resolve(sim, tree, regs, buffers)
+            return walk(sim, tree, *args)
 
-        monkeypatch.setattr(HwSimulator, "_resolve_tree", recording)
+        monkeypatch.setattr(HwSimulator, "_walk", recording)
         clear_code_cache()
         sim, counters = self._counters(example22_program, counts)
-        state = sim._trees[HOT_TREE]
-        assert state.run is state.tier.fn is not None
-        assert HOT_TREE[1] not in interpreted and interpreted
-        assert state.tier.steps == 0
+        tier = sim._tiers["main"]
+        assert tier.fn is not None
+        assert not interpreted
+        assert tier.steps == 0
         assert counters["engines.jit.compiles"] == 1
-        assert counters["hwsim.tier_ups"] == 1
+        assert counters["engines.jit.tier_ups"] == 1
         # the same timing as the rule without counts
         assert sim.timing() == _simulate(example22_program,
                                          _mach("store-set"))[0].timing()
 
-    def test_count_below_break_even_compiles_nothing(self,
-                                                     example22_program):
-        counts = {HOT_TREE: self._break_even(example22_program) - 1}
+    def test_count_below_break_even_compiles_nothing(self):
+        # the warm loop runs short of main's budget, so only a count
+        # could compile it
+        program = compile_source(WARM_LOOP)
+        counts = {HOT_TREE: self._break_even(program) - 1}
         clear_code_cache()
-        sim, counters = self._counters(example22_program, counts)
+        sim, counters = self._counters(program, counts)
         assert counters.get("engines.jit.compiles", 0) == 0
-        assert counters.get("hwsim.tier_ups", 0) == 0
-        assert all(state.tier.fn is None for state in sim._trees.values())
+        assert counters.get("engines.jit.tier_ups", 0) == 0
+        assert all(tier.fn is None for tier in sim._tiers.values())
 
     def test_profiled_counts_compile_only_the_hot_tree(self):
         program = compile_source(HOT_LOOP)
         profile = get_engine("interp").executor(program.copy()).run().profile
         clear_code_cache()
         sim, counters = self._counters(program, profile.tree_counts)
-        assert [key for key, state in sim._trees.items()
-                if state.tier.fn is not None] == [HOT_TREE]
-        assert sim._trees[HOT_TREE].tier.steps == 0
-        assert counters["hwsim.tier_ups"] == 1
+        assert [name for name, tier in sim._tiers.items()
+                if tier.fn is not None] == ["main"]
+        assert sim._tiers["main"].steps == 0
+        assert counters["engines.jit.tier_ups"] == 1
 
     def test_tier_ups_stay_out_of_the_payload(self, example22_program):
         clear_code_cache()
@@ -328,6 +333,46 @@ class TestMemoBound:
         sim, _ = _simulate(example22_program, _mach("never"))
         assert sim.stats.memo_evictions == 0
         assert sim.stats.memo_hits > 0
+
+
+class TestMemoIds:
+    def test_ids_keep_the_lru_of_the_keys(self, monkeypatch,
+                                          example22_program):
+        """The memo is keyed by the small ints the decision cache hands
+        out; through evictions, with a cached decision outliving its
+        memo entry, its hits, misses and evictions stay those of an LRU
+        keyed on the events themselves (a never-speculating predictor
+        decides the same bits for every trace)."""
+        monkeypatch.setattr(core, "MEMO_CAPACITY", 2)
+        sim = HwSimulator(example22_program.copy(), _mach("never"),
+                          naive_graphs(example22_program))
+        tree = example22_program.functions["main"].trees[HOT_TREE[1]]
+        nodes = [(node, op.opcode is Opcode.STORE)
+                 for node, op in enumerate(tree.ops)
+                 if op.opcode in (Opcode.LOAD, Opcode.STORE)][:3]
+        classes = [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
+        lru, hits, misses, evictions = OrderedDict(), 0, 0, 0
+        for pick in (0, 1, 0, 2, 1, 3, 0, 4, 2, 0, 1, 3, 3, 4, 0) * 3:
+            trace = [(node, is_store, cls) for (node, is_store), cls
+                     in zip(nodes, classes[pick])]
+            sim._time(HOT_TREE, 0, trace)
+            events = tuple(trace)
+            if events in lru:
+                lru.move_to_end(events)
+                hits += 1
+            else:
+                lru[events] = None
+                misses += 1
+                if len(lru) > 2:
+                    lru.popitem(last=False)
+                    evictions += 1
+        stats = sim.stats
+        assert (stats.memo_hits, stats.memo_misses, stats.memo_evictions) == (
+            hits, misses, evictions)
+        assert evictions > 0 and hits > 0
+        state = sim._trees[HOT_TREE]
+        assert [state.memo_keys[memo_id][0] for memo_id in state.memo] == list(
+            lru)
 
 
 class TestMemoObservability:

@@ -1,14 +1,18 @@
-"""hwsim's two tiers, tree by tree: interpreted resolve vs ``hw_resolve``.
+"""hwsim's two tiers, tree by tree: the interpreted tree and timed code.
 
-A tree starts cold, and its resolve pass runs through
-``Interpreter._resolve_tree``; once hot it runs the compiled
-``hw_resolve`` source of :func:`repro.engines.codegen.generate_tree_source`.
-From one entry state (registers and memory) the two must return the same
-exit index, events, stores and prints, leave the same registers, and
-raise the same error.  The trees are every tree of the 14 kernels'
+A function starts cold, and each of its trees runs through the
+reference's ``Interpreter._execute_tree``; once hot it runs as the
+timed whole-function code of
+:func:`repro.engines.codegen.generate_function_source`.  From one entry
+state (registers and memory) the two must report the same exit index
+and, for a tree with memory operations, the same access trace to the
+timing sink; leave the same registers, memory, output and store trace;
+and raise the same error.  The trees are every tree of the 14 kernels'
 NAIVE and SPEC views at memory 2 and 6, each from the states a real run
 enters it with and from synthetic ones (unset registers, out-of-range
-addresses), plus the property suite's random trees.
+addresses), plus the property suite's random trees.  Each tree runs
+alone in a function of its own, so an exit to any other tree leaves
+the compiled code.
 """
 
 import random
@@ -18,14 +22,14 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.bench.suite import benchmark_names, get_benchmark
 from repro.disambig import Disambiguator
-from repro.engines.codegen import generate_tree_source, touches_memory
 from repro.engines import jit
+from repro.engines.codegen import generate_function_source, touches_memory
 from repro.engines.jit import compiled_fn
 from repro.hwsim import HwSimulator
 from repro.ir import (BOOL, FLOAT, Function, Guard, Opcode, Program,
                       Register, TreeBuilder, build_dependence_graph)
 from repro.machine import hw_machine
-from repro.sim.interpreter import Interpreter, InterpreterError
+from repro.sim.interpreter import Interpreter, InterpreterError, _Frame
 
 from ..properties.test_sched_props import guarded_trees, random_trees
 
@@ -35,41 +39,76 @@ RECORDED_STATES = 3
 SYNTHETIC_STATES = 4
 #: Steps each recording run may take: enough to enter the loop bodies.
 RECORD_STEPS = 50_000
+#: The key a tree under test runs under, alone in its function, so
+#: that each of its exits, a GOTO back to the tree too, leaves it.
+PROBE = "<probe>"
 
 
-def _normalised(result, regs, output):
-    if isinstance(result, tuple):
-        exit_index, events, stores, prints = result
-        result = (exit_index, [tuple(event) for event in events],
-                  list(stores), list(prints))
-    # repr tells 1 from 1.0 and matches NaN; the compiled pass writes
-    # registers back in name order, the interpreted one in op order
-    return repr((result, sorted(regs.items()), list(output)))
+class _Probe(HwSimulator):
+    """The simulator with a sink that records what it is handed."""
+
+    def __init__(self, program):
+        super().__init__(program, hw_machine(2), {}, trace_stores=True)
+        self.reports = []
+
+    def _time(self, key, exit_index, trace):
+        self.reports.append((exit_index, [tuple(event) for event in trace]))
 
 
-def _run_tier(resolve, interp, regs, memory):
-    """One tier's outcome from a copy of *regs* on *memory*."""
-    regs = dict(regs)
-    interp.memory = list(memory)
-    interp.output = []
+def _one_tree_program(tree, words=0, function="main", key=None):
+    """A program of one function that holds *tree*, under *key* when
+    given: then every exit of the tree leaves the function."""
+    program = Program()
+    owner = Function(function)
+    if key is None:
+        owner.add_tree(tree)
+    else:
+        owner.trees[key] = tree
+    program.add_function(owner)
+    program.memory_words = words
+    return program
+
+
+def _run_tier(hot, program, tree, regs, memory):
+    """One tier's outcome for *tree*, the only tree of *program* (under
+    the key :data:`PROBE`), from a copy of *regs* on a copy of
+    *memory*."""
+    sim = _Probe(program)
+    sim.memory = list(memory)
+    (fname, function), = program.functions.items()
+    frame = _Frame(fname, PROBE, dict(regs))
+    error = None
     try:
-        result = resolve(regs)
+        if hot:
+            rows = sim._fcounts[fname] = [[0] * len(tree.exits)]
+            fn = compiled_fn(generate_function_source(
+                function, trace_stores=True, timed=True))
+            if fn(frame.regs, sim.memory, sim, 0)[1] < 0:
+                # as the jit engine does
+                sim._take_exit(frame, tree)
+            if not touches_memory(tree):
+                sim.reports.extend((index, []) for index, count
+                                   in enumerate(rows[0]) if count)
+        else:
+            Interpreter._execute_tree(sim, frame)
     except Exception as exc:  # noqa: BLE001 - both tiers must fail alike
-        return repr(("raises", type(exc).__name__, str(exc),
-                     list(interp.output)))
-    assert interp.memory == memory, "a resolve pass wrote memory"
-    return _normalised(result, regs, interp.output)
+        error = (type(exc).__name__, str(exc))
+    reports = [(index, trace if touches_memory(tree) else None)
+               for index, trace in sim.reports]
+    # repr tells 1 from 1.0 and matches NaN; compiled code writes
+    # registers back in name order, the walker in op order, and only
+    # when it returns: a run that raises leaves them unused
+    return {"error": error, "reports": reports,
+            "regs": None if error else repr(sorted(frame.regs.items())),
+            "memory": repr(sim.memory), "output": repr(sim.output),
+            "stores": repr(sim.store_trace)}
 
 
-def assert_tiers_agree(interp, tree, regs, memory):
-    """The cold and the hot resolve pass of *tree* from one entry
-    state; returns the shared outcome."""
-    buffers = touches_memory(tree)
-    compiled = compiled_fn(generate_tree_source(tree))
-    cold = _run_tier(lambda r: interp._resolve_tree(tree, r, buffers),
-                     interp, regs, memory)
-    hot = _run_tier(lambda r: compiled(r, interp.memory, interp),
-                    interp, regs, memory)
+def assert_tiers_agree(program, tree, regs, memory):
+    """The cold and the hot tier of *tree*, alone in *program*, from one
+    entry state; returns the shared outcome."""
+    cold = _run_tier(False, program, tree, regs, memory)
+    hot = _run_tier(True, program, tree, regs, memory)
     assert cold == hot, f"tree {tree.name}: tiers disagree"
     return cold
 
@@ -152,17 +191,17 @@ def test_kernel_trees_agree(pipeline, name, kind, memory_latency):
     view = pipeline.view(name, get_benchmark(name).source, kind,
                          memory_latency)
     program = view.program
-    interp = Interpreter(program.copy(), collect_profile=False)
-    words = len(interp.memory)
+    words = len(Interpreter(program.copy(), collect_profile=False).memory)
     states = _recorded_states(program)
     seed = 0
     for fname, function in program.functions.items():
         for tname, tree in function.trees.items():
+            alone = _one_tree_program(tree, words, fname, PROBE)
             for regs, memory in states.get((fname, tname), ()):
-                assert_tiers_agree(interp, tree, regs, memory)
+                assert_tiers_agree(alone, tree, regs, memory)
             memory = [index % 7 for index in range(words)]
             for regs in _synthetic_states(tree, words, seed):
-                assert_tiers_agree(interp, tree, regs, memory)
+                assert_tiers_agree(alone, tree, regs, memory)
             seed += 1
     assert states, f"{name}: the recording run entered no tree"
 
@@ -171,52 +210,35 @@ _PROPS = settings(max_examples=60, deadline=None,
                   suppress_health_check=[HealthCheck.too_slow])
 
 
-def _one_tree_program(tree, words=0):
-    program = Program()
-    function = Function("main")
-    function.add_tree(tree)
-    program.add_function(function)
-    program.memory_words = words
-    return program
-
-
-def _tree_interp(words):
-    """An interpreter on *words* words of memory, and their contents;
-    the trees under test need not belong to its program."""
-    builder = TreeBuilder("t")
-    builder.halt()
-    return (Interpreter(_one_tree_program(builder.tree, words),
-                        collect_profile=False), [3] * words)
-
-
 @_PROPS
 @given(tree=random_trees())
 def test_random_trees_agree(tree):
     # addresses 0-7 against 6 words: the top two are out of range
     for words in (8, 6):
-        interp, memory = _tree_interp(words)
+        program = _one_tree_program(tree, words, key=PROBE)
         for regs in _synthetic_states(tree, words, words):
-            assert_tiers_agree(interp, tree, regs, memory)
+            assert_tiers_agree(program, tree, regs, [3] * words)
 
 
 @_PROPS
 @given(tree=guarded_trees())
 def test_guarded_trees_agree(tree):
     for words in (8, 6):
-        interp, memory = _tree_interp(words)
+        program = _one_tree_program(tree, words, key=PROBE)
         for regs in _synthetic_states(tree, words, words):
-            assert_tiers_agree(interp, tree, regs, memory)
+            assert_tiers_agree(program, tree, regs, [3] * words)
 
 
 class TestEntryStates:
-    """The entry states the resolve pass must get exactly right, on
-    hand-built trees, through both tiers and through the simulator."""
+    """The entry states both tiers must get exactly right, on hand-built
+    trees, and through the simulator."""
 
     WORDS = 8
 
     def _agree(self, tree, regs):
-        interp, memory = _tree_interp(self.WORDS)
-        return assert_tiers_agree(interp, tree, regs, memory)
+        return assert_tiers_agree(
+            _one_tree_program(tree, self.WORDS, key=PROBE), tree, regs,
+            [3] * self.WORDS)
 
     def test_unset_data_registers_read_typed_junk(self):
         builder = TreeBuilder("t")
@@ -227,7 +249,7 @@ class TestEntryStates:
         builder.emit(Opcode.PRINT, [real])
         builder.halt()
         outcome = self._agree(builder.tree, {})
-        assert "[1, 0.5]" in outcome
+        assert outcome["output"] == "[1, 0.5]"
 
     def test_out_of_range_load_is_junk_without_event(self):
         builder = TreeBuilder("t")
@@ -238,24 +260,27 @@ class TestEntryStates:
         builder.halt()
         outcome = self._agree(builder.tree, {"v.p": self.WORDS})
         # one event, the in-range load, and the junk float printed
-        assert "(0, [(1, False, 0)], [], [0.0, 3])" in outcome
+        assert outcome["reports"] == [(0, [(1, False, 0)])]
+        assert outcome["output"] == "[0.0, 3]"
 
     def test_store_to_bad_address_raises_the_interpreters_error(self):
         builder = TreeBuilder("t")
         builder.store(1, Register("v.p"))
         builder.halt()
         for bad in (-1, self.WORDS, 2.0):
-            outcome = self._agree(builder.tree, {"v.p": bad})
-            assert "InterpreterError" in outcome
-            assert ("out of range" in outcome
-                    or "non-integer address" in outcome)
+            error = self._agree(builder.tree, {"v.p": bad})["error"]
+            assert error[0] == "InterpreterError"
+            assert ("out of range" in error[1]
+                    or "non-integer address" in error[1])
 
     def test_undefined_op_guard_raises(self):
         builder = TreeBuilder("t")
         builder.store(1, 0, guard=Guard(Register("c.never", BOOL)))
         builder.halt()
         outcome = self._agree(builder.tree, {})
-        assert "guard register %c.never read before definition" in outcome
+        assert outcome["error"] == (
+            "InterpreterError", "guard register %c.never read before "
+            "definition")
 
     def _undefined_exit_guard_tree(self):
         builder = TreeBuilder("t")
@@ -265,9 +290,15 @@ class TestEntryStates:
         builder.halt()
         return builder.tree
 
-    def test_undefined_exit_guard_returns_minus_one(self):
+    def test_undefined_exit_guard_raises_after_the_stores(self):
         outcome = self._agree(self._undefined_exit_guard_tree(), {})
-        assert outcome.startswith("((-1, [(0, True, 0)], [(1, 5)], [7])")
+        assert outcome["error"] == (
+            "InterpreterError", "guard register %c.never read before "
+            "definition")
+        # the tree ran, and was never timed
+        assert outcome["reports"] == []
+        assert outcome["stores"] == "[(1, 5)]"
+        assert outcome["output"] == "[7]"
 
     @pytest.mark.parametrize("threshold", (0, 1000), ids=("hot", "cold"))
     def test_simulator_raises_after_draining_stores(self, monkeypatch,
@@ -283,5 +314,4 @@ class TestEntryStates:
             sim.run()
         assert sim.memory[1] == 5
         assert sim.output == [7]
-        assert (sim._trees[("main", "t")].tier.fn is not None) == (
-            threshold == 0)
+        assert (sim._tiers["main"].fn is not None) == (threshold == 0)

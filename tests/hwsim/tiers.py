@@ -1,12 +1,12 @@
 """Re-run hwsim test classes at forced tier thresholds.
 
-hwsim tiers each tree like the ``jit`` engine tiers each function
-(:class:`repro.engines.jit.Tier`): a tree's resolve pass runs
-interpreted until the tree has spent ``HW_TIER_THRESHOLD`` steps per
-operation or exit, then compiled.  A class that also derives from
+hwsim tiers each function like the ``jit`` engine does
+(:class:`repro.engines.jit.Tier`): a function runs interpreted until it
+has spent ``HW_TIER_THRESHOLD`` steps per operation or exit, then as
+timed compiled code.  A class that also derives from
 :class:`ForcedThreshold` runs its inherited cases again with both
-engines' thresholds at 0 (every tree and function compiled on entry)
-and at 1 (each compiled after about one execution, mid-loop).
+engines' thresholds at 0 (every function compiled on entry) and at 1
+(each compiled after about one pass over its trees, mid-loop).
 """
 
 import pytest
@@ -23,7 +23,7 @@ class ForcedThreshold:
 
     @pytest.fixture(autouse=True, params=(0, 1), ids=("tier0", "tier1"))
     def _threshold(self, request, monkeypatch):
-        # a tree already in the code cache would enter compiled
+        # a function already in the code cache would enter compiled
         jit.clear_code_cache()
         monkeypatch.setattr(jit, "HW_TIER_THRESHOLD", request.param)
         monkeypatch.setattr(jit, "TIER_THRESHOLD", request.param)
@@ -32,6 +32,6 @@ class ForcedThreshold:
         sim = HwSimulator(example22_program.copy(), hw_machine(2),
                           naive_graphs(example22_program))
         sim.run()
-        compiled = [state.tier.fn is not None
-                    for state in sim._trees.values()]
-        assert all(compiled) if jit.HW_TIER_THRESHOLD == 0 else any(compiled)
+        # main, example 2-2's one function, holds every tree
+        assert list(sim._tiers) == ["main"]
+        assert sim._tiers["main"].fn is not None
