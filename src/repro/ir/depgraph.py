@@ -14,11 +14,28 @@ speculative disambiguation exists to attack.
 Guard-awareness: operations with provably disjoint guards (the alias and
 no-alias versions produced by SpD) never receive arcs against each
 other; without this the transformed code would re-serialise.
+
+A graph is built in two steps.  The first builds the tree state's
+*skeleton*, everything no oracle decides: the register arcs, the
+candidate memory pairs (store-involved, guards not disjoint) and the
+PRINT-chain, exit-order, exit-read and COMMIT arcs.  The second drops
+the pairs in ``tree.spd_resolved``, asks the oracle about the rest and
+lists the register arcs, then the memory arcs, then the rest — the
+order of the one-pass builder this replaced, so packed graphs did not
+change.  A tree keeps its skeleton in a holder that
+:meth:`DecisionTree.copy` shares, so the four views of one compiled
+program and SpD's first graph of each tree reuse one skeleton.  A
+skeleton is used only while the tree holds the very operation and exit
+objects it was built from, in the same order (checked by identity:
+SpD and cleanup replace those lists, the frontend appends to them); a
+changed tree builds a new one.  Skeletons are never pickled, and
+arcs, being frozen, are shared between the graphs built from one.
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -43,6 +60,10 @@ __all__ = [
 
 class ArcKind(enum.Enum):
     """What a dependence arc protects; drives its timing rule."""
+
+    # hash by identity, as Opcode does: kind-keyed lookups are hot
+    __hash__ = object.__hash__
+
     REG_RAW = "reg_raw"
     REG_WAR = "reg_war"
     REG_WAW = "reg_waw"
@@ -192,7 +213,7 @@ class DependenceGraph:
 
 
 def _reaching_defs(
-    defs: List[Tuple[int, Optional[Guard]]], reader_guard: Optional[Guard],
+    defs: Sequence[Tuple[int, Optional[Guard]]], reader_guard: Optional[Guard],
     disjoint,
 ) -> List[int]:
     """Indices of defs that may reach a read under *reader_guard*.
@@ -210,6 +231,160 @@ def _reaching_defs(
     return reaching
 
 
+#: One candidate memory pair of a skeleton: the earlier and the later
+#: node, their operations, the arc kind an aliasing answer gives the
+#: pair, and the pair's op-id key.
+MemoryPair = Tuple[int, int, Operation, Operation, ArcKind, Tuple[int, int]]
+
+
+class _Skeleton:
+    """What no alias oracle decides in one tree state's graph.
+
+    ``head`` holds the register arcs, ``pairs`` the store-involved
+    memory pairs whose guards are not disjoint (in the order the graph
+    lists their arcs), and ``tail`` the PRINT-chain, exit-order,
+    exit-read and COMMIT arcs.  A skeleton describes the operations
+    and exits it was built from and :meth:`fits` a tree only while the
+    tree holds those very objects, in that order.
+    """
+
+    __slots__ = ("ops", "exits", "head", "pairs", "tail")
+
+    def __init__(self, tree: DecisionTree):
+        ops = self.ops = tuple(tree.ops)
+        exits = self.exits = tuple(tree.exits)
+        num_ops = len(ops)
+        disjoint = GuardAnalysis(tree).disjoint
+        # each node's half of an arc key: its op id, or -(exit index + 1)
+        ids = [op.op_id for op in ops]
+        ids += range(-1, -len(exits) - 1, -1)
+
+        # ---- register dependences, keyed by register name -------------------
+        head: List[Arc] = []
+        defs: Dict[str, List[Tuple[int, Optional[Guard]]]] = {}
+        reads: Dict[str, List[Tuple[int, Optional[Guard]]]] = {}
+
+        def add_read_arcs(arcs: List[Arc], node: int, name: str,
+                          node_guard: Optional[Guard],
+                          via_guard: bool) -> None:
+            for def_idx in _reaching_defs(defs.get(name, ()), node_guard,
+                                          disjoint):
+                arcs.append(Arc(def_idx, node, ArcKind.REG_RAW,
+                                via_guard=via_guard,
+                                key=(ids[def_idx], ids[node])))
+
+        for j, op in enumerate(ops):
+            guard = op.guard
+            # one read entry per distinct register, in operand order
+            read_names = dict.fromkeys(src.name for src in op.srcs
+                                       if isinstance(src, Register))
+            for name in read_names:
+                add_read_arcs(head, j, name, guard, False)
+            if guard is not None:
+                add_read_arcs(head, j, guard.reg.name, guard, True)
+                read_names[guard.reg.name] = None
+            for name in read_names:
+                reads.setdefault(name, []).append((j, guard))
+            if op.dest is not None:
+                name = op.dest.name
+                for read_idx, read_guard in reads.get(name, ()):
+                    if read_idx != j and not disjoint(read_guard, guard):
+                        head.append(Arc(read_idx, j, ArcKind.REG_WAR,
+                                        key=(ids[read_idx], ids[j])))
+                for def_idx, def_guard in defs.get(name, ()):
+                    if not disjoint(def_guard, guard):
+                        head.append(Arc(def_idx, j, ArcKind.REG_WAW,
+                                        key=(ids[def_idx], ids[j])))
+                if guard is None:
+                    defs[name] = [(j, None)]
+                    reads[name] = []
+                else:
+                    defs.setdefault(name, []).append((j, guard))
+
+        # ---- candidate memory pairs -----------------------------------------
+        pairs: List[MemoryPair] = []
+        memory = [i for i, op in enumerate(ops) if op.is_memory]
+        for a_pos, i in enumerate(memory):
+            op_i = ops[i]
+            store_i = op_i.is_store
+            for j in memory[a_pos + 1:]:
+                op_j = ops[j]
+                store_j = op_j.is_store
+                if not (store_i or store_j):
+                    continue  # load-load pairs never conflict
+                if disjoint(op_i.guard, op_j.guard):
+                    continue
+                kind = (ArcKind.MEM_WAW if store_i and store_j
+                        else ArcKind.MEM_RAW if store_i else ArcKind.MEM_WAR)
+                pairs.append((i, j, op_i, op_j, kind, (ids[i], ids[j])))
+
+        # ---- serialised PRINT chain -----------------------------------------
+        tail: List[Arc] = []
+        prints = [i for i, op in enumerate(ops) if op.is_print]
+        for prev, nxt in zip(prints, prints[1:]):
+            tail.append(Arc(prev, nxt, ArcKind.ORDER,
+                            key=(ids[prev], ids[nxt])))
+
+        # ---- exits ----------------------------------------------------------
+        # the operations that commit, each with its negated branch
+        # literals: it lies on every exit path that contains none of
+        # them.  Guards added by SpD are data conditions, not path
+        # literals, so both SpD versions are (conservatively, and
+        # faithfully to a static VLIW schedule) present on the path.
+        committing = [
+            (i, frozenset((name, not polarity)
+                          for name, polarity in op.path_literals))
+            for i, op in enumerate(ops)
+            if op.has_side_effect or (op.dest is not None
+                                      and op.dest.is_variable)]
+        guard_names: List[str] = []
+        for e_idx, exit_ in enumerate(exits):
+            node = num_ops + e_idx
+            # exits resolve in list order ("first true guard wins")
+            if e_idx > 0:
+                tail.append(Arc(node - 1, node, ArcKind.EXIT_ORDER,
+                                key=(ids[node - 1], ids[node])))
+            # the data operands of the exit (call args, return value),
+            # then the branch condition of this exit and of every
+            # earlier exit: all must be ready before this exit can resolve
+            if exit_.guard is not None:
+                guard_names.append(exit_.guard.reg.name)
+            read_names = dict.fromkeys(
+                a.name for a in (*exit_.args, exit_.value)
+                if isinstance(a, Register))
+            read_names.update(dict.fromkeys(guard_names))
+            for name in read_names:
+                add_read_arcs(tail, node, name, None, False)
+            # commit ordering: anything that commits on this path must
+            # issue no later than the exit
+            path = exit_.path_literals
+            for i, negated in committing:
+                if negated.isdisjoint(path):
+                    tail.append(Arc(i, node, ArcKind.COMMIT,
+                                    key=(ids[i], ids[node])))
+
+        self.head, self.pairs, self.tail = head, pairs, tail
+        obs.incr("depgraph.skeletons")
+
+    def fits(self, tree: DecisionTree) -> bool:
+        """Whether *tree* holds exactly the operation and exit objects
+        this skeleton was built from, in the same order."""
+        ops, exits = tree.ops, tree.exits
+        return (len(ops) == len(self.ops) and len(exits) == len(self.exits)
+                and all(map(operator.is_, ops, self.ops))
+                and all(map(operator.is_, exits, self.exits)))
+
+
+def _skeleton_of(tree: DecisionTree) -> _Skeleton:
+    """The skeleton of *tree*'s current state: the one its holder keeps
+    when that still fits, else a new one, which the tree then keeps."""
+    skeleton = tree.graph_skeleton()
+    if skeleton is None or not skeleton.fits(tree):
+        skeleton = _Skeleton(tree)
+        tree.keep_graph_skeleton(skeleton)
+    return skeleton
+
+
 def build_dependence_graph(
     tree: DecisionTree, oracle: AliasOracle = naive_oracle
 ) -> DependenceGraph:
@@ -218,112 +393,28 @@ def build_dependence_graph(
     Register dependences come from def-use scanning with guard
     disjointness; memory dependences from the alias oracle; COMMIT arcs
     tie every operation that can commit on a path to that path's exit.
+    Everything but the oracle's answers comes from the tree state's
+    skeleton (built on the first call for that state); the graph lists
+    the skeleton's register arcs, then the memory arcs of the pairs
+    that SpD has not resolved and the oracle does not answer NO, then
+    the skeleton's order, exit and COMMIT arcs.
     """
-    arcs: List[Arc] = []
-    ops = tree.ops
-    num_ops = len(ops)
-    disjoint = GuardAnalysis(tree).disjoint
-
-    def key_of(src: int, dst: int) -> Tuple[int, int]:
-        src_id = ops[src].op_id if src < num_ops else -(src - num_ops + 1)
-        dst_id = ops[dst].op_id if dst < num_ops else -(dst - num_ops + 1)
-        return (src_id, dst_id)
-
-    # ---- register dependences -------------------------------------------
-    defs: Dict[Register, List[Tuple[int, Optional[Guard]]]] = {}
-    reads: Dict[Register, List[Tuple[int, Optional[Guard]]]] = {}
-
-    def add_read_arcs(node: int, reg: Register, node_guard: Optional[Guard],
-                      via_guard: bool) -> None:
-        for def_idx in _reaching_defs(defs.get(reg, []), node_guard, disjoint):
-            arcs.append(Arc(def_idx, node, ArcKind.REG_RAW,
-                            via_guard=via_guard, key=key_of(def_idx, node)))
-
-    for j, op in enumerate(ops):
-        # one read entry per distinct register, in operand order
-        read_regs = dict.fromkeys(op.data_source_registers())
-        for reg in read_regs:
-            add_read_arcs(j, reg, op.guard, via_guard=False)
-        if op.guard is not None:
-            add_read_arcs(j, op.guard.reg, op.guard, via_guard=True)
-            read_regs[op.guard.reg] = None
-        for reg in read_regs:
-            reads.setdefault(reg, []).append((j, op.guard))
-        if op.dest is not None:
-            reg = op.dest
-            for read_idx, read_guard in reads.get(reg, []):
-                if read_idx != j and not disjoint(read_guard, op.guard):
-                    arcs.append(Arc(read_idx, j, ArcKind.REG_WAR,
-                                    key=key_of(read_idx, j)))
-            for def_idx, def_guard in defs.get(reg, []):
-                if not disjoint(def_guard, op.guard):
-                    arcs.append(Arc(def_idx, j, ArcKind.REG_WAW,
-                                    key=key_of(def_idx, j)))
-            if op.guard is None:
-                defs[reg] = [(j, None)]
-                reads[reg] = []
-            else:
-                defs.setdefault(reg, []).append((j, op.guard))
-
-    # ---- memory dependences -----------------------------------------------
-    mem_indices = tree.memory_ops()
-    for a_pos, i in enumerate(mem_indices):
-        op_i = ops[i]
-        for j in mem_indices[a_pos + 1:]:
-            op_j = ops[j]
-            if not (op_i.is_store or op_j.is_store):
-                continue  # load-load pairs never conflict
-            if disjoint(op_i.guard, op_j.guard):
-                continue
-            if (op_i.op_id, op_j.op_id) in tree.spd_resolved:
-                continue
-            answer = oracle(op_i, op_j)
-            if answer is AliasAnswer.NO:
-                continue
-            if op_i.is_store and op_j.is_load:
-                kind = ArcKind.MEM_RAW
-            elif op_i.is_load and op_j.is_store:
-                kind = ArcKind.MEM_WAR
-            else:
-                kind = ArcKind.MEM_WAW
-            arcs.append(Arc(i, j, kind,
-                            ambiguous=(answer is AliasAnswer.MAYBE),
-                            key=key_of(i, j)))
-
-    # ---- serialised PRINT chain -------------------------------------------
-    print_indices = [i for i, op in enumerate(ops) if op.is_print]
-    for prev, nxt in zip(print_indices, print_indices[1:]):
-        arcs.append(Arc(prev, nxt, ArcKind.ORDER, key=key_of(prev, nxt)))
-
-    # ---- exits ---------------------------------------------------------------
-    for e_idx, exit_ in enumerate(tree.exits):
-        node = num_ops + e_idx
-        # exits resolve in list order ("first true guard wins")
-        if e_idx > 0:
-            arcs.append(Arc(node - 1, node, ArcKind.EXIT_ORDER,
-                            key=key_of(node - 1, node)))
-        # the data operands of the exit (call args, return value), then
-        # the branch condition of this exit and of every earlier exit:
-        # all must be ready before this exit can resolve
-        read_regs = dict.fromkeys(
-            a for a in (*exit_.args, exit_.value) if isinstance(a, Register))
-        for earlier in tree.exits[: e_idx + 1]:
-            if earlier.guard is not None:
-                read_regs[earlier.guard.reg] = None
-        for reg in read_regs:
-            add_read_arcs(node, reg, None, via_guard=False)
-        # commit ordering: anything that commits on this path must issue
-        # no later than the exit
-        path = exit_.path_literals
-        for i, op in enumerate(ops):
-            if not tree.commits_on_path(op, path):
-                continue
-            if op.has_side_effect or (op.dest is not None and op.dest.is_variable):
-                arcs.append(Arc(i, node, ArcKind.COMMIT, key=key_of(i, node)))
-
-    graph = DependenceGraph(tree, arcs)
+    skeleton = _skeleton_of(tree)
+    resolved = tree.spd_resolved
+    memory: List[Arc] = []
+    ambiguous = 0
+    for i, j, op_i, op_j, kind, key in skeleton.pairs:
+        if key in resolved:
+            continue
+        answer = oracle(op_i, op_j)
+        if answer is AliasAnswer.NO:
+            continue
+        maybe = answer is AliasAnswer.MAYBE
+        memory.append(Arc(i, j, kind, ambiguous=maybe, key=key))
+        ambiguous += maybe
+    arcs = skeleton.head + memory + skeleton.tail
     if obs.is_enabled():
         obs.incr("depgraph.builds")
-        obs.incr("depgraph.arcs", len(graph.arcs))
-        obs.incr("depgraph.ambiguous_arcs", len(graph.ambiguous_arcs()))
-    return graph
+        obs.incr("depgraph.arcs", len(arcs))
+        obs.incr("depgraph.ambiguous_arcs", ambiguous)
+    return DependenceGraph(tree, arcs)

@@ -49,6 +49,11 @@ class OpCategory(enum.Enum):
 class Opcode(enum.Enum):
     """The instruction set understood by the simulator and schedulers."""
 
+    # members are singletons that compare by identity, so they hash by
+    # it too: Enum.__hash__ hashes the member name in Python, and
+    # opcode-keyed lookups run on every op the engines touch
+    __hash__ = object.__hash__
+
     # integer ALU
     ADD = "add"
     SUB = "sub"

@@ -183,32 +183,21 @@ class DecisionTree:
             return self._size
         return len(self.ops) + len(self.exits)
 
-    def memory_ops(self) -> List[int]:
-        """Indices of LOAD/STORE operations in list order."""
-        return [i for i, op in enumerate(self.ops) if op.is_memory]
-
     def exit_paths(self) -> List[PathLiterals]:
         """Path-literal sets of the exits, in exit order."""
         return [exit_.path_literals for exit_ in self.exits]
 
-    def commits_on_path(self, op: Operation, path: PathLiterals) -> bool:
-        """Whether *op* can commit when the tree leaves through a path.
-
-        An operation lies on a path if its branch literals do not
-        contradict the path's.  Guards added by speculative
-        disambiguation are data conditions, not path literals, so both
-        SpD versions are (conservatively, and faithfully to a static
-        VLIW schedule) considered present on the path.
-        """
-        for reg_name, polarity in op.path_literals:
-            if (reg_name, not polarity) in path:
-                return False
-        return True
-
     def copy(self) -> "DecisionTree":
         """A deep-enough copy: operations/exits are immutable, lists are
-        fresh, so transforming the copy never mutates the original."""
-        return DecisionTree(
+        fresh, so transforming the copy never mutates the original.
+
+        The copy shares this tree's dependence-graph skeleton holder
+        (:meth:`graph_skeleton`): a graph built on either, under any
+        oracle, reuses the skeleton the first build on either made, for
+        as long as the tree holds the same operation and exit objects
+        in the same order.  A copy that SpD changes builds and keeps a
+        skeleton of its own."""
+        clone = DecisionTree(
             name=self.name,
             ops=list(self.ops),
             exits=list(self.exits),
@@ -216,6 +205,30 @@ class DecisionTree:
             next_op_id=self.next_op_id,
             next_temp_id=self.next_temp_id,
         )
+        clone._skeleton_holder = self.__dict__.setdefault(
+            "_skeleton_holder", [None])
+        return clone
+
+    # -- dependence-graph skeleton ----------------------------------------
+
+    def graph_skeleton(self) -> Optional[object]:
+        """The dependence-graph skeleton (:mod:`repro.ir.depgraph`) in
+        the holder this tree shares with its copies, or None.  It may
+        describe another state of the tree: the builder checks that it
+        fits before using it.  The holder is never pickled."""
+        holder = self.__dict__.get("_skeleton_holder")
+        return None if holder is None else holder[0]
+
+    def keep_graph_skeleton(self, skeleton: object) -> None:
+        """Keep *skeleton*, built on this tree's current state.  The
+        first one fills the holder shared with the copies; a later one
+        describes a changed state, so this tree takes a holder of its
+        own and leaves the shared one to the trees it still fits."""
+        holder = self.__dict__.get("_skeleton_holder")
+        if holder is not None and holder[0] is None:
+            holder[0] = skeleton
+        else:
+            self._skeleton_holder = [skeleton]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<tree {self.name}: {len(self.ops)} ops, {len(self.exits)} exits>"

@@ -13,6 +13,7 @@ from repro.machine import machine
 from repro.sim import run_program
 
 from ..conftest import build_raw_tree_program, graph_rows
+from ..ir.reference_depgraph import build_dependence_graph as reference
 
 
 def loop_tree_and_probs(program, profile):
@@ -126,7 +127,9 @@ class TestCarriedGraph:
         oracle = make_static_oracle(tree)
 
         def fresh_rows():
-            return graph_rows(build_dependence_graph(tree, oracle))
+            # the kept one-pass builder: the library's own would reuse
+            # the very skeleton under test
+            return graph_rows(reference(tree, oracle))
 
         hoisted_rejections = []
         real_apply_spd = spd_heuristic.apply_spd

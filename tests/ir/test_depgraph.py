@@ -8,8 +8,9 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.ir import (AliasAnswer, ArcKind, Guard, Opcode,
-                      Register, TreeBuilder, build_dependence_graph,
+from repro.ir import (BOOL, AliasAnswer, ArcKind, Constant, DecisionTree,
+                      ExitKind, Guard, Opcode, Operation, Register,
+                      TreeBuilder, TreeExit, build_dependence_graph,
                       naive_oracle)
 
 
@@ -188,6 +189,30 @@ class TestExits:
         b.halt()
         graph = build_dependence_graph(b.tree)
         assert (0, graph.exit_node(0)) in arcs_of(graph, ArcKind.COMMIT)
+
+    def test_commit_arcs_follow_branch_literals(self):
+        """An operation commits to an exit unless one of its branch
+        literals contradicts the exit's path; an operation without
+        literals commits to every exit."""
+        tree = DecisionTree("t")
+        tree.append(Operation(0, Opcode.MOV, dest=Register("v.x"),
+                              srcs=(Constant(1),),
+                              path_literals=frozenset({("c", True)})))
+        tree.append(Operation(1, Opcode.MOV, dest=Register("v.y"),
+                              srcs=(Constant(2),)))
+        cond = Guard(Register("c", BOOL))
+        tree.exits += [
+            TreeExit(ExitKind.GOTO, guard=cond, target="t1",
+                     path_literals=frozenset({("c", True)})),
+            TreeExit(ExitKind.GOTO, guard=cond.inverted(), target="t2",
+                     path_literals=frozenset({("c", False)})),
+            TreeExit(ExitKind.HALT, path_literals=frozenset({("d", False)}))]
+        graph = build_dependence_graph(tree)
+        commits = arcs_of(graph, ArcKind.COMMIT)
+        assert [(0, graph.exit_node(0)), (0, graph.exit_node(2))] == [
+            arc for arc in commits if arc[0] == 0]
+        assert [(1, graph.exit_node(e)) for e in range(3)] == [
+            arc for arc in commits if arc[0] == 1]
 
 
 class TestGraphStructure:

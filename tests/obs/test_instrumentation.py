@@ -11,7 +11,7 @@ import pytest
 
 from repro import (Disambiguator, compile_source, disambiguate,
                    evaluate_program, machine, obs, run_program)
-from repro.bench import get_benchmark
+from repro.bench import SUITE, get_benchmark
 from repro.frontend.grafting import graft_program
 from repro.passes import DEFAULT_CLEANUP, PassPipelineConfig
 from repro.pipeline import ArtifactStore, Pipeline
@@ -114,6 +114,24 @@ class TestGraphReuse:
             "perm", PassPipelineConfig(cleanup=DEFAULT_CLEANUP))
         assert span.counters["trees"] > 0
         assert span.counters["reused"] == 0
+
+    def test_the_four_views_share_one_skeleton_per_tree(self):
+        """The Section 6 flow builds the 4 views of a kernel from one
+        compiled program: NAIVE builds each tree's skeleton, STATIC,
+        PERFECT and SpD's first graph reuse it, and every later SpD
+        graph comes with a skeleton of its own."""
+        pipe = Pipeline(store=ArtifactStore(root=None))
+        trees = 0
+        with obs.tracing() as tracer:
+            for name in SUITE:
+                source = get_benchmark(name).source
+                trees += len(list(pipe.compiled(name, source)
+                                  .program.all_trees()))
+                for kind in Disambiguator:
+                    pipe.view(name, source, kind, 6)
+        counters = tracer.metrics.counters
+        assert (counters["depgraph.builds"] - counters["depgraph.skeletons"]
+                == 3 * trees)
 
 
 class TestSimulatorMetrics:

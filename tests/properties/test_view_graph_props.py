@@ -3,10 +3,11 @@
 The ``spd`` pass carries each tree state's graph through the Gain()
 loop and hands the final one to ``disambiguate``, which then builds
 only the graphs it was not handed.  Whatever the path, a view's graph
-must be indistinguishable from ``build_dependence_graph`` run afresh on
-the view's tree under the static oracle: the same op count, the same
-arcs field by field and in the same order, and built on the view
-program's own tree object.  Checked over the paper's kernels at both
+must be indistinguishable from the kept reference builder
+(``tests/ir/reference_depgraph.py``, which shares no skeleton) run
+afresh on the view's tree under the static oracle: the same op count,
+the same arcs field by field and in the same order, and built on the
+view program's own tree object.  Checked over the paper's kernels at both
 memory latencies, the corpus smoke slice, and a pipeline whose cleanup
 passes drop the carried graphs.  A graph's pickle round trip (packed
 arcs, decoded on first read) is checked on random programs.
@@ -21,13 +22,13 @@ from repro.bench import SUITE, get_benchmark
 from repro.corpus import DEFAULT_MANIFEST_PATH, entry_source, load_manifest
 from repro.disambig import Disambiguator, disambiguate, make_static_oracle
 from repro.frontend import compile_source
-from repro.ir import build_dependence_graph
 from repro.machine import machine
 from repro.passes import DEFAULT_CLEANUP, PassPipelineConfig
 from repro.pipeline import ArtifactStore, Pipeline
 from repro.sim import run_program
 
 from ..conftest import graph_rows
+from ..ir.reference_depgraph import build_dependence_graph as reference
 from .gen import tinyc_programs
 
 _MANIFEST = load_manifest(DEFAULT_MANIFEST_PATH)
@@ -40,7 +41,7 @@ def assert_graphs_are_fresh(view):
     for function_name, tree in trees:
         graph = view.graphs[(function_name, tree.name)]
         assert graph.tree is tree, (function_name, tree.name)
-        fresh = build_dependence_graph(tree, make_static_oracle(tree))
+        fresh = reference(tree, make_static_oracle(tree))
         assert graph_rows(graph) == graph_rows(fresh), (function_name,
                                                         tree.name)
 
